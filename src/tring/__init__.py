@@ -11,8 +11,10 @@ experiments on top of it.
 __version__ = "0.1.0"
 
 from .graph import (
+    LaplacianOperator,
     NeighborGraph,
     knn_graph,
+    laplacian_operator,
     laplacian_quadratic,
     neighbor_graph,
     pairwise_distances,
@@ -61,6 +63,7 @@ from .tensor_ops import (
 __all__ = [
     "TRCores",
     "NeighborGraph",
+    "LaplacianOperator",
     "SolverConfig",
     "FitReport",
     "DegenerateSubproblemError",
@@ -87,6 +90,7 @@ __all__ = [
     "knn_graph",
     "neighbor_graph",
     "laplacian_quadratic",
+    "laplacian_operator",
     "gradient_ntr",
     "gradient_gntr",
     "lipschitz_ntr",

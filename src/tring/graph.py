@@ -4,22 +4,35 @@ Samples are the slices of the data tensor along its sample dimension (the
 last one by convention).  Edges are binary and mutual: i and j are joined
 iff each lies among the other's p nearest neighbors under Frobenius
 distance.  The graph is built once on the raw data and held fixed during
-optimization.
+optimization.  The solver applies that fixed Laplacian through a
+:class:`LaplacianOperator`: a CSR copy (a mutual p-NN graph has at most
+p*n edges) with its spectral norm taken once.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.linalg import eigsh
 
 from .tensor_ops import as_tensor, unfold_classical
 
 __all__ = [
     "NeighborGraph",
+    "LaplacianOperator",
     "pairwise_distances",
     "knn_graph",
     "neighbor_graph",
     "laplacian_quadratic",
+    "laplacian_norm",
+    "laplacian_operator",
 ]
+
+# Relative margin added to the top eigenvalue: Lanczos (and LAPACK) can
+# end an ulp or two below the true value (1.9999999999999998 for 2.0),
+# and a step size from an underestimated Lipschitz constant can overshoot.
+NORM_MARGIN = 1e-10
 
 
 @dataclass(frozen=True)
@@ -105,3 +118,55 @@ def laplacian_quadratic(h, g):
     if h.shape[0] != h.shape[1] or h.shape[1] != g.shape[0]:
         raise ValueError(f"shape mismatch: h {h.shape} vs g {g.shape}")
     return float(np.vdot(g, h @ g))
+
+
+def laplacian_norm(h):
+    """Spectral norm of a symmetric positive semidefinite matrix ``h``.
+
+    That norm is the top eigenvalue, found by Lanczos (ARPACK) from a
+    seeded start vector and raised by a relative margin of
+    ``NORM_MARGIN`` so that it never falls below the true value.  A
+    matrix with no nonzero entry (a graph without edges) gives 0; a 1x1
+    matrix, too small for ARPACK, is solved densely.
+    """
+    h = sparse.csr_array(h)
+    n = h.shape[0]
+    if h.count_nonzero() == 0:
+        return 0.0
+    if n < 2:
+        top = float(np.linalg.eigvalsh(h.toarray())[-1])
+    else:
+        v0 = np.random.default_rng(0).standard_normal(n)
+        top = float(eigsh(h, k=1, which="LA", v0=v0, return_eigenvectors=False)[0])
+    return max(top, 0.0) * (1.0 + NORM_MARGIN)
+
+
+class LaplacianOperator:
+    """A fixed graph Laplacian held as a CSR matrix.
+
+    ``op @ g`` returns a dense ndarray, so the operator stands in for the
+    dense Laplacian in products.  ``norm`` is ``laplacian_norm`` of the
+    matrix, computed on first use and kept.
+    """
+
+    def __init__(self, laplacian):
+        laplacian = as_tensor(laplacian)
+        if laplacian.ndim != 2 or laplacian.shape[0] != laplacian.shape[1]:
+            raise ValueError(f"Laplacian must be square, got shape {laplacian.shape}")
+        self.matrix = sparse.csr_array(laplacian)
+
+    @property
+    def shape(self):
+        return self.matrix.shape
+
+    def __matmul__(self, g):
+        return self.matrix @ g
+
+    @cached_property
+    def norm(self):
+        return laplacian_norm(self.matrix)
+
+
+def laplacian_operator(h):
+    """``h`` as a :class:`LaplacianOperator`; an operator is returned as is."""
+    return h if isinstance(h, LaplacianOperator) else LaplacianOperator(h)

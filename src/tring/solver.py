@@ -11,6 +11,12 @@ and H is the sample-graph Laplacian.  The step size is the reciprocal of
 the subproblem's Lipschitz constant ||S.T S||_2 (+ beta*||H||_2 for the
 regularized sample-mode update).
 
+H is fixed for the whole fit and sparse, so :func:`fit` wraps it once in a
+:class:`~tring.graph.LaplacianOperator`: every product with H is a CSR
+product, and ||H||_2 is computed once per fit, not once per sweep.  The
+gradient, Lipschitz and inner-solver code below all go through that one
+operator, whether they are handed it or a dense Laplacian.
+
 Plain momentum can overshoot, so a step that would raise the subproblem
 objective restarts the momentum (alpha <- 1, search point <- current
 iterate) and retakes a plain projected-gradient step, which the quadratic
@@ -24,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import NeighborGraph
+from .graph import NeighborGraph, laplacian_operator
 from .ring import (
     TRCores,
     build_subchain,
@@ -132,9 +138,12 @@ def gradient_ntr(g2, subchain2, x_unfold):
 
 
 def gradient_gntr(g2, subchain2, x_unfold, h_g, beta):
-    """Gradient of the graph-regularized subproblem (sample mode only)."""
-    h_g = as_tensor(h_g)
-    if h_g.shape[0] != h_g.shape[1] or h_g.shape[1] != np.shape(g2)[0]:
+    """Gradient of the graph-regularized subproblem (sample mode only).
+
+    ``h_g`` is the Laplacian, dense or as a ``LaplacianOperator``.
+    """
+    h_g = laplacian_operator(h_g)
+    if h_g.shape[1] != np.shape(g2)[0]:
         raise ValueError(f"Laplacian shape {h_g.shape} does not match g2 rows")
     return gradient_ntr(g2, subchain2, x_unfold) + beta * (h_g @ as_tensor(g2))
 
@@ -145,8 +154,12 @@ def lipschitz_ntr(subchain2):
 
 
 def lipschitz_gntr(subchain2, h_g, beta):
-    """Lipschitz constant of the graph-regularized subproblem gradient."""
-    return lipschitz_ntr(subchain2) + beta * spectral_norm(h_g)
+    """Lipschitz constant of the graph-regularized subproblem gradient.
+
+    ``h_g`` is the Laplacian, dense or as a ``LaplacianOperator``, whose
+    kept norm is then reused.
+    """
+    return lipschitz_ntr(subchain2) + beta * laplacian_operator(h_g).norm
 
 
 def alpha_next(alpha):
@@ -180,8 +193,11 @@ def solve_core(x_unfold, subchain2, g_init, cfg, h_g=None, callback=None):
         Nonnegative starting iterate (current core unfolding).
     cfg : SolverConfig
         Supplies ``t_max`` and ``beta``.
-    h_g : ndarray, optional
+    h_g : LaplacianOperator or ndarray, optional
         Sample-graph Laplacian; pass only for the sample-mode core.
+        :func:`fit` passes the operator it prepared once per fit, so
+        ``||H||_2`` is not recomputed per call; a dense Laplacian is
+        wrapped in a new operator on every call.
     callback : callable, optional
         ``callback(g_new, y, grad_y)`` after each accepted iterate, for
         diagnostics and audits.
@@ -197,11 +213,10 @@ def solve_core(x_unfold, subchain2, g_init, cfg, h_g=None, callback=None):
     g_init = as_tensor(g_init)
     use_graph = h_g is not None and cfg.beta > 0
     if use_graph:
-        h_g = as_tensor(h_g)
-
-    lipschitz = lipschitz_ntr(subchain2)
-    if use_graph:
-        lipschitz += cfg.beta * spectral_norm(h_g)
+        h_g = laplacian_operator(h_g)
+        lipschitz = lipschitz_gntr(subchain2, h_g, cfg.beta)
+    else:
+        lipschitz = lipschitz_ntr(subchain2)
     if not np.isfinite(lipschitz):
         raise NumericalError(f"non-finite subproblem step size: {lipschitz}")
     if lipschitz == 0.0:
@@ -279,6 +294,8 @@ def fit(x, ranks, cfg=None, graph=None):
         cfg = SolverConfig()
     if x.ndim < 2:
         raise ValueError("fit requires a tensor of order >= 2")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("data tensor must be finite (no NaN or Inf)")
     if np.any(x < 0):
         raise ValueError("data tensor must be nonnegative")
     dims = x.shape
@@ -295,7 +312,7 @@ def fit(x, ranks, cfg=None, graph=None):
             raise ValueError(
                 f"graph has {graph.n_samples} samples, tensor has {dims[-1]}"
             )
-        h_g = graph.laplacian
+        h_g = laplacian_operator(graph.laplacian)
     else:
         h_g = None
 

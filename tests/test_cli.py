@@ -297,6 +297,23 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")])
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["fit", "cluster"])
+    def test_non_finite_data_is_validation_error(
+        self, command, tmp_path, monkeypatch, capsys
+    ):
+        # The .ten reader already refuses NaN, so hand the commands a tensor
+        # that got past it: fit's own check must map to exit 2, not 4.
+        x, _ = ring_tensor((4, 4, 5), (2, 2, 2), seed=0)
+        x[1, 2, 3] = np.nan
+        monkeypatch.setattr("tring.cli.read_tensor", lambda path: x.copy())
+        labels = tmp_path / "labels.txt"
+        write_labels(labels, [0, 0, 1, 1, 1])
+        code = main([command, "--data", "nan.ten", "--labels", str(labels),
+                     "--ranks", "2,2,2", "--beta", "0", "--tmax", "5", "--max-sweeps", "2",
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_unknown_command_exits_via_argparse(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])

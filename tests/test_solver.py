@@ -4,11 +4,20 @@ gradient, and the descent/majorization guarantees."""
 import numpy as np
 import pytest
 
-from tring.graph import neighbor_graph
+import tring.graph
+from tring.graph import (
+    LaplacianOperator,
+    NeighborGraph,
+    knn_graph,
+    laplacian_operator,
+    neighbor_graph,
+    pairwise_distances,
+)
 from tring.ring import (
     build_subchain,
     core_unfold2,
     init_random,
+    reconstruct,
     relative_error,
     subchain_unfold2,
 )
@@ -45,6 +54,11 @@ def fd_gradient(objective, g, h=1e-6):
         e[idx] = h
         grad[idx] = (objective(g + e) - objective(g - e)) / (2.0 * h)
     return grad
+
+
+def empty_graph(n):
+    zeros = np.zeros((n, n))
+    return NeighborGraph(w=zeros, degree=np.zeros(n), laplacian=zeros)
 
 
 def random_instance(seed, rows=5, cols=8, width=4):
@@ -155,6 +169,34 @@ class TestLipschitz:
                 gradient_gntr(a, s2, xn, h, beta) - gradient_gntr(b, s2, xn, h, beta)
             )
             assert lhs <= lip * np.linalg.norm(a - b) * (1 + 1e-9)
+
+    @pytest.mark.parametrize(
+        "case", ["isolated", "no_edges", "path2", "path3", "complete"]
+    )
+    def test_graph_lipschitz_never_below_top_eigenvalue(self, case):
+        # With an all-zero subchain the graph Lipschitz constant is beta*||H||_2
+        # alone; it must bound the top eigenvalue of H, which Lanczos can
+        # undershoot by an ulp (1.9999999999999998 for the 2-node path's 2.0).
+        rng = np.random.default_rng(30)
+        if case == "isolated":
+            laps = []
+            for n in (6, 12, 40, 150):
+                for _ in range(4):
+                    g = knn_graph(pairwise_distances(rng.random((3, n))), 1)
+                    assert np.any(g.degree == 0)
+                    laps.append(g.laplacian)
+        elif case == "no_edges":
+            laps = [np.zeros((7, 7))]
+        elif case.startswith("path"):
+            n = int(case[-1])
+            w = np.eye(n, k=1) + np.eye(n, k=-1)
+            laps = [np.diag(w.sum(axis=1)) - w]
+        else:
+            laps = [n * np.eye(n) - np.ones((n, n)) for n in (3, 9, 30)]
+        for h in laps:
+            top = np.linalg.eigvalsh(h)[-1]
+            lip = lipschitz_gntr(np.zeros((1, 1)), h, 1.0)
+            assert top <= lip <= top * (1 + 1e-8) + 1e-12
 
 
 class TestMomentumPieces:
@@ -351,6 +393,15 @@ class TestFit:
         with pytest.raises(ValueError):
             fit(-np.ones((3, 3)), (1, 1), SolverConfig(beta=0.0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("beta", [0.0, 0.1])
+    def test_non_finite_data_rejected_before_fitting(self, bad, beta, monkeypatch):
+        x, _ = ring_tensor((4, 4, 5), (2, 2, 2), seed=0)
+        x[1, 2, 3] = bad
+        monkeypatch.setattr("tring.solver.init_random", None)  # no work may start
+        with pytest.raises(ValueError, match="finite"):
+            fit(x, (2, 2, 2), SolverConfig(beta=beta), empty_graph(5))
+
     def test_rank_mismatch_rejected(self):
         with pytest.raises(ValueError):
             fit(np.ones((3, 3, 3)), (2, 2), SolverConfig(beta=0.0))
@@ -374,3 +425,64 @@ class TestFit:
         for mode in range(3):
             s2 = subchain_unfold2(build_subchain(cores, mode))
             assert np.linalg.matrix_rank(s2) == s2.shape[1]
+
+
+class TestLaplacianOperator:
+    @staticmethod
+    def sample_mode_problem(beta=0.5):
+        x, _ = blob_tensor((4, 4), 3, 10, seed=4)
+        graph = neighbor_graph(x, 4)
+        cores = init_random(x.shape, (2, 2, 3), seed=1)
+        s2 = subchain_unfold2(build_subchain(cores, 2))
+        cfg = SolverConfig(t_max=100, beta=beta)
+        return (unfold_tr(x, 2), s2, core_unfold2(cores[2]), cfg), graph
+
+    def test_solve_core_sparse_matches_dense_products(self, monkeypatch):
+        args, graph = self.sample_mode_problem()
+        op = laplacian_operator(graph.laplacian)
+        sparse_out = solve_core(*args, h_g=op)
+        # A dense Laplacian from a caller goes through the same operator.
+        assert np.array_equal(solve_core(*args, h_g=graph.laplacian), sparse_out)
+        dense = graph.laplacian
+        monkeypatch.setattr(LaplacianOperator, "__matmul__", lambda self, g: dense @ g)
+        dense_out = solve_core(*args, h_g=op)
+        assert np.linalg.norm(sparse_out - dense_out) <= 1e-12 * np.linalg.norm(dense_out)
+
+    def test_norm_computed_once_per_graph_fit(self, monkeypatch):
+        calls = []
+        real = tring.graph.laplacian_norm
+
+        def counting(h):
+            calls.append(h.shape)
+            return real(h)
+
+        monkeypatch.setattr(tring.graph, "laplacian_norm", counting)
+        x, _ = blob_tensor((4, 4), 2, 8, seed=3)
+        cfg = SolverConfig(t_max=5, max_sweeps=6, tol=1e-15, beta=0.2, seed=1)
+        _, report = fit(x, (2, 2, 2), cfg, neighbor_graph(x, 4))
+        assert report.sweeps_run == 6
+        assert calls == [(16, 16)]
+
+    def test_final_objective_matches_dense_formula(self):
+        x, _ = blob_tensor((4, 4), 2, 8, seed=3)
+        graph = neighbor_graph(x, 4)
+        beta = 0.2
+        cfg = SolverConfig(t_max=15, max_sweeps=10, tol=1e-12, beta=beta, seed=1)
+        cores, report = fit(x, (2, 2, 2), cfg, graph)
+        g = core_unfold2(cores[-1])
+        resid = x - reconstruct(cores)
+        want = 0.5 * float(np.vdot(resid, resid)) + 0.5 * beta * float(
+            np.trace(g.T @ graph.laplacian @ g)
+        )
+        assert report.objective_per_sweep[-1] == pytest.approx(want, rel=1e-10)
+
+    def test_graph_without_edges_fits_like_plain(self):
+        x, _ = blob_tensor((3, 3), 2, 5, seed=5)
+        cfg = SolverConfig(t_max=10, max_sweeps=5, tol=1e-12, beta=0.3, seed=2)
+        cores, report = fit(x, (2, 2, 2), cfg, empty_graph(x.shape[-1]))
+        cfg.beta = 0.0
+        plain_cores, plain_report = fit(x, (2, 2, 2), cfg)
+        assert report.sweeps_run == 5
+        assert np.array_equal(report.objective_per_sweep, plain_report.objective_per_sweep)
+        for a, b in zip(cores, plain_cores):
+            assert np.array_equal(a, b)
