@@ -16,7 +16,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import eigsh
 
-from .tensor_ops import as_tensor, unfold_classical
+from .tensor_ops import NORM_MARGIN, as_tensor, gram_norm, unfold_classical
 
 __all__ = [
     "NeighborGraph",
@@ -29,15 +29,15 @@ __all__ = [
     "laplacian_operator",
 ]
 
-# Relative margin added to the top eigenvalue: Lanczos (and LAPACK) can
-# end an ulp or two below the true value (1.9999999999999998 for 2.0),
-# and a step size from an underestimated Lipschitz constant can overshoot.
-NORM_MARGIN = 1e-10
-
 
 @dataclass(frozen=True)
 class NeighborGraph:
-    """Symmetric binary adjacency, degree vector, and Laplacian D - W."""
+    """Symmetric binary adjacency, degree vector, and Laplacian D - W.
+
+    ``operator`` is the Laplacian as a :class:`LaplacianOperator`, built on
+    first use and kept, so every fit on one graph shares its CSR copy and
+    its norm.
+    """
 
     w: np.ndarray
     degree: np.ndarray
@@ -46,6 +46,10 @@ class NeighborGraph:
     @property
     def n_samples(self):
         return self.w.shape[0]
+
+    @cached_property
+    def operator(self):
+        return LaplacianOperator(self.laplacian)
 
 
 def pairwise_distances(x, sample_mode=-1):
@@ -59,6 +63,8 @@ def pairwise_distances(x, sample_mode=-1):
     n = x.shape[mode]
     if n < 2:
         raise ValueError("pairwise distances need at least 2 samples")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("sample data must be finite (no NaN or Inf)")
     flat = unfold_classical(x, mode)
     sq = np.einsum("ij,ij->i", flat, flat)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (flat @ flat.T)
@@ -134,10 +140,9 @@ def laplacian_norm(h):
     if h.count_nonzero() == 0:
         return 0.0
     if n < 2:
-        top = float(np.linalg.eigvalsh(h.toarray())[-1])
-    else:
-        v0 = np.random.default_rng(0).standard_normal(n)
-        top = float(eigsh(h, k=1, which="LA", v0=v0, return_eigenvectors=False)[0])
+        return gram_norm(h.toarray())
+    v0 = np.random.default_rng(0).standard_normal(n)
+    top = float(eigsh(h, k=1, which="LA", v0=v0, return_eigenvectors=False)[0])
     return max(top, 0.0) * (1.0 + NORM_MARGIN)
 
 

@@ -96,6 +96,13 @@ class TRCores:
         return f"TRCores(dims={self.dims}, ranks={self.ranks}, nonneg={self.nonneg})"
 
 
+# The slice loop of :func:`_merge` does r_head times the needed
+# multiplications and makes one call per slice; past these sizes a single
+# tensordot followed by one transposing copy is cheaper.
+_SLICE_LOOP_MAX_SIZE = 64
+_SLICE_LOOP_MAX_WIDTH = 32
+
+
 def _core_list(cores):
     return cores.cores if isinstance(cores, TRCores) else list(cores)
 
@@ -129,6 +136,10 @@ def build_subchain(cores, mode):
     ``(r_{mode+1}, prod of remaining dims, r_mode)`` with the middle index
     enumerating the merged dimensions in that cyclic order, the first one
     varying fastest.
+
+    The chain is accumulated C-contiguous as ``(middle, r_cur, r_head)``
+    and returned as a transposed view of that buffer, so the solver's
+    :func:`subchain_unfold2` of it is a view too.
     """
     cores = _core_list(cores)
     d = len(cores)
@@ -137,21 +148,39 @@ def build_subchain(cores, mode):
     if not 0 <= mode < d:
         raise ValueError(f"mode {mode} out of range for {d} cores")
     order = [(mode + j) % d for j in range(1, d)]
-    sub = cores[order[0]]
+    acc = np.ascontiguousarray(as_tensor(cores[order[0]]).transpose(1, 2, 0))
     for idx in order[1:]:
-        nxt = cores[idx]
-        r_head, middle = sub.shape[0], sub.shape[1]
-        merged = np.tensordot(sub, nxt, axes=(2, 0))
-        # Flatten the (middle, i_idx) pair with the existing middle index
-        # still fastest, i.e. the newly appended dimension is slower.
-        sub = merged.transpose(0, 2, 1, 3).reshape(
-            r_head, middle * nxt.shape[1], nxt.shape[2]
-        )
-    return sub
+        acc = _merge(acc, as_tensor(cores[idx]))
+    return acc.transpose(2, 0, 1)
+
+
+def _merge(acc, core):
+    """Append ``core`` to a ``(middle, r, r_head)`` chain as its slowest index.
+
+    Returns the ``(size * middle, r_next, r_head)`` chain, C-contiguous.
+    """
+    middle, r, r_head = acc.shape
+    size, r_next = core.shape[1], core.shape[2]
+    if size > _SLICE_LOOP_MAX_SIZE or r * r_head > _SLICE_LOOP_MAX_WIDTH:
+        merged = np.tensordot(acc, core, axes=(1, 0))  # (middle, r_head, size, r_next)
+        out = np.ascontiguousarray(merged.transpose(2, 0, 3, 1))
+    else:
+        # One GEMM per slice of the new core writes its block in place:
+        # out[i][m, b, a] = sum_k acc[m, k, a] * core[k, i, b], taken as
+        # acc (middle, r * r_head) @ kron(core[:, i, :], I_head).
+        out = np.empty((size, middle, r_next, r_head))
+        flat = acc.reshape(middle, r * r_head)
+        eye = np.eye(r_head)
+        for i in range(size):
+            np.dot(flat, np.kron(core[:, i, :], eye), out=out[i].reshape(middle, -1))
+    return out.reshape(size * middle, r_next, r_head)
 
 
 def subchain_unfold2(sub):
-    """Mode-2 unfolding of a subchain, columns paired (r_n slow, r_{n+1} fast)."""
+    """Mode-2 unfolding of a subchain, columns paired (r_n slow, r_{n+1} fast).
+
+    A view, not a copy, for a subchain from :func:`build_subchain`.
+    """
     sub = as_tensor(sub)
     if sub.ndim != 3:
         raise ValueError("subchain must be third order")

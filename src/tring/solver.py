@@ -11,11 +11,18 @@ and H is the sample-graph Laplacian.  The step size is the reciprocal of
 the subproblem's Lipschitz constant ||S.T S||_2 (+ beta*||H||_2 for the
 regularized sample-mode update).
 
-H is fixed for the whole fit and sparse, so :func:`fit` wraps it once in a
-:class:`~tring.graph.LaplacianOperator`: every product with H is a CSR
-product, and ||H||_2 is computed once per fit, not once per sweep.  The
-gradient, Lipschitz and inner-solver code below all go through that one
-operator, whether they are handed it or a dense Laplacian.
+Each core solve forms the r^2 x r^2 Gram S.T S once, for the inner
+gradient and for the Lipschitz constant alike: ||S.T S||_2 is its top
+eigenvalue (``eigvalsh``) raised by the same small relative margin as the
+graph norm, so it never falls below the true value.  :func:`lipschitz_ntr`
+and :func:`lipschitz_gntr` go through the same helper.
+
+H is fixed and sparse, so the graph keeps it as a
+:class:`~tring.graph.LaplacianOperator` (``NeighborGraph.operator``): every
+product with H is a CSR product, and ||H||_2 is computed once per graph,
+however many fits use it.  The gradient, Lipschitz and inner-solver code
+below all go through that one operator, whether they are handed it or a
+dense Laplacian.
 
 Plain momentum can overshoot, so a step that would raise the subproblem
 objective restarts the momentum (alpha <- 1, search point <- current
@@ -39,7 +46,7 @@ from .ring import (
     init_random,
     subchain_unfold2,
 )
-from .tensor_ops import as_tensor, spectral_norm, unfold_tr
+from .tensor_ops import as_tensor, gram_norm, unfold_tr
 
 __all__ = [
     "SolverConfig",
@@ -148,9 +155,27 @@ def gradient_gntr(g2, subchain2, x_unfold, h_g, beta):
     return gradient_ntr(g2, subchain2, x_unfold) + beta * (h_g @ as_tensor(g2))
 
 
+def _lipschitz(sts, h_g=None, beta=0.0):
+    """Lipschitz constant of a subproblem gradient from its Gram ``S.T @ S``.
+
+    ``gram_norm(sts)`` (top eigenvalue plus margin), plus ``beta * ||H||_2``
+    when a ``LaplacianOperator`` ``h_g`` is given.  Raises
+    ``NumericalError`` on a non-finite Gram or constant.
+    """
+    if not np.all(np.isfinite(sts)):
+        raise NumericalError("subchain Gram became non-finite")
+    lipschitz = gram_norm(sts)
+    if h_g is not None:
+        lipschitz += beta * h_g.norm
+    if not math.isfinite(lipschitz):
+        raise NumericalError(f"non-finite subproblem step size: {lipschitz}")
+    return lipschitz
+
+
 def lipschitz_ntr(subchain2):
     """Lipschitz constant ||S.T S||_2 of the plain subproblem gradient."""
-    return spectral_norm(subchain2) ** 2
+    subchain2 = as_tensor(subchain2)
+    return _lipschitz(subchain2.T @ subchain2)
 
 
 def lipschitz_gntr(subchain2, h_g, beta):
@@ -159,7 +184,8 @@ def lipschitz_gntr(subchain2, h_g, beta):
     ``h_g`` is the Laplacian, dense or as a ``LaplacianOperator``, whose
     kept norm is then reused.
     """
-    return lipschitz_ntr(subchain2) + beta * laplacian_operator(h_g).norm
+    subchain2 = as_tensor(subchain2)
+    return _lipschitz(subchain2.T @ subchain2, laplacian_operator(h_g), beta)
 
 
 def alpha_next(alpha):
@@ -195,9 +221,9 @@ def solve_core(x_unfold, subchain2, g_init, cfg, h_g=None, callback=None):
         Supplies ``t_max`` and ``beta``.
     h_g : LaplacianOperator or ndarray, optional
         Sample-graph Laplacian; pass only for the sample-mode core.
-        :func:`fit` passes the operator it prepared once per fit, so
-        ``||H||_2`` is not recomputed per call; a dense Laplacian is
-        wrapped in a new operator on every call.
+        :func:`fit` passes the graph's kept operator, so ``||H||_2`` is
+        not recomputed per call; a dense Laplacian is wrapped in a new
+        operator on every call.
     callback : callable, optional
         ``callback(g_new, y, grad_y)`` after each accepted iterate, for
         diagnostics and audits.
@@ -212,20 +238,18 @@ def solve_core(x_unfold, subchain2, g_init, cfg, h_g=None, callback=None):
     subchain2 = as_tensor(subchain2)
     g_init = as_tensor(g_init)
     use_graph = h_g is not None and cfg.beta > 0
-    if use_graph:
-        h_g = laplacian_operator(h_g)
-        lipschitz = lipschitz_gntr(subchain2, h_g, cfg.beta)
-    else:
-        lipschitz = lipschitz_ntr(subchain2)
-    if not np.isfinite(lipschitz):
-        raise NumericalError(f"non-finite subproblem step size: {lipschitz}")
+    h_g = laplacian_operator(h_g) if use_graph else None
+
+    # The Gram, cross and ||X||^2 terms are constant over the inner loop.
+    # ``ravel(order="K")`` reads the unfolding in its own memory order
+    # (``unfold_tr`` returns F-ordered arrays), so ||X||^2 needs no copy.
+    sts = subchain2.T @ subchain2
+    lipschitz = _lipschitz(sts, h_g, cfg.beta)
     if lipschitz == 0.0:
         raise DegenerateSubproblemError("all-zero subchain gives a zero step size")
-
-    # The Gram and cross terms are constant over the inner loop.
-    sts = subchain2.T @ subchain2
     xs = x_unfold @ subchain2
-    norm_x2 = float(np.vdot(x_unfold, x_unfold))
+    x_flat = x_unfold.ravel(order="K")
+    norm_x2 = float(x_flat @ x_flat)
 
     def objective(g):
         val = 0.5 * (norm_x2 - 2.0 * float(np.vdot(g, xs)) + float(np.vdot(g @ sts, g)))
@@ -312,7 +336,7 @@ def fit(x, ranks, cfg=None, graph=None):
             raise ValueError(
                 f"graph has {graph.n_samples} samples, tensor has {dims[-1]}"
             )
-        h_g = laplacian_operator(graph.laplacian)
+        h_g = graph.operator
     else:
         h_g = None
 

@@ -51,6 +51,15 @@ class TestPairwiseDistances:
         assert np.array_equal(d, d.T)
         assert np.all(np.diagonal(d) == 0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_data_named(self, bad):
+        # NaN distances compare unequal to themselves; without the up-front
+        # check the graph build failed as "distance matrix must be symmetric".
+        x = np.random.default_rng(0).random((4, 4, 5))
+        x[1, 2, 3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            neighbor_graph(x, 2)
+
     def test_single_sample_rejected(self):
         with pytest.raises(ValueError):
             pairwise_distances(np.ones((3, 1)))

@@ -133,6 +133,25 @@ class TestSubchain:
         with pytest.raises(ValueError):
             build_subchain(TRCores([np.ones((2, 3, 2))]), 0)
 
+    @pytest.mark.parametrize(
+        "dims, ranks",
+        [
+            ((3, 4), (2, 3)),
+            ((1, 4, 2), (1, 2, 3)),
+            ((2, 3, 1, 2), (2, 1, 3, 2)),
+            ((2, 2, 3, 1, 2), (1, 1, 1, 1, 1)),
+            ((3, 70, 2), (2, 2, 3)),  # a slice count past the per-slice loop
+            ((2, 3, 2), (6, 6, 6)),  # a chain too wide for the per-slice loop
+        ],
+    )
+    def test_unfold2_is_a_view_matching_oracle(self, dims, ranks):
+        cores = init_random(dims, ranks, seed=12)
+        for mode in range(len(dims)):
+            sub = build_subchain(cores, mode)
+            m = subchain_unfold2(sub)
+            assert np.shares_memory(m, sub)
+            np.testing.assert_allclose(sub, subchain_oracle(cores, mode), rtol=1e-12)
+
     def test_contract_back_reproduces_reconstruction(self):
         cores = init_random((3, 2, 4), (2, 2, 3), seed=4)
         ref = reconstruct(cores)

@@ -170,6 +170,39 @@ class TestLipschitz:
             )
             assert lhs <= lip * np.linalg.norm(a - b) * (1 + 1e-9)
 
+    @pytest.mark.parametrize("case", ["rank_deficient", "all_zero", "one_column"])
+    def test_lipschitz_never_below_top_gram_eigenvalue(self, case):
+        rng = np.random.default_rng(31)
+        if case == "rank_deficient":
+            s2 = np.abs(rng.standard_normal((9, 2))) @ np.abs(rng.standard_normal((2, 6)))
+        elif case == "all_zero":
+            s2 = np.zeros((7, 4))
+        else:
+            s2 = np.abs(rng.standard_normal((8, 1)))
+        assert lipschitz_ntr(s2) >= np.linalg.eigvalsh(s2.T @ s2)[-1]
+
+    @pytest.mark.parametrize("beta", [0.0, 0.4])
+    def test_solver_steps_at_the_public_constant(self, beta):
+        # Criterion 3 checks lipschitz_ntr/gntr; every step solve_core takes
+        # must use exactly that constant.
+        x, _ = blob_tensor((4, 4), 3, 10, seed=4)
+        graph = neighbor_graph(x, 4)
+        cores = init_random(x.shape, (2, 2, 3), seed=1)
+        s2 = subchain_unfold2(build_subchain(cores, 2))
+        if beta > 0:
+            lip = lipschitz_gntr(s2, graph.operator, beta)
+        else:
+            lip = lipschitz_ntr(s2)
+        steps = []
+
+        def audit(g_new, y, grad_y):
+            steps.append(np.array_equal(g_new, prox_step(y, grad_y, lip)))
+
+        solve_core(unfold_tr(x, 2), s2, core_unfold2(cores[2]),
+                   SolverConfig(t_max=20, beta=beta), h_g=graph.operator,
+                   callback=audit)
+        assert len(steps) == 20 and all(steps)
+
     @pytest.mark.parametrize(
         "case", ["isolated", "no_edges", "path2", "path3", "complete"]
     )
@@ -412,6 +445,21 @@ class TestFit:
         with pytest.raises(ValueError):
             fit(x, (2, 2, 2), SolverConfig(beta=0.1), graph)
 
+    @pytest.mark.parametrize("mode", range(3))
+    def test_solve_core_independent_of_unfolding_memory_order(self, mode):
+        # unfold_tr returns F-ordered arrays; ||X||^2 is read in memory order.
+        x, _ = blob_tensor((4, 5), 3, 6, seed=9)
+        cores = init_random(x.shape, (2, 3, 2), seed=2)
+        s2 = subchain_unfold2(build_subchain(cores, mode))
+        g0 = core_unfold2(cores[mode])
+        xf = np.asfortranarray(unfold_tr(x, mode))
+        xc = np.ascontiguousarray(xf)
+        assert xf.flags.f_contiguous and xc.flags.c_contiguous
+        cfg = SolverConfig(t_max=30, beta=0.0)
+        got_f = solve_core(xf, s2, g0, cfg)
+        got_c = solve_core(xc, s2, g0, cfg)
+        assert np.linalg.norm(got_f - got_c) <= 1e-12 * np.linalg.norm(got_c)
+
     def test_overflowing_data_raises_numerical_error(self):
         x = np.full((4, 4, 4), 1e160)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -461,6 +509,21 @@ class TestLaplacianOperator:
         cfg = SolverConfig(t_max=5, max_sweeps=6, tol=1e-15, beta=0.2, seed=1)
         _, report = fit(x, (2, 2, 2), cfg, neighbor_graph(x, 4))
         assert report.sweeps_run == 6
+        assert calls == [(16, 16)]
+
+    def test_norm_computed_once_per_graph_across_fits(self, monkeypatch):
+        calls = []
+        real = tring.graph.laplacian_norm
+
+        def counting(h):
+            calls.append(h.shape)
+            return real(h)
+
+        monkeypatch.setattr(tring.graph, "laplacian_norm", counting)
+        x, _ = blob_tensor((4, 4), 2, 8, seed=3)
+        graph = neighbor_graph(x, 4)
+        for seed in (1, 2):
+            fit(x, (2, 2, 2), SolverConfig(t_max=5, max_sweeps=3, beta=0.2, seed=seed), graph)
         assert calls == [(16, 16)]
 
     def test_final_objective_matches_dense_formula(self):
