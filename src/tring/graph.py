@@ -16,7 +16,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import eigsh
 
-from .tensor_ops import NORM_MARGIN, as_tensor, gram_norm, unfold_classical
+from .tensor_ops import as_tensor, gram_norm, unfold_classical, with_margin
 
 __all__ = [
     "NeighborGraph",
@@ -36,12 +36,20 @@ class NeighborGraph:
 
     ``operator`` is the Laplacian as a :class:`LaplacianOperator`, built on
     first use and kept, so every fit on one graph shares its CSR copy and
-    its norm.
+    its norm.  So that it cannot go stale, the three arrays are made
+    read-only on construction; an array passed in must not be changed
+    through another view of its memory either.
     """
 
     w: np.ndarray
     degree: np.ndarray
     laplacian: np.ndarray
+
+    def __post_init__(self):
+        for name in ("w", "degree", "laplacian"):
+            arr = np.asarray(getattr(self, name))
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def n_samples(self):
@@ -130,10 +138,10 @@ def laplacian_norm(h):
     """Spectral norm of a symmetric positive semidefinite matrix ``h``.
 
     That norm is the top eigenvalue, found by Lanczos (ARPACK) from a
-    seeded start vector and raised by a relative margin of
-    ``NORM_MARGIN`` so that it never falls below the true value.  A
-    matrix with no nonzero entry (a graph without edges) gives 0; a 1x1
-    matrix, too small for ARPACK, is solved densely.
+    seeded start vector and raised by the relative margin
+    ``tensor_ops.NORM_MARGIN`` so that it never falls below the true
+    value.  A matrix with no nonzero entry (a graph without edges) gives
+    0; a 1x1 matrix, too small for ARPACK, is solved densely.
     """
     h = sparse.csr_array(h)
     n = h.shape[0]
@@ -142,8 +150,7 @@ def laplacian_norm(h):
     if n < 2:
         return gram_norm(h.toarray())
     v0 = np.random.default_rng(0).standard_normal(n)
-    top = float(eigsh(h, k=1, which="LA", v0=v0, return_eigenvectors=False)[0])
-    return max(top, 0.0) * (1.0 + NORM_MARGIN)
+    return with_margin(float(eigsh(h, k=1, which="LA", v0=v0, return_eigenvectors=False)[0]))
 
 
 class LaplacianOperator:

@@ -96,13 +96,6 @@ class TRCores:
         return f"TRCores(dims={self.dims}, ranks={self.ranks}, nonneg={self.nonneg})"
 
 
-# The slice loop of :func:`_merge` does r_head times the needed
-# multiplications and makes one call per slice; past these sizes a single
-# tensordot followed by one transposing copy is cheaper.
-_SLICE_LOOP_MAX_SIZE = 64
-_SLICE_LOOP_MAX_WIDTH = 32
-
-
 def _core_list(cores):
     return cores.cores if isinstance(cores, TRCores) else list(cores)
 
@@ -158,21 +151,15 @@ def _merge(acc, core):
     """Append ``core`` to a ``(middle, r, r_head)`` chain as its slowest index.
 
     Returns the ``(size * middle, r_next, r_head)`` chain, C-contiguous.
+    One batched GEMM writes it in that layout: block ``i`` is
+    ``acc (middle, r * r_head) @ kron(core[:, i, :], I_head)``, i.e.
+    ``out[i][m, b, a] = sum_k acc[m, k, a] * core[k, i, b]``.
     """
     middle, r, r_head = acc.shape
     size, r_next = core.shape[1], core.shape[2]
-    if size > _SLICE_LOOP_MAX_SIZE or r * r_head > _SLICE_LOOP_MAX_WIDTH:
-        merged = np.tensordot(acc, core, axes=(1, 0))  # (middle, r_head, size, r_next)
-        out = np.ascontiguousarray(merged.transpose(2, 0, 3, 1))
-    else:
-        # One GEMM per slice of the new core writes its block in place:
-        # out[i][m, b, a] = sum_k acc[m, k, a] * core[k, i, b], taken as
-        # acc (middle, r * r_head) @ kron(core[:, i, :], I_head).
-        out = np.empty((size, middle, r_next, r_head))
-        flat = acc.reshape(middle, r * r_head)
-        eye = np.eye(r_head)
-        for i in range(size):
-            np.dot(flat, np.kron(core[:, i, :], eye), out=out[i].reshape(middle, -1))
+    kron = np.einsum("kib,ac->ikabc", core, np.eye(r_head))
+    out = np.empty((size, middle, r_next * r_head))
+    np.matmul(acc.reshape(middle, r * r_head), kron.reshape(size, r * r_head, -1), out=out)
     return out.reshape(size * middle, r_next, r_head)
 
 

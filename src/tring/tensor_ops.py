@@ -156,22 +156,28 @@ def gram_norm(gram):
     relative margin of ``NORM_MARGIN`` so that it never falls below the
     true value.  The matrix must be finite.
     """
-    top = float(np.linalg.eigvalsh(gram)[-1])
+    return with_margin(float(np.linalg.eigvalsh(gram)[-1]))
+
+
+def with_margin(top):
+    """A computed top eigenvalue, clipped at 0 and raised by ``NORM_MARGIN``."""
     return max(top, 0.0) * (1.0 + NORM_MARGIN)
 
 
 def spectral_norm(a):
     """Largest singular value of a matrix.
 
-    The square root of :func:`gram_norm` of ``a.T @ a``, so it shares the
-    solver's eigenvalue route and margin.  A zero matrix yields 0.
+    The square root of :func:`gram_norm` of the Gram on the smaller side
+    (``a.T @ a``, or ``a @ a.T`` for a wide matrix; both have the same
+    nonzero eigenvalues), so it shares the solver's eigenvalue route and
+    margin.  A zero matrix yields 0.
     """
     a = as_tensor(a)
     if a.ndim != 2:
         raise ValueError("spectral_norm expects a matrix")
     if a.size == 0:
         raise ValueError("spectral_norm of an empty matrix")
-    gram = a.T @ a
+    gram = a @ a.T if a.shape[0] < a.shape[1] else a.T @ a
     if not np.all(np.isfinite(gram)):
         raise ValueError("spectral_norm of a matrix with a non-finite Gram")
     return math.sqrt(gram_norm(gram))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tring.graph import (
+    NeighborGraph,
     knn_graph,
     laplacian_quadratic,
     neighbor_graph,
@@ -131,6 +132,17 @@ class TestKnnGraph:
         )
         g = knn_graph(d, 1)
         assert g.w[0, 1] == 1.0 and g.w[0, 2] == 0.0
+
+    def test_arrays_read_only_so_cached_operator_cannot_go_stale(self):
+        g = knn_graph(pairwise_distances(np.random.default_rng(3).random((2, 6))), 2)
+        lap = np.array(g.laplacian)
+        hand = NeighborGraph(w=np.array(g.w), degree=np.array(g.degree), laplacian=lap)
+        for graph in (g, hand):
+            for arr in (graph.w, graph.degree, graph.laplacian):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 1.0
+        assert not lap.flags.writeable
+        np.testing.assert_array_equal(hand.operator @ np.eye(6), g.laplacian)
 
 
 class TestLaplacianQuadratic:

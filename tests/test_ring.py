@@ -140,8 +140,8 @@ class TestSubchain:
             ((1, 4, 2), (1, 2, 3)),
             ((2, 3, 1, 2), (2, 1, 3, 2)),
             ((2, 2, 3, 1, 2), (1, 1, 1, 1, 1)),
-            ((3, 70, 2), (2, 2, 3)),  # a slice count past the per-slice loop
-            ((2, 3, 2), (6, 6, 6)),  # a chain too wide for the per-slice loop
+            ((3, 70, 2), (2, 2, 3)),  # many slices in one merge
+            ((2, 3, 2), (6, 6, 6)),  # wide ranks
         ],
     )
     def test_unfold2_is_a_view_matching_oracle(self, dims, ranks):

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from tring import tensor_ops
 from tring.tensor_ops import (
     contract_single_mode,
     fold_classical,
@@ -264,3 +265,19 @@ class TestSpectralNorm:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             spectral_norm(np.zeros((0, 3)))
+
+    def test_wide_matrix_uses_the_small_gram(self, monkeypatch):
+        a = np.random.default_rng(15).standard_normal((3, 400))
+        sizes = []
+        real = tensor_ops.gram_norm
+
+        def recording(gram):
+            sizes.append(gram.shape)
+            return real(gram)
+
+        monkeypatch.setattr(tensor_ops, "gram_norm", recording)
+        sigma = spectral_norm(a)
+        assert sizes == [(3, 3)]
+        top = np.linalg.svd(a, compute_uv=False)[0]
+        assert top <= sigma == pytest.approx(top, rel=1e-9)
+        assert spectral_norm(a.T) == pytest.approx(sigma, rel=1e-12)
