@@ -29,7 +29,6 @@ from .ring import (
     init_random,
     reconstruct,
     relative_error,
-    subchain_fold2,
     subchain_unfold2,
 )
 from .solver import (
@@ -49,12 +48,8 @@ from .solver import (
 )
 from .synthetic import blob_tensor, ring_tensor
 from .tensor_ops import (
-    contract_single_mode,
-    fold_classical,
     fold_tr,
     frobenius_norm,
-    inner_product,
-    mode_n_product,
     spectral_norm,
     unfold_classical,
     unfold_tr,
@@ -68,19 +63,14 @@ __all__ = [
     "FitReport",
     "DegenerateSubproblemError",
     "NumericalError",
-    "inner_product",
     "frobenius_norm",
-    "mode_n_product",
     "unfold_classical",
-    "fold_classical",
     "unfold_tr",
     "fold_tr",
-    "contract_single_mode",
     "spectral_norm",
     "init_random",
     "build_subchain",
     "subchain_unfold2",
-    "subchain_fold2",
     "core_unfold2",
     "core_fold2",
     "reconstruct",

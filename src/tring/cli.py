@@ -330,7 +330,7 @@ def basis_tensors(cores):
     columns of the subchain unfolding, so basis f is column f folded back
     to the non-sample dimensions.
     """
-    d = len(cores.cores) if hasattr(cores, "cores") else len(cores)
+    d = len(cores)
     sub2 = subchain_unfold2(build_subchain(cores, d - 1))
     slice_dims = tuple(c.shape[1] for c in cores)[:-1]
     return [

@@ -25,7 +25,6 @@ __all__ = [
     "init_random",
     "build_subchain",
     "subchain_unfold2",
-    "subchain_fold2",
     "core_unfold2",
     "core_fold2",
     "reconstruct",
@@ -96,10 +95,6 @@ class TRCores:
         return f"TRCores(dims={self.dims}, ranks={self.ranks}, nonneg={self.nonneg})"
 
 
-def _core_list(cores):
-    return cores.cores if isinstance(cores, TRCores) else list(cores)
-
-
 def init_random(dims, ranks, seed):
     """Random nonnegative cores: |N(0, 1)| entries, deterministic per seed.
 
@@ -134,7 +129,7 @@ def build_subchain(cores, mode):
     and returned as a transposed view of that buffer, so the solver's
     :func:`subchain_unfold2` of it is a view too.
     """
-    cores = _core_list(cores)
+    cores = list(cores)
     d = len(cores)
     if d < 2:
         raise ValueError("subchain requires at least two cores")
@@ -175,14 +170,6 @@ def subchain_unfold2(sub):
     return sub.transpose(1, 2, 0).reshape(middle, r_tail * r_head)
 
 
-def subchain_fold2(m, r_n, r_np1):
-    """Exact inverse of :func:`subchain_unfold2`."""
-    m = as_tensor(m)
-    if m.ndim != 2 or m.shape[1] != r_n * r_np1:
-        raise ValueError(f"matrix shape {m.shape} does not match ranks ({r_n}, {r_np1})")
-    return m.reshape(m.shape[0], r_n, r_np1).transpose(2, 0, 1)
-
-
 def core_unfold2(core):
     """Mode-2 unfolding of one core, columns paired (r_n slow, r_{n+1} fast)."""
     core = as_tensor(core)
@@ -209,7 +196,7 @@ def reconstruct(cores):
     which costs a slice product per entry; the trace form survives only as
     a test oracle.
     """
-    cores = _core_list(cores)
+    cores = list(cores)
     d = len(cores)
     dims = tuple(c.shape[1] for c in cores)
     if d == 1:
@@ -234,5 +221,5 @@ def feature_matrix(cores):
     With samples stored along the final tensor dimension, the last core's
     unfolding has one row per sample and ``r_d * r_1`` feature columns.
     """
-    cores = _core_list(cores)
+    cores = list(cores)
     return core_unfold2(cores[-1])

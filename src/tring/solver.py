@@ -11,11 +11,17 @@ and H is the sample-graph Laplacian.  The step size is the reciprocal of
 the subproblem's Lipschitz constant ||S.T S||_2 (+ beta*||H||_2 for the
 regularized sample-mode update).
 
-Each core solve forms the r^2 x r^2 Gram S.T S once, for the inner
-gradient and for the Lipschitz constant alike: ||S.T S||_2 is its top
-eigenvalue (``eigvalsh``) raised by the same small relative margin as the
-graph norm, so it never falls below the true value.  :func:`lipschitz_ntr`
-and :func:`lipschitz_gntr` go through the same helper.
+The subproblem is defined once, by the private ``_Subproblem``: its
+objective, gradient and Lipschitz constant are what :func:`solve_core`
+iterates on, what :func:`gradient_ntr` and :func:`gradient_gntr` return,
+and what :func:`fit` reports per sweep.  It forms the r^2 x r^2 Gram
+S.T S once, for the gradient and for the Lipschitz constant alike:
+||S.T S||_2 is its top eigenvalue (``eigvalsh``) raised by the same small
+relative margin as the graph norm, so it never falls below the true value.
+:func:`lipschitz_ntr` and :func:`lipschitz_gntr` go through the same
+helper.  The objective is taken in the expanded form, from the Gram, the
+cross term X S and ||X||^2, in the inner accept test and in the reported
+sweep objective alike.
 
 H is fixed and sparse, so the graph keeps it as a
 :class:`~tring.graph.LaplacianOperator` (``NeighborGraph.operator``): every
@@ -31,6 +37,7 @@ majorization guarantees is non-increasing.  This keeps both the per-core
 and the full objective monotone without giving up acceleration.
 """
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -127,11 +134,64 @@ class FitReport:
     initial_objective: float = float("nan")
 
 
+class _Subproblem:
+    """One core subproblem, the only definition of its objective and gradient.
+
+    ``min_{G >= 0} 0.5*||x_unfold - G @ subchain2.T||_F^2`` plus
+    ``0.5*beta*tr(G.T H G)`` when a Laplacian ``h_g`` is given and
+    ``beta > 0``.  The Gram ``S.T @ S``, the cross term ``X @ S`` and
+    ``||X||^2`` are formed once, so the objective is taken in the expanded
+    form ``0.5*(||X||^2 - 2<G, X S> + <G S.T S, G>)``.  ``ravel(order="K")``
+    reads the unfolding in its own memory order (``unfold_tr`` returns
+    F-ordered arrays), so ``||X||^2`` needs no copy.  The Lipschitz
+    constant is taken on first use only, so a gradient alone never runs an
+    eigensolver.
+    """
+
+    def __init__(self, x_unfold, subchain2, h_g=None, beta=0.0):
+        self.sts = subchain2.T @ subchain2
+        self.xs = x_unfold @ subchain2
+        x_flat = x_unfold.ravel(order="K")
+        self.norm_x2 = float(x_flat @ x_flat)
+        self.h_g = laplacian_operator(h_g) if h_g is not None and beta > 0 else None
+        self.beta = beta
+
+    @functools.cached_property
+    def lipschitz(self):
+        return _lipschitz(self.sts, self.h_g, self.beta)
+
+    def objective(self, g):
+        cross = float(np.vdot(g, self.xs))
+        val = 0.5 * (self.norm_x2 - 2.0 * cross + float(np.vdot(g @ self.sts, g)))
+        if self.h_g is not None:
+            val += 0.5 * self.beta * float(np.vdot(g, self.h_g @ g))
+        return val
+
+    def gradient(self, g):
+        grad = g @ self.sts - self.xs
+        if self.h_g is not None:
+            grad = grad + self.beta * (self.h_g @ g)
+        return grad
+
+
 def gradient_ntr(g2, subchain2, x_unfold):
     """Gradient of 0.5*||x_unfold - g2 @ subchain2.T||_F^2 in g2."""
+    return gradient_gntr(g2, subchain2, x_unfold, None, 0.0)
+
+
+def gradient_gntr(g2, subchain2, x_unfold, h_g, beta):
+    """Gradient of the graph-regularized subproblem (sample mode only).
+
+    ``h_g`` is the Laplacian, dense or as a ``LaplacianOperator``; ``None``
+    gives the plain gradient, as does ``beta == 0``.
+    """
     g2 = as_tensor(g2)
     subchain2 = as_tensor(subchain2)
     x_unfold = as_tensor(x_unfold)
+    if h_g is not None:
+        h_g = laplacian_operator(h_g)
+        if h_g.shape[1] != g2.shape[0]:
+            raise ValueError(f"Laplacian shape {h_g.shape} does not match g2 rows")
     if (
         g2.shape[1] != subchain2.shape[1]
         or x_unfold.shape[0] != g2.shape[0]
@@ -141,18 +201,7 @@ def gradient_ntr(g2, subchain2, x_unfold):
             f"shape mismatch: g2 {g2.shape}, subchain2 {subchain2.shape}, "
             f"x_unfold {x_unfold.shape}"
         )
-    return g2 @ (subchain2.T @ subchain2) - x_unfold @ subchain2
-
-
-def gradient_gntr(g2, subchain2, x_unfold, h_g, beta):
-    """Gradient of the graph-regularized subproblem (sample mode only).
-
-    ``h_g`` is the Laplacian, dense or as a ``LaplacianOperator``.
-    """
-    h_g = laplacian_operator(h_g)
-    if h_g.shape[1] != np.shape(g2)[0]:
-        raise ValueError(f"Laplacian shape {h_g.shape} does not match g2 rows")
-    return gradient_ntr(g2, subchain2, x_unfold) + beta * (h_g @ as_tensor(g2))
+    return _Subproblem(x_unfold, subchain2, h_g, beta).gradient(g2)
 
 
 def _lipschitz(sts, h_g=None, beta=0.0):
@@ -234,51 +283,28 @@ def solve_core(x_unfold, subchain2, g_init, cfg, h_g=None, callback=None):
         The final nonnegative iterate; its subproblem objective never
         exceeds the initial one.
     """
-    x_unfold = as_tensor(x_unfold)
-    subchain2 = as_tensor(subchain2)
     g_init = as_tensor(g_init)
-    use_graph = h_g is not None and cfg.beta > 0
-    h_g = laplacian_operator(h_g) if use_graph else None
-
-    # The Gram, cross and ||X||^2 terms are constant over the inner loop.
-    # ``ravel(order="K")`` reads the unfolding in its own memory order
-    # (``unfold_tr`` returns F-ordered arrays), so ||X||^2 needs no copy.
-    sts = subchain2.T @ subchain2
-    lipschitz = _lipschitz(sts, h_g, cfg.beta)
+    sub = _Subproblem(as_tensor(x_unfold), as_tensor(subchain2), h_g, cfg.beta)
+    lipschitz = sub.lipschitz
     if lipschitz == 0.0:
         raise DegenerateSubproblemError("all-zero subchain gives a zero step size")
-    xs = x_unfold @ subchain2
-    x_flat = x_unfold.ravel(order="K")
-    norm_x2 = float(x_flat @ x_flat)
-
-    def objective(g):
-        val = 0.5 * (norm_x2 - 2.0 * float(np.vdot(g, xs)) + float(np.vdot(g @ sts, g)))
-        if use_graph:
-            val += 0.5 * cfg.beta * float(np.vdot(g, h_g @ g))
-        return val
-
-    def gradient(y):
-        grad = y @ sts - xs
-        if use_graph:
-            grad = grad + cfg.beta * (h_g @ y)
-        return grad
 
     g_curr = g_init
     y = g_init
     alpha = 1.0
-    f_curr = objective(g_init)
+    f_curr = sub.objective(g_init)
     for _ in range(cfg.t_max):
-        grad = gradient(y)
+        grad = sub.gradient(y)
         g_next = prox_step(y, grad, lipschitz)
-        f_next = objective(g_next)
+        f_next = sub.objective(g_next)
         if f_next > f_curr:
             # Momentum overshoot: restart and retake a plain projected
             # gradient step, which majorization makes non-increasing.
             alpha = 1.0
             y = g_curr
-            grad = gradient(y)
+            grad = sub.gradient(y)
             g_next = prox_step(y, grad, lipschitz)
-            f_next = objective(g_next)
+            f_next = sub.objective(g_next)
         if callback is not None:
             callback(g_next, y, grad)
         a_nxt = alpha_next(alpha)
@@ -344,15 +370,9 @@ def fit(x, ranks, cfg=None, graph=None):
     cores = list(init_random(dims, ranks, cfg.seed))
     x_unfolds = [unfold_tr(x, n) for n in range(d)]
 
-    def sweep_objective(g2_last, sub2_last):
-        resid = x_unfolds[d - 1] - g2_last @ sub2_last.T
-        val = 0.5 * float(np.vdot(resid, resid))
-        if active:
-            val += 0.5 * cfg.beta * float(np.vdot(g2_last, h_g @ g2_last))
-        return val
-
-    prev_obj = sweep_objective(
-        core_unfold2(cores[d - 1]), subchain_unfold2(build_subchain(cores, d - 1))
+    sub2 = subchain_unfold2(build_subchain(cores, d - 1))
+    prev_obj = _Subproblem(x_unfolds[d - 1], sub2, h_g, cfg.beta).objective(
+        core_unfold2(cores[d - 1])
     )
     initial_objective = prev_obj
     scale = max(initial_objective, np.finfo(np.float64).tiny)
@@ -363,12 +383,12 @@ def fit(x, ranks, cfg=None, graph=None):
         for n in range(d):
             sub2 = subchain_unfold2(build_subchain(cores, n))
             g0 = core_unfold2(cores[n])
-            hg_n = h_g if (active and n == d - 1) else None
+            hg_n = h_g if n == d - 1 else None
             g = solve_core(x_unfolds[n], sub2, g0, cfg, h_g=hg_n)
             cores[n] = core_fold2(g, ranks[n], dims[n], ranks[(n + 1) % d])
         # Cores 0..d-2 are untouched since the last inner solve, so its
-        # subchain is still the current one and the objective is cheap.
-        obj = sweep_objective(g, sub2)
+        # subchain is still the current one.
+        obj = _Subproblem(x_unfolds[d - 1], sub2, h_g, cfg.beta).objective(g)
         if not np.isfinite(obj):
             raise NumericalError(f"objective became non-finite: {obj}")
         sweeps_run += 1

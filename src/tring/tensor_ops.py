@@ -14,14 +14,10 @@ import numpy as np
 
 __all__ = [
     "as_tensor",
-    "inner_product",
     "frobenius_norm",
-    "mode_n_product",
     "unfold_classical",
-    "fold_classical",
     "unfold_tr",
     "fold_tr",
-    "contract_single_mode",
     "gram_norm",
     "spectral_norm",
 ]
@@ -42,38 +38,9 @@ def _check_mode(x, mode):
         raise ValueError(f"mode {mode} out of range for order-{x.ndim} tensor")
 
 
-def inner_product(x, y):
-    """Sum of elementwise products of two same-shaped tensors."""
-    x = as_tensor(x)
-    y = as_tensor(y)
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    return float(np.vdot(x, y))
-
-
 def frobenius_norm(x):
     """Frobenius norm, i.e. sqrt of the self inner product."""
     return float(np.linalg.norm(as_tensor(x).ravel()))
-
-
-def mode_n_product(x, a, mode):
-    """Contract matrix ``a`` against dimension ``mode`` of tensor ``x``.
-
-    ``a`` has shape ``(j, x.shape[mode])``; the result replaces dimension
-    ``mode`` by ``j`` and leaves all other dimensions in place.
-    """
-    x = as_tensor(x)
-    a = as_tensor(a)
-    _check_mode(x, mode)
-    if a.ndim != 2:
-        raise ValueError("mode product expects a matrix")
-    if a.shape[1] != x.shape[mode]:
-        raise ValueError(
-            f"inner dimension mismatch: matrix has {a.shape[1]} columns, "
-            f"tensor mode {mode} has size {x.shape[mode]}"
-        )
-    out = np.tensordot(x, a, axes=(mode, 1))
-    return np.moveaxis(out, -1, mode)
 
 
 def unfold_classical(x, mode):
@@ -86,19 +53,6 @@ def unfold_classical(x, mode):
     _check_mode(x, mode)
     y = np.moveaxis(x, mode, 0)
     return y.reshape(x.shape[mode], -1, order="F")
-
-
-def fold_classical(m, mode, shape):
-    """Exact inverse of :func:`unfold_classical` for the given shape."""
-    m = as_tensor(m)
-    shape = tuple(int(s) for s in shape)
-    if not 0 <= mode < len(shape):
-        raise ValueError(f"mode {mode} out of range for shape {shape}")
-    rest = shape[:mode] + shape[mode + 1 :]
-    if m.shape != (shape[mode], int(np.prod(rest, dtype=np.int64))):
-        raise ValueError(f"matrix shape {m.shape} does not match target {shape}")
-    y = m.reshape((shape[mode],) + rest, order="F")
-    return np.moveaxis(y, 0, mode)
 
 
 def unfold_tr(x, mode):
@@ -130,23 +84,6 @@ def fold_tr(m, mode, shape):
     y = m.reshape(perm_shape, order="F")
     inv_axes = tuple((i - mode) % d for i in range(d))
     return np.transpose(y, inv_axes)
-
-
-def contract_single_mode(x, y, mode_x, mode_y):
-    """Contract one dimension of ``x`` against one dimension of ``y``.
-
-    The output carries the remaining dimensions of ``x`` (in order)
-    followed by the remaining dimensions of ``y``.
-    """
-    x = as_tensor(x)
-    y = as_tensor(y)
-    _check_mode(x, mode_x)
-    _check_mode(y, mode_y)
-    if x.shape[mode_x] != y.shape[mode_y]:
-        raise ValueError(
-            f"contracted sizes differ: {x.shape[mode_x]} vs {y.shape[mode_y]}"
-        )
-    return np.tensordot(x, y, axes=(mode_x, mode_y))
 
 
 def gram_norm(gram):

@@ -183,12 +183,14 @@ class TestLipschitz:
 
     @pytest.mark.parametrize("beta", [0.0, 0.4])
     def test_solver_steps_at_the_public_constant(self, beta):
-        # Criterion 3 checks lipschitz_ntr/gntr; every step solve_core takes
-        # must use exactly that constant.
+        # Criteria 2 and 3 check gradient_ntr/gntr and lipschitz_ntr/gntr;
+        # every step solve_core takes must use exactly that gradient and
+        # that constant.
         x, _ = blob_tensor((4, 4), 3, 10, seed=4)
         graph = neighbor_graph(x, 4)
         cores = init_random(x.shape, (2, 2, 3), seed=1)
         s2 = subchain_unfold2(build_subchain(cores, 2))
+        xn = unfold_tr(x, 2)
         if beta > 0:
             lip = lipschitz_gntr(s2, graph.operator, beta)
         else:
@@ -196,9 +198,14 @@ class TestLipschitz:
         steps = []
 
         def audit(g_new, y, grad_y):
-            steps.append(np.array_equal(g_new, prox_step(y, grad_y, lip)))
+            if beta > 0:
+                public = gradient_gntr(y, s2, xn, graph.operator, beta)
+            else:
+                public = gradient_ntr(y, s2, xn)
+            steps.append(np.array_equal(grad_y, public)
+                         and np.array_equal(g_new, prox_step(y, grad_y, lip)))
 
-        solve_core(unfold_tr(x, 2), s2, core_unfold2(cores[2]),
+        solve_core(xn, s2, core_unfold2(cores[2]),
                    SolverConfig(t_max=20, beta=beta), h_g=graph.operator,
                    callback=audit)
         assert len(steps) == 20 and all(steps)
@@ -358,6 +365,11 @@ class TestFit:
         cores, report = fit(x, (2, 2, 2), cfg)
         assert relative_error(x, cores) <= 1e-3
         assert cores.nonneg and all(np.all(c >= 0) for c in cores)
+        # The reported objective comes from the solver's expanded form, which
+        # cancels most where the fit is nearly exact.
+        f = report.objective_per_sweep[-1]
+        dense = 0.5 * np.sum((x - reconstruct(cores)) ** 2)
+        assert abs(f - dense) <= 1e-8 * f + 1e-13 * np.sum(x**2)
 
     def test_zero_beta_with_graph_bit_identical_to_plain(self):
         x, labels = blob_tensor((4, 4), 2, 6, seed=1)
