@@ -4,12 +4,16 @@ Samples are the slices of the data tensor along its sample dimension (the
 last one by convention).  Edges are binary and mutual: i and j are joined
 iff each lies among the other's p nearest neighbors under Frobenius
 distance.  The graph is built once on the raw data and held fixed during
-optimization.  The solver applies that fixed Laplacian through a
-:class:`LaplacianOperator`: a CSR copy (a mutual p-NN graph has at most
-p*n edges) with its spectral norm taken once.
+optimization.
+
+A mutual p-NN graph has at most p*n edges, so a :class:`NeighborGraph`
+holds its adjacency as CSR.  ``neighbor_graph`` computes distances in row
+blocks of about 2**20 entries and never holds an n x n array; only reading
+a graph's dense ``w`` or ``laplacian`` view builds one.  The solver applies
+the fixed Laplacian through a :class:`LaplacianOperator`: a CSR matrix with
+its spectral norm taken once.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -29,35 +33,136 @@ __all__ = [
     "laplacian_operator",
 ]
 
+# Distances computed per row block; bounds the graph build's working memory.
+_BLOCK = 1 << 20
 
-@dataclass(frozen=True)
+
+def _read_only(arr):
+    arr.flags.writeable = False
+    return arr
+
+
 class NeighborGraph:
-    """Symmetric binary adjacency, degree vector, and Laplacian D - W.
+    """Binary symmetric adjacency W, its degree vector, and the Laplacian D - W.
 
-    ``operator`` is the Laplacian as a :class:`LaplacianOperator`, built on
-    first use and kept, so every fit on one graph shares its CSR copy and
-    its norm.  So that it cannot go stale, the three arrays are made
-    read-only on construction; an array passed in must not be changed
-    through another view of its memory either.
+    The graph holds ``adjacency`` (W as a read-only CSR array) and
+    ``degree``: O(n*p) memory.  ``w`` and ``laplacian`` are dense read-only
+    n x n arrays built on every access and not kept, so only a caller that
+    reads them pays for them; the solver does not.  ``operator`` is the
+    Laplacian as a :class:`LaplacianOperator`, built from adjacency and
+    degree on first use and kept, so every fit on one graph shares its CSR
+    matrix and its norm.  Its entries are stored in the order that
+    ``csr_array`` gives the dense ``laplacian``.
+
+    A graph can also be built by hand from dense arrays,
+    ``NeighborGraph(w=..., degree=..., laplacian=...)``.  Its operator is
+    then built from the ``laplacian`` given, which is not checked against
+    ``w``.  The arrays passed in are made read-only, like the graph's own,
+    and no attribute of a graph can be reassigned.
     """
 
-    w: np.ndarray
-    degree: np.ndarray
-    laplacian: np.ndarray
+    def __init__(self, w, degree, laplacian):
+        w, degree, laplacian = (_read_only(np.asarray(a)) for a in (w, degree, laplacian))
+        self._hold(sparse.csr_array(w, dtype=np.float64), degree)
+        # Fills the cached ``operator`` ahead of first use.
+        object.__setattr__(self, "operator", LaplacianOperator(laplacian))
 
-    def __post_init__(self):
-        for name in ("w", "degree", "laplacian"):
-            arr = np.asarray(getattr(self, name))
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+    @classmethod
+    def _from_adjacency(cls, adjacency):
+        graph = cls.__new__(cls)
+        graph._hold(adjacency, np.diff(adjacency.indptr).astype(np.float64))
+        return graph
+
+    def _hold(self, adjacency, degree):
+        for arr in (adjacency.data, adjacency.indices, adjacency.indptr, degree):
+            _read_only(arr)
+        object.__setattr__(self, "adjacency", adjacency)
+        object.__setattr__(self, "degree", degree)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name!r}: a NeighborGraph is immutable")
 
     @property
     def n_samples(self):
-        return self.w.shape[0]
+        return self.degree.size
+
+    @property
+    def w(self):
+        return _read_only(self.adjacency.toarray())
+
+    @property
+    def laplacian(self):
+        return _read_only(self.operator.matrix.toarray())
 
     @cached_property
     def operator(self):
-        return LaplacianOperator(self.laplacian)
+        return LaplacianOperator(sparse.diags_array(self.degree, format="csr") - self.adjacency)
+
+
+def _samples(x, sample_mode):
+    """Validated sample rows of ``x`` (one per sample) and their squared norms."""
+    x = as_tensor(x)
+    mode = sample_mode % x.ndim
+    if x.shape[mode] < 2:
+        raise ValueError("pairwise distances need at least 2 samples")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("sample data must be finite (no NaN or Inf)")
+    flat = unfold_classical(x, mode)
+    return flat, np.einsum("ij,ij->i", flat, flat)
+
+
+def _distance_rows(flat, sq, lo, hi):
+    """Rows ``lo:hi`` of the distance matrix, by ``|a|^2 + |b|^2 - 2 a.b``."""
+    d2 = np.add.outer(sq[lo:hi], sq)
+    gram = flat[lo:hi] @ flat.T
+    gram *= 2.0
+    d2 -= gram
+    np.maximum(d2, 0.0, out=d2)
+    return np.sqrt(d2, out=d2)
+
+
+def _row_blocks(rows, cols):
+    """``(lo, hi)`` bounds of row blocks of about ``_BLOCK`` entries each."""
+    step = max(1, _BLOCK // cols)
+    return [(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+
+
+def _nearest(dist, p):
+    """Column indices of the p smallest entries of each row of ``dist``.
+
+    Ordered by (distance, column), so equal to the first p columns of a
+    stable argsort of each row: ties go to the lower index.  To keep that
+    rule exact, every entry tied with a row's p-th smallest value stays a
+    candidate, however many there are.
+    """
+    kth = np.partition(dist, p - 1, axis=1)[:, p - 1 : p]
+    rows, cols = np.nonzero(dist <= kth)
+    if rows.size < p * dist.shape[0]:
+        raise ValueError("NaN distance: data non-finite or too large for float64")
+    order = np.lexsort((cols, dist[rows, cols], rows))
+    rows, cols = rows[order], cols[order]
+    rank = np.arange(rows.size) - np.searchsorted(rows, rows)
+    return cols[rank < p].reshape(-1, p)
+
+
+def _mutual_knn(n, p, distance_rows):
+    """Mutual p-NN graph from ``distance_rows(lo, hi)``, a fresh array of
+    the distances of samples ``lo:hi`` to all n, taken block by block."""
+    p = int(p)
+    if not 1 <= p < n:
+        raise ValueError(f"neighbor count p={p} out of range for {n} samples")
+    nbrs = np.empty((n, p), dtype=np.int64)
+    for lo, hi in _row_blocks(n, n):
+        dist = distance_rows(lo, hi)
+        dist[np.arange(hi - lo), np.arange(lo, hi)] = np.inf  # no sample is its own neighbor
+        nbrs[lo:hi] = _nearest(dist, p)
+    src = np.repeat(np.arange(n, dtype=np.int64), p)
+    edges = np.intersect1d(src * n + nbrs.ravel(), nbrs.ravel() * n + src, assume_unique=True)
+    rows, cols = np.divmod(edges, n)
+    indptr = np.searchsorted(rows, np.arange(n + 1))
+    return NeighborGraph._from_adjacency(
+        sparse.csr_array((np.ones(edges.size), cols, indptr), shape=(n, n))
+    )
 
 
 def pairwise_distances(x, sample_mode=-1):
@@ -66,18 +171,8 @@ def pairwise_distances(x, sample_mode=-1):
     Returns the symmetric (n_samples, n_samples) distance matrix with an
     exactly zero diagonal.
     """
-    x = as_tensor(x)
-    mode = sample_mode % x.ndim
-    n = x.shape[mode]
-    if n < 2:
-        raise ValueError("pairwise distances need at least 2 samples")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("sample data must be finite (no NaN or Inf)")
-    flat = unfold_classical(x, mode)
-    sq = np.einsum("ij,ij->i", flat, flat)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (flat @ flat.T)
-    np.maximum(d2, 0.0, out=d2)
-    dist = np.sqrt(d2)
+    flat, sq = _samples(x, sample_mode)
+    dist = _distance_rows(flat, sq, 0, flat.shape[0])
     dist = 0.5 * (dist + dist.T)
     np.fill_diagonal(dist, 0.0)
     return dist
@@ -94,29 +189,21 @@ def knn_graph(dist, p):
     dist = as_tensor(dist)
     if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
         raise ValueError("distance matrix must be square")
-    n = dist.shape[0]
     if not np.array_equal(dist, dist.T):
         raise ValueError("distance matrix must be symmetric")
     if np.any(np.diagonal(dist) != 0.0):
         raise ValueError("distance matrix must have a zero diagonal")
-    p = int(p)
-    if not 1 <= p < n:
-        raise ValueError(f"neighbor count p={p} out of range for {n} samples")
-    masked = dist.copy()
-    np.fill_diagonal(masked, np.inf)
-    order = np.argsort(masked, axis=1, kind="stable")
-    member = np.zeros((n, n), dtype=bool)
-    rows = np.repeat(np.arange(n), p)
-    member[rows, order[:, :p].ravel()] = True
-    w = (member & member.T).astype(np.float64)
-    degree = w.sum(axis=1)
-    laplacian = np.diag(degree) - w
-    return NeighborGraph(w=w, degree=degree, laplacian=laplacian)
+    return _mutual_knn(dist.shape[0], p, lambda lo, hi: dist[lo:hi].copy())
 
 
 def neighbor_graph(x, p, sample_mode=-1):
-    """Convenience: mutual p-NN graph over the sample slices of ``x``."""
-    return knn_graph(pairwise_distances(x, sample_mode), p)
+    """Mutual p-NN graph over the sample slices of ``x``.
+
+    The same graph as ``knn_graph(pairwise_distances(x, sample_mode), p)``,
+    built from blocks of distance rows without an n x n array.
+    """
+    flat, sq = _samples(x, sample_mode)
+    return _mutual_knn(flat.shape[0], p, lambda lo, hi: _distance_rows(flat, sq, lo, hi))
 
 
 def laplacian_quadratic(h, g):
@@ -154,7 +241,7 @@ def laplacian_norm(h):
 
 
 class LaplacianOperator:
-    """A fixed graph Laplacian held as a CSR matrix.
+    """A fixed graph Laplacian, given dense or sparse, held as a CSR matrix.
 
     ``op @ g`` returns a dense ndarray, so the operator stands in for the
     dense Laplacian in products.  ``norm`` is ``laplacian_norm`` of the
@@ -162,7 +249,8 @@ class LaplacianOperator:
     """
 
     def __init__(self, laplacian):
-        laplacian = as_tensor(laplacian)
+        if not sparse.issparse(laplacian):
+            laplacian = as_tensor(laplacian)
         if laplacian.ndim != 2 or laplacian.shape[0] != laplacian.shape[1]:
             raise ValueError(f"Laplacian must be square, got shape {laplacian.shape}")
         self.matrix = sparse.csr_array(laplacian)

@@ -8,6 +8,8 @@ measured in bits so the NMI ratio is base-free.
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from .graph import _nearest, _row_blocks
+
 __all__ = [
     "sparseness",
     "accuracy",
@@ -121,28 +123,36 @@ def _squared_distances(x, centers):
 
 def _lloyd(x, k, rng, max_iter=300):
     """One k-means run.  Returns (labels, wcss, per-iteration objectives)."""
-    n = x.shape[0]
+    n, f = x.shape
     centers = x[rng.choice(n, size=k, replace=False)].copy()
+    # Bin c * f + j of a weighted bincount sums x[:, j] over cluster c in row order.
+    bins = np.arange(f)
     labels = None
     history = []
     for _ in range(max_iter):
         d2 = _squared_distances(x, centers)
         new_labels = d2.argmin(axis=1)
         cost = d2[np.arange(n), new_labels]
-        for c in range(k):
-            if not np.any(new_labels == c):
-                # Re-seed the empty cluster from the point currently
-                # farthest from its own center.
-                far = int(np.argmax(cost))
-                centers[c] = x[far]
-                new_labels[far] = c
-                cost[far] = 0.0
+        counts = np.bincount(new_labels, minlength=k)
+        empty = np.flatnonzero(counts == 0)
+        while empty.size:
+            # Re-seed the first empty cluster from the point currently
+            # farthest from its own center, then look for the next one
+            # after it (the move may have emptied a later cluster).
+            c = int(empty[0])
+            far = int(np.argmax(cost))
+            counts[new_labels[far]] -= 1
+            counts[c] += 1
+            centers[c] = x[far]
+            new_labels[far] = c
+            cost[far] = 0.0
+            empty = c + 1 + np.flatnonzero(counts[c + 1 :] == 0)
         history.append(float(cost.sum()))
         if labels is not None and np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        for c in range(k):
-            centers[c] = x[labels == c].mean(axis=0)
+        sums = np.bincount((labels[:, None] * f + bins).ravel(), weights=x.ravel(), minlength=k * f)
+        centers = sums.reshape(k, f) / counts[:, None]
     d2 = _squared_distances(x, centers)
     wcss = float(d2[np.arange(n), labels].sum())
     return labels, wcss, history
@@ -194,8 +204,11 @@ def kmeans(features, k, restarts=200, seed=0):
 def knn_classify(train, train_labels, test, k):
     """Majority-vote k-nearest-neighbor classification (Euclidean metric).
 
-    Vote ties break toward the class with the smaller summed neighbor
-    distance, then toward the lower class id.
+    The neighbors are the k nearest training rows, ties at the k-th
+    distance going to the lower row index (the graph's rule).  Vote ties
+    break toward the class with the smaller summed neighbor distance,
+    added in neighbor order, then toward the lower class id.  Test rows
+    are scored in blocks, so memory does not grow with test x train.
     """
     train = np.atleast_2d(np.asarray(train, dtype=np.float64))
     test = np.atleast_2d(np.asarray(test, dtype=np.float64))
@@ -207,15 +220,20 @@ def knn_classify(train, train_labels, test, k):
     k = int(k)
     if not 1 <= k <= train.shape[0]:
         raise ValueError(f"k={k} out of range for {train.shape[0]} training rows")
-    dist = np.sqrt(_squared_distances(test, train))
+    classes, train_class = np.unique(train_labels, return_inverse=True)
+    n_cls = classes.size
     out = np.empty(test.shape[0], dtype=np.int64)
-    for i in range(test.shape[0]):
-        neigh = np.argsort(dist[i], kind="stable")[:k]
-        classes = train_labels[neigh]
-        cand, votes = np.unique(classes, return_counts=True)
-        top = cand[votes == votes.max()]
-        if top.size > 1:
-            sums = np.array([dist[i][neigh[classes == c]].sum() for c in top])
-            top = top[sums == sums.min()]
-        out[i] = top.min()
+    for lo, hi in _row_blocks(test.shape[0], train.shape[0]):
+        dist = np.sqrt(_squared_distances(test[lo:hi], train))
+        neigh = _nearest(dist, k)
+        # Bin r * n_cls + c tallies row r's votes for class c and, summed
+        # in neighbor order, their distances.
+        bins = (np.arange(hi - lo)[:, None] * n_cls + train_class[neigh]).ravel()
+        votes = np.bincount(bins, minlength=(hi - lo) * n_cls).reshape(-1, n_cls)
+        sums = np.bincount(bins, weights=np.take_along_axis(dist, neigh, axis=1).ravel(),
+                           minlength=(hi - lo) * n_cls).reshape(-1, n_cls)
+        top = votes == votes.max(axis=1, keepdims=True)
+        sums = np.where(top, sums, np.inf)
+        # argmax takes the first, i.e. lowest, class among the remaining ties.
+        out[lo:hi] = classes[np.argmax(top & (sums == sums.min(axis=1, keepdims=True)), axis=1)]
     return out

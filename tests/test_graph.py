@@ -1,8 +1,12 @@
 """Neighbor graph construction and Laplacian identities."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy import sparse
 
+import tring.graph
 from tring.graph import (
     NeighborGraph,
     knn_graph,
@@ -10,6 +14,7 @@ from tring.graph import (
     neighbor_graph,
     pairwise_distances,
 )
+from tring.solver import SolverConfig, fit
 
 
 def distance_oracle(x):
@@ -19,6 +24,23 @@ def distance_oracle(x):
         for j in range(n):
             d[i, j] = np.linalg.norm((x[..., i] - x[..., j]).ravel())
     return d
+
+
+def mutual_knn_oracle(dist, p):
+    """Mutual p-NN adjacency from a stable argsort of every row, self excluded."""
+    n = dist.shape[0]
+    member = np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        row = dist[i].copy()
+        row[i] = np.inf
+        member[i, np.argsort(row, kind="stable")[:p]] = True
+    return (member & member.T).astype(np.float64)
+
+
+def tied_samples(n, seed):
+    """Samples on a 3x3x3 integer lattice: distances are exact, and most
+    rows have many samples tied at their p-th distance."""
+    return np.random.default_rng(seed).integers(0, 3, size=(3, n)).astype(np.float64)
 
 
 def quadratic_oracle(w, g):
@@ -179,3 +201,78 @@ def test_neighbor_graph_convenience_matches_two_step():
     b = knn_graph(pairwise_distances(x), 3)
     assert np.array_equal(a.w, b.w)
     assert np.array_equal(a.laplacian, b.laplacian)
+
+
+class TestBlockedBuild:
+    @pytest.mark.parametrize("block", [None, 997])
+    @pytest.mark.parametrize("p", [1, 5, 12])
+    def test_ties_at_pth_distance_match_stable_argsort(self, monkeypatch, block, p):
+        # 240 samples on 27 lattice points: a row's p-th distance is shared
+        # by dozens of samples, and the lower indices among them must win.
+        # block=997 splits the rows into uneven blocks of 4.
+        if block is not None:
+            monkeypatch.setattr(tring.graph, "_BLOCK", block)
+        x = tied_samples(240, p)
+        dist = pairwise_distances(x)
+        expected = mutual_knn_oracle(dist, p)
+        assert np.array_equal(neighbor_graph(x, p).w, expected)
+        assert np.array_equal(knn_graph(dist, p).w, expected)
+
+    def test_random_data_matches_dense_oracle_across_blocks(self):
+        # 1100 samples: more than 2**20 distances, so the rows come in blocks.
+        x = np.random.default_rng(11).random((6, 1100))
+        expected = mutual_knn_oracle(pairwise_distances(x), 5)
+        g = neighbor_graph(x, 5)
+        assert np.array_equal(g.w, expected)
+        assert np.array_equal(g.degree, expected.sum(axis=1))
+
+    def test_operator_stores_the_dense_laplacian_csr_entries_in_order(self):
+        # Sample 12 sits far away, so the graph has an isolated node.
+        x = np.random.default_rng(12).random((4, 13))
+        x[:, 12] += 50.0
+        g = neighbor_graph(x, 3)
+        assert g.degree[12] == 0
+        lap = np.diag(g.degree) - g.w
+        assert np.array_equal(g.laplacian, lap)
+        ref, got = sparse.csr_array(lap), g.operator.matrix
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, attr), getattr(ref, attr))
+
+    def test_dense_views_are_built_on_access_not_kept(self):
+        g = neighbor_graph(np.random.default_rng(13).random((3, 9)), 2)
+        assert isinstance(g.adjacency, sparse.csr_array)
+        assert g.w is not g.w and g.laplacian is not g.laplacian
+        assert not g.adjacency.data.flags.writeable
+        with pytest.raises(AttributeError):
+            g.degree = np.zeros(9)
+
+    def test_hand_built_graph_applies_the_laplacian_given(self):
+        w = np.array([[0.0, 1.0], [1.0, 0.0]])
+        lap = np.array([[2.0, -1.0], [-1.0, 3.0]])
+        g = NeighborGraph(w=w, degree=np.ones(2), laplacian=lap)
+        assert np.array_equal(g.laplacian, lap)
+        assert np.array_equal(g.operator @ np.eye(2), lap)
+        assert np.array_equal(g.w, w)
+
+    def test_overflowing_distances_named(self):
+        x = np.random.default_rng(14).random((3, 8)) * 1e200
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="NaN distance"):
+                neighbor_graph(x, 2)
+
+    def test_memory_scales_with_samples_times_p(self):
+        # One dense 8000 x 8000 float64 array would take 488 MiB; neither the
+        # build nor a graph fit may form one.
+        x = np.random.default_rng(15).random((8, 8000))
+        tracemalloc.start()
+        try:
+            g = neighbor_graph(x, 5)
+            build_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            fit(x, (2, 2), SolverConfig(beta=0.1, seed=0, max_sweeps=2), g)
+            fit_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.n_samples == 8000
+        assert build_peak < 64 * 2**20
+        assert fit_peak < 64 * 2**20

@@ -7,8 +7,10 @@ import math
 import numpy as np
 import pytest
 
+import tring.graph
 from tring.metrics import (
     _lloyd,
+    _squared_distances,
     accuracy,
     entropy,
     kmeans,
@@ -55,6 +57,49 @@ def entropy_oracle(a):
     for x in a:
         counts[x] = counts.get(x, 0) + 1
     return -sum((c / n) * math.log2(c / n) for c in counts.values())
+
+
+def lloyd_oracle(x, k, rng, max_iter=300):
+    """k-means run with per-cluster loops for the empty-cluster scan and
+    the centre means.  Returns (labels, wcss, history, re-seed count)."""
+    n = x.shape[0]
+    centers = x[rng.choice(n, size=k, replace=False)].copy()
+    labels = None
+    history = []
+    reseeds = 0
+    for _ in range(max_iter):
+        d2 = _squared_distances(x, centers)
+        new_labels = d2.argmin(axis=1)
+        cost = d2[np.arange(n), new_labels]
+        for c in range(k):
+            if not np.any(new_labels == c):
+                far = int(np.argmax(cost))
+                centers[c] = x[far]
+                new_labels[far] = c
+                cost[far] = 0.0
+                reseeds += 1
+        history.append(float(cost.sum()))
+        if labels is not None and np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for c in range(k):
+            centers[c] = x[labels == c].mean(axis=0)
+    d2 = _squared_distances(x, centers)
+    return labels, float(d2[np.arange(n), labels].sum()), history, reseeds
+
+
+def knn_oracle(train, train_labels, test, k):
+    """Per-row stable argsort; most votes, then smallest distance sum
+    (added in neighbor order), then lowest class id."""
+    out = []
+    for row in test:
+        dist = np.sqrt(((train - row) ** 2).sum(axis=1))
+        votes = {}
+        for j in np.argsort(dist, kind="stable")[:k]:
+            cnt, total = votes.get(int(train_labels[j]), (0, 0.0))
+            votes[int(train_labels[j])] = (cnt + 1, total + dist[j])
+        out.append(min(votes, key=lambda c: (-votes[c][0], votes[c][1], c)))
+    return np.array(out)
 
 
 def wcss_of_partition(x, labels):
@@ -226,6 +271,44 @@ class TestKmeans:
             _, _, history = _lloyd(x, 4, np.random.default_rng((6, r)))
             assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "seed, shape, sites, k",
+        [(0, (150, 5), None, 7), (2, (150, 5), None, 7), (1, (80, 2), 3, 12),
+         (3, (80, 2), 3, 12), (4, (20, 2), 2, 6)],
+    )
+    def test_runs_match_per_cluster_loop_oracle(self, seed, shape, sites, k):
+        # Lattice data (``sites`` values per feature) puts several initial
+        # centres on one point, so the empty-cluster re-seed runs; on the
+        # 2-site case a re-seed also empties a later cluster, which must be
+        # re-seeded in turn.
+        rng = np.random.default_rng(seed)
+        x = rng.random(shape) if sites is None else rng.integers(0, sites, shape).astype(np.float64)
+        reseeds, best, best_wcss = 0, None, np.inf
+        for r in range(8):
+            labels, wcss, history = _lloyd(x, k, np.random.default_rng((seed, r)))
+            want = lloyd_oracle(x, k, np.random.default_rng((seed, r)))
+            # Equal as arrays, NaN included: with more clusters than sites a
+            # re-seed can empty a cluster already scanned, whose centre
+            # then reads NaN in both.
+            np.testing.assert_array_equal(labels, want[0])
+            np.testing.assert_array_equal([wcss] + history, [want[1]] + want[2])
+            reseeds += want[3]
+            if want[1] < best_wcss:
+                best, best_wcss = want[0], want[1]
+        assert (reseeds > 0) == (sites is not None)
+        assert np.array_equal(kmeans(x, k, restarts=8, seed=seed), best)
+
+    def test_one_feature_matches_oracle_up_to_rounding(self):
+        # With one feature numpy's mean pairs its terms, while the centre
+        # sums add rows in order, so only the last bits may differ.
+        x = np.random.default_rng(7).random(300)
+        for r in range(5):
+            labels, wcss, _ = _lloyd(x[:, None], 6, np.random.default_rng((7, r)))
+            want = lloyd_oracle(x[:, None], 6, np.random.default_rng((7, r)))
+            assert np.array_equal(labels, want[0])
+            assert wcss == pytest.approx(want[1], rel=1e-12)
+
     def test_k_out_of_range(self):
         x = np.random.default_rng(6).random((4, 2))
         with pytest.raises(ValueError):
@@ -285,3 +368,20 @@ class TestKnnClassify:
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
             knn_classify(np.ones((3, 2)), [0, 1, 0], np.ones((1, 2)), 4)
+
+
+class TestKnnTies:
+    @pytest.mark.parametrize("block", [None, 1000])
+    @pytest.mark.parametrize("k", [1, 4, 7, 10])
+    def test_ties_at_kth_distance_match_stable_argsort_oracle(self, monkeypatch, block, k):
+        # 240 training points on 27 lattice sites: every test row has many
+        # training points tied at its k-th distance, and vote counts tie
+        # often.  block=1000 splits the test rows into blocks of 4.
+        if block is not None:
+            monkeypatch.setattr(tring.graph, "_BLOCK", block)
+        rng = np.random.default_rng(k)
+        train = rng.integers(0, 3, size=(240, 3)).astype(np.float64)
+        labels = rng.integers(0, 5, size=240) * 3 + 1
+        test = rng.integers(0, 3, size=(60, 3)) + rng.choice([0.0, 0.5], size=(60, 3))
+        pred = knn_classify(train, labels, test, k)
+        assert np.array_equal(pred, knn_oracle(train, labels, test, k))
