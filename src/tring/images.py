@@ -5,7 +5,8 @@ Supports the raw (binary) netpbm formats only: P5 grayscale and P6 color,
 floats in [0, 1].
 """
 
-import math
+import functools
+import re
 from pathlib import Path
 
 import numpy as np
@@ -23,39 +24,37 @@ __all__ = [
 ]
 
 
+# Header whitespace is every byte ``str.isspace`` accepts; a ``#`` where a
+# token could start opens a comment that runs to the end of its line.
+_WS = rb"\t\n\x0b\x0c\r\x1c-\x1f \x85\xa0"
+_SKIP = rb"(?:[" + _WS + rb"]|#[^\n]*(?=\n|\Z))*"
+# A token starts with neither whitespace nor ``#`` and runs to the next
+# whitespace byte, so every header has exactly one parse.
+_TOKEN = _SKIP + rb"([^" + _WS + rb"#][^" + _WS + rb"]*)(?![^" + _WS + rb"])"
+# Magic, width, height and maxval; the groups of missing tokens are None.
+_HEADER = re.compile(_TOKEN + rb"(?:" + _TOKEN + rb"(?:" + _TOKEN + rb"(?:" + _TOKEN + rb")?)?)?")
+
+
 def read_pnm(path):
     """Load a binary PGM (P5) or PPM (P6) image as floats in [0, 1]."""
     data = Path(path).read_bytes()
-    pos = 0
-
-    def token():
-        nonlocal pos
-        while pos < len(data):
-            c = data[pos]
-            if c == ord("#"):
-                while pos < len(data) and data[pos] != ord("\n"):
-                    pos += 1
-            elif chr(c).isspace():
-                pos += 1
-            else:
-                break
-        start = pos
-        while pos < len(data) and not chr(data[pos]).isspace():
-            pos += 1
-        if start == pos:
-            raise FileFormatError(f"{path}: truncated header")
-        return data[start:pos]
-
-    magic = token()
+    header = _HEADER.match(data)
+    if header is None:
+        raise FileFormatError(f"{path}: truncated header")
+    magic, *fields = header.groups()
     if magic not in (b"P5", b"P6"):
         raise FileFormatError(f"{path}: unsupported format {magic!r} (need P5/P6)")
     try:
-        width, height, maxval = int(token()), int(token()), int(token())
+        # In header order: a missing field (int(None), TypeError) or a
+        # malformed one, whichever comes first, decides the error.
+        width, height, maxval = [int(f) for f in fields]
+    except TypeError as exc:
+        raise FileFormatError(f"{path}: truncated header") from exc
     except ValueError as exc:
         raise FileFormatError(f"{path}: malformed header") from exc
     if width < 1 or height < 1 or not 0 < maxval < 65536:
         raise FileFormatError(f"{path}: bad dimensions or maxval")
-    pos += 1  # single whitespace byte separates header from raster
+    pos = header.end() + 1  # single whitespace byte separates header from raster
     channels = 3 if magic == b"P6" else 1
     count = width * height * channels
     dtype = np.dtype("u1") if maxval < 256 else np.dtype(">u2")
@@ -92,16 +91,20 @@ def write_ppm(path, img):
     _write_pnm(path, img, "P6")
 
 
+@functools.lru_cache(maxsize=32)
 def _overlap_weights(n_in, n_out):
     # Row o averages the input cells overlapping [o, o+1) * n_in / n_out,
-    # weighted by overlap length; rows sum to 1.
-    w = np.zeros((n_out, n_in))
+    # weighted by overlap length; rows sum to 1.  Cached per size pair and
+    # shared by every caller, so the array is read-only.
     scale = n_in / n_out
-    for o in range(n_out):
-        lo, hi = o * scale, (o + 1) * scale
-        for i in range(int(math.floor(lo)), min(int(math.ceil(hi)), n_in)):
-            w[o, i] = min(hi, i + 1) - max(lo, i)
-    return w / scale
+    edges = np.arange(n_out + 1) * scale
+    lo, hi = edges[:-1, None], edges[1:, None]
+    i = np.arange(n_in)
+    w = np.minimum(hi, i + 1) - np.maximum(lo, i)
+    w[(i < np.floor(lo)) | (i >= np.ceil(hi))] = 0.0
+    w /= scale
+    w.flags.writeable = False
+    return w
 
 
 def area_resize(img, out_h, out_w):
@@ -113,11 +116,12 @@ def area_resize(img, out_h, out_w):
         raise ValueError("output size must be positive")
     rows = _overlap_weights(img.shape[0], out_h)
     cols = _overlap_weights(img.shape[1], out_w)
-    tmp = np.tensordot(rows, img, axes=(1, 0))
-    out = np.tensordot(tmp, cols, axes=(1, 1))
-    if img.ndim == 3:
-        out = np.moveaxis(out, -1, 1)
-    return out
+    if img.ndim == 2:
+        return rows @ img @ cols.T
+    # Colour: each product is one GEMM over all three channels.  A batched
+    # per-channel matmul can round differently, so it is not used here.
+    out = np.tensordot(np.tensordot(rows, img, axes=(1, 0)), cols, axes=(1, 1))
+    return np.moveaxis(out, -1, 1)
 
 
 def ingest_images(dir_path, height, width):
@@ -136,24 +140,25 @@ def ingest_images(dir_path, height, width):
     class_dirs = sorted(p for p in root.iterdir() if p.is_dir())
     if not class_dirs:
         raise ValueError(f"{dir_path}: no class subdirectories")
-    slices, labels = [], []
-    channels = None
+    files, labels = [], []
     for ci, cdir in enumerate(class_dirs):
-        files = sorted(
+        found = sorted(
             f for f in cdir.iterdir() if f.suffix.lower() in (".pgm", ".ppm")
         )
-        if not files:
+        if not found:
             raise ValueError(f"{cdir}: no .pgm/.ppm images")
-        for f in files:
-            img = read_pnm(f)
-            ch = 3 if img.ndim == 3 else 1
-            if channels is None:
-                channels = ch
-            elif ch != channels:
-                raise ValueError(f"{f}: mixes color and grayscale images")
-            slices.append(area_resize(img, height, width))
-            labels.append(ci)
-    return np.stack(slices, axis=-1), np.asarray(labels, dtype=np.int64)
+        files += found
+        labels += [ci] * len(found)
+    stack = None
+    for j, f in enumerate(files):
+        img = read_pnm(f)
+        if stack is not None and img.ndim != stack.ndim - 1:
+            raise ValueError(f"{f}: mixes color and grayscale images")
+        small = area_resize(img, height, width)
+        if stack is None:
+            stack = np.empty(small.shape + (len(files),))
+        stack[..., j] = small
+    return stack, np.asarray(labels, dtype=np.int64)
 
 
 def to_uint8(img):

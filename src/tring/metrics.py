@@ -138,9 +138,12 @@ def _lloyd(x, k, rng, max_iter=300):
         while empty.size:
             # Re-seed the first empty cluster from the point currently
             # farthest from its own center, then look for the next one
-            # after it (the move may have emptied a later cluster).
+            # after it (the move may have emptied a later cluster).  The
+            # last member of an earlier cluster is never taken: that
+            # cluster would stay empty and its center would be 0/0.
             c = int(empty[0])
-            far = int(np.argmax(cost))
+            lone = (counts[new_labels] == 1) & (new_labels < c)
+            far = int(np.argmax(np.where(lone, -np.inf, cost)))
             counts[new_labels[far]] -= 1
             counts[c] += 1
             centers[c] = x[far]

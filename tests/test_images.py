@@ -1,10 +1,13 @@
 """PGM/PPM parsing, area-average resizing, corpus ingestion, montage."""
 
+import math
+
 import numpy as np
 import pytest
 
 from tring.fileio import FileFormatError
 from tring.images import (
+    _overlap_weights,
     area_resize,
     ingest_images,
     montage,
@@ -25,6 +28,32 @@ def make_ppm(path, pixels, maxval=255):
     pixels = np.asarray(pixels, dtype=np.uint8)
     h, w, _ = pixels.shape
     path.write_bytes(f"P6\n{w} {h}\n{maxval}\n".encode() + pixels.tobytes())
+
+
+def overlap_weights_oracle(n_in, n_out):
+    """Per-cell loop: row o weights input cell i by its overlap with
+    [o, o+1) * n_in / n_out, divided by that interval's length."""
+    w = np.zeros((n_out, n_in))
+    scale = n_in / n_out
+    for o in range(n_out):
+        lo, hi = o * scale, (o + 1) * scale
+        for i in range(int(math.floor(lo)), min(int(math.ceil(hi)), n_in)):
+            w[o, i] = min(hi, i + 1) - max(lo, i)
+    return w / scale
+
+
+def ingest_oracle(root, height, width):
+    """One resize per file from the loop weights, then one ``np.stack``."""
+    slices, labels = [], []
+    for ci, cdir in enumerate(sorted(p for p in root.iterdir() if p.is_dir())):
+        for f in sorted(cdir.iterdir()):
+            img = read_pnm(f)
+            rows = overlap_weights_oracle(img.shape[0], height)
+            cols = overlap_weights_oracle(img.shape[1], width)
+            out = np.tensordot(np.tensordot(rows, img, axes=(1, 0)), cols, axes=(1, 1))
+            slices.append(np.moveaxis(out, -1, 1) if img.ndim == 3 else out)
+            labels.append(ci)
+    return np.stack(slices, axis=-1), np.asarray(labels)
 
 
 class TestReadPnm:
@@ -66,6 +95,34 @@ class TestReadPnm:
         with pytest.raises(FileFormatError):
             read_pnm(p)
 
+    @pytest.mark.parametrize(
+        "data, error",
+        [
+            pytest.param(b"", "truncated header", id="empty"),
+            pytest.param(b"# only a comment\n", "truncated header", id="comment-only"),
+            pytest.param(b"P5\n2 1\n", "truncated header", id="no-maxval"),
+            pytest.param(b"P5\n2 1\n# maxval\n", "truncated header", id="comment-for-maxval"),
+            pytest.param(b"P5\nx\n", "malformed header", id="malformed-before-missing"),
+            pytest.param(b"P5\n2 1 2#5\n\x00\x01", "malformed header", id="hash-inside-token"),
+            pytest.param(b"P5#c\n2 1 255\n\x00\x01", "unsupported format", id="hash-after-magic"),
+            pytest.param(b"P5\n0 1\n255\n", "bad dimensions or maxval", id="zero-width"),
+            pytest.param(b"P5\n1 1\n65536\n\x00\x00", "bad dimensions or maxval", id="maxval"),
+            pytest.param(b"P5\n1 1\n255", "truncated raster data", id="no-raster"),
+        ],
+    )
+    def test_header_errors(self, tmp_path, data, error):
+        p = tmp_path / "e.pgm"
+        p.write_bytes(data)
+        with pytest.raises(FileFormatError, match=error):
+            read_pnm(p)
+
+    def test_header_whitespace_and_comments(self, tmp_path):
+        # Any byte str.isspace accepts separates tokens, and a comment may
+        # run straight into the next token's line.
+        p = tmp_path / "w.pgm"
+        p.write_bytes(b"#lead\nP5\x85 2\xa0#x\n1\x1c255\n\x00\xff")
+        assert np.array_equal(read_pnm(p), [[0.0, 1.0]])
+
 
 class TestWritePnm:
     def test_pgm_round_trip(self, tmp_path):
@@ -79,6 +136,23 @@ class TestWritePnm:
         p = tmp_path / "r.ppm"
         write_ppm(p, img)
         assert np.array_equal(read_pnm(p), img / 255.0)
+
+
+class TestOverlapWeights:
+    @pytest.mark.parametrize(
+        "n_in, n_out", [(128, 32), (7, 3), (3, 7), (5, 5), (1, 1), (1000, 33)]
+    )
+    def test_matches_loop_oracle_bitwise(self, n_in, n_out):
+        w = _overlap_weights(n_in, n_out)
+        want = overlap_weights_oracle(n_in, n_out)
+        assert w.dtype == want.dtype and w.tobytes() == want.tobytes()
+
+    def test_cached_read_only(self):
+        w = _overlap_weights(9, 4)
+        assert _overlap_weights(9, 4) is w
+        assert not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0, 0] = 1.0
 
 
 class TestAreaResize:
@@ -150,6 +224,41 @@ class TestIngest:
             make_pgm(d / "x.pgm", np.zeros((2, 2)))
         _, labels = ingest_images(tmp_path, 2, 2)
         assert np.array_equal(labels, [0, 1])  # alpha first
+
+    def test_matches_per_image_stack_oracle(self, tmp_path):
+        # Grayscale with two input sizes, colour, and 16-bit grayscale.
+        rng = np.random.default_rng(5)
+        gray, color, deep = tmp_path / "gray", tmp_path / "color", tmp_path / "deep"
+        for i, (h, w) in enumerate([(13, 17), (40, 9), (13, 17)]):
+            (gray / f"c{i % 2}").mkdir(parents=True, exist_ok=True)
+            make_pgm(gray / f"c{i % 2}" / f"i{i}.pgm", rng.integers(0, 256, (h, w)))
+        for i in range(3):
+            (color / f"c{i}").mkdir(parents=True)
+            make_ppm(color / f"c{i}" / "i.ppm", rng.integers(0, 256, (11, 14, 3)))
+        (deep / "c").mkdir(parents=True)
+        for i in range(2):
+            px = rng.integers(0, 65536, (10, 12)).astype(">u2")
+            (deep / "c" / f"i{i}.pgm").write_bytes(b"P5\n12 10\n65535\n" + px.tobytes())
+        for root in (gray, color, deep):
+            for height, width in [(4, 5), (1, 1), (20, 20)]:
+                x, labels = ingest_images(root, height, width)
+                want_x, want_labels = ingest_oracle(root, height, width)
+                assert x.shape == want_x.shape and x.tobytes() == want_x.tobytes()
+                assert labels.dtype == np.int64 and np.array_equal(labels, want_labels)
+
+    def test_empty_class_rejected(self, tmp_path):
+        (tmp_path / "a").mkdir()
+        make_pgm(tmp_path / "a" / "x.pgm", np.zeros((2, 2)))
+        (tmp_path / "b").mkdir()
+        with pytest.raises(ValueError, match="no .pgm/.ppm images"):
+            ingest_images(tmp_path, 2, 2)
+
+    @pytest.mark.parametrize("height, width", [(0, 2), (2, -1)])
+    def test_bad_output_size_rejected(self, tmp_path, height, width):
+        (tmp_path / "a").mkdir()
+        make_pgm(tmp_path / "a" / "x.pgm", np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="output size must be positive"):
+            ingest_images(tmp_path, height, width)
 
     def test_empty_directory_rejected(self, tmp_path):
         with pytest.raises(ValueError):

@@ -73,7 +73,10 @@ def lloyd_oracle(x, k, rng, max_iter=300):
         cost = d2[np.arange(n), new_labels]
         for c in range(k):
             if not np.any(new_labels == c):
-                far = int(np.argmax(cost))
+                # Never the last member of an earlier cluster.
+                lone = [new_labels[i] < c and np.sum(new_labels == new_labels[i]) == 1
+                        for i in range(n)]
+                far = int(np.argmax(np.where(lone, -np.inf, cost)))
                 centers[c] = x[far]
                 new_labels[far] = c
                 cost[far] = 0.0
@@ -271,26 +274,22 @@ class TestKmeans:
             _, _, history = _lloyd(x, 4, np.random.default_rng((6, r)))
             assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize(
         "seed, shape, sites, k",
         [(0, (150, 5), None, 7), (2, (150, 5), None, 7), (1, (80, 2), 3, 12),
-         (3, (80, 2), 3, 12), (4, (20, 2), 2, 6)],
+         (3, (80, 2), 3, 12), (4, (20, 2), 2, 6), (48, (25, 1), 6, 6)],
     )
     def test_runs_match_per_cluster_loop_oracle(self, seed, shape, sites, k):
         # Lattice data (``sites`` values per feature) puts several initial
         # centres on one point, so the empty-cluster re-seed runs; on the
-        # 2-site case a re-seed also empties a later cluster, which must be
-        # re-seeded in turn.
+        # 1-feature case a re-seed also empties a later cluster, which must
+        # be re-seeded in turn.
         rng = np.random.default_rng(seed)
         x = rng.random(shape) if sites is None else rng.integers(0, sites, shape).astype(np.float64)
         reseeds, best, best_wcss = 0, None, np.inf
         for r in range(8):
             labels, wcss, history = _lloyd(x, k, np.random.default_rng((seed, r)))
             want = lloyd_oracle(x, k, np.random.default_rng((seed, r)))
-            # Equal as arrays, NaN included: with more clusters than sites a
-            # re-seed can empty a cluster already scanned, whose centre
-            # then reads NaN in both.
             np.testing.assert_array_equal(labels, want[0])
             np.testing.assert_array_equal([wcss] + history, [want[1]] + want[2])
             reseeds += want[3]
@@ -298,6 +297,19 @@ class TestKmeans:
                 best, best_wcss = want[0], want[1]
         assert (reseeds > 0) == (sites is not None)
         assert np.array_equal(kmeans(x, k, restarts=8, seed=seed), best)
+
+    def test_reseed_never_empties_an_earlier_cluster(self):
+        # 9 distinct points and 12 clusters: the farthest point is often
+        # the last member of a cluster already scanned.  Taking it would
+        # leave that cluster empty with a 0/0 centre until max_iter.
+        x = np.random.default_rng(1).integers(0, 3, (80, 2)).astype(np.float64)
+        for r in range(20):
+            labels, wcss, history = _lloyd(x, 12, np.random.default_rng((1, r)))
+            assert np.array_equal(np.unique(labels), np.arange(12))
+            centers = np.array([x[labels == c].mean(axis=0) for c in range(12)])
+            assert np.all(np.isfinite(centers))
+            assert np.isfinite(wcss) and np.all(np.isfinite(history))
+            assert len(history) < 300
 
     def test_one_feature_matches_oracle_up_to_rounding(self):
         # With one feature numpy's mean pairs its terms, while the centre

@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tring.graph import neighbor_graph
-from tring.ring import core_unfold2, reconstruct
-from tring.solver import SolverConfig, fit
+from tring.ring import build_subchain, core_unfold2, init_random, reconstruct, subchain_unfold2
+from tring.solver import SolverConfig, fit, solve_core
+from tring.tensor_ops import unfold_tr
 
 EXAMPLES = settings(max_examples=150, derandomize=True, database=None, deadline=None)
 
@@ -53,6 +54,38 @@ def test_fit_keeps_its_guarantees(problem):
     dense = 0.5 * np.sum((x - reconstruct(cores)) ** 2)
     dense += 0.5 * cfg.beta * np.sum(g * (graph.laplacian @ g))
     assert abs(f - dense) <= 1e-8 * f + 1e-13 * norm_x2
+
+    cores_b, report_b = fit(x, ranks, cfg, graph)
+    assert all(np.array_equal(a, b) for a, b in zip(cores, cores_b))
+    assert np.array_equal(report.objective_per_sweep, report_b.objective_per_sweep)
+
+
+@EXAMPLES
+@given(problems())
+def test_no_inner_iterate_raises_the_core_objective(problem):
+    # Every core's subproblem at the random start, read after each accepted
+    # iterate through solve_core's callback and measured densely.  Plain
+    # momentum overshoots here; the restart must undo it.
+    x, ranks, graph, cfg = problem
+    norm_x2 = float(np.sum(x**2))
+    cores = init_random(x.shape, ranks, cfg.seed)
+    for n in range(x.ndim):
+        x_unfold = unfold_tr(x, n)
+        sub2 = subchain_unfold2(build_subchain(cores, n))
+        h = graph.laplacian if n == x.ndim - 1 else None
+
+        def objective(g):
+            val = 0.5 * np.sum((x_unfold - g @ sub2.T) ** 2)
+            if h is not None:
+                val += 0.5 * cfg.beta * np.sum(g * (h @ g))
+            return val
+
+        g0 = core_unfold2(cores[n])
+        values = [objective(g0)]
+        solve_core(x_unfold, sub2, g0, cfg, h_g=h,
+                   callback=lambda g, y, grad: values.append(objective(g)))
+        assert len(values) == cfg.t_max + 1
+        assert np.all(np.diff(values) <= 1e-12 * norm_x2)
 
 
 @EXAMPLES
