@@ -6,7 +6,6 @@ floats in [0, 1].
 """
 
 import functools
-import re
 from pathlib import Path
 
 import numpy as np
@@ -24,37 +23,39 @@ __all__ = [
 ]
 
 
-# Header whitespace is every byte ``str.isspace`` accepts; a ``#`` where a
-# token could start opens a comment that runs to the end of its line.
-_WS = rb"\t\n\x0b\x0c\r\x1c-\x1f \x85\xa0"
-_SKIP = rb"(?:[" + _WS + rb"]|#[^\n]*(?=\n|\Z))*"
-# A token starts with neither whitespace nor ``#`` and runs to the next
-# whitespace byte, so every header has exactly one parse.
-_TOKEN = _SKIP + rb"([^" + _WS + rb"#][^" + _WS + rb"]*)(?![^" + _WS + rb"])"
-# Magic, width, height and maxval; the groups of missing tokens are None.
-_HEADER = re.compile(_TOKEN + rb"(?:" + _TOKEN + rb"(?:" + _TOKEN + rb"(?:" + _TOKEN + rb")?)?)?")
-
-
 def read_pnm(path):
     """Load a binary PGM (P5) or PPM (P6) image as floats in [0, 1]."""
     data = Path(path).read_bytes()
-    header = _HEADER.match(data)
-    if header is None:
-        raise FileFormatError(f"{path}: truncated header")
-    magic, *fields = header.groups()
+    pos = 0
+
+    def token():
+        nonlocal pos
+        while pos < len(data):
+            c = data[pos]
+            if c == ord("#"):
+                while pos < len(data) and data[pos] != ord("\n"):
+                    pos += 1
+            elif chr(c).isspace():
+                pos += 1
+            else:
+                break
+        start = pos
+        while pos < len(data) and not chr(data[pos]).isspace():
+            pos += 1
+        if start == pos:
+            raise FileFormatError(f"{path}: truncated header")
+        return data[start:pos]
+
+    magic = token()
     if magic not in (b"P5", b"P6"):
         raise FileFormatError(f"{path}: unsupported format {magic!r} (need P5/P6)")
     try:
-        # In header order: a missing field (int(None), TypeError) or a
-        # malformed one, whichever comes first, decides the error.
-        width, height, maxval = [int(f) for f in fields]
-    except TypeError as exc:
-        raise FileFormatError(f"{path}: truncated header") from exc
+        width, height, maxval = int(token()), int(token()), int(token())
     except ValueError as exc:
         raise FileFormatError(f"{path}: malformed header") from exc
     if width < 1 or height < 1 or not 0 < maxval < 65536:
         raise FileFormatError(f"{path}: bad dimensions or maxval")
-    pos = header.end() + 1  # single whitespace byte separates header from raster
+    pos += 1  # single whitespace byte separates header from raster
     channels = 3 if magic == b"P6" else 1
     count = width * height * channels
     dtype = np.dtype("u1") if maxval < 256 else np.dtype(">u2")
@@ -116,12 +117,11 @@ def area_resize(img, out_h, out_w):
         raise ValueError("output size must be positive")
     rows = _overlap_weights(img.shape[0], out_h)
     cols = _overlap_weights(img.shape[1], out_w)
-    if img.ndim == 2:
-        return rows @ img @ cols.T
-    # Colour: each product is one GEMM over all three channels.  A batched
-    # per-channel matmul can round differently, so it is not used here.
-    out = np.tensordot(np.tensordot(rows, img, axes=(1, 0)), cols, axes=(1, 1))
-    return np.moveaxis(out, -1, 1)
+    tmp = np.tensordot(rows, img, axes=(1, 0))
+    out = np.tensordot(tmp, cols, axes=(1, 1))
+    if img.ndim == 3:
+        out = np.moveaxis(out, -1, 1)
+    return out
 
 
 def ingest_images(dir_path, height, width):
