@@ -14,7 +14,13 @@ where ``sub_n`` merges all cores except ``n``.  It only holds because the
 subchain's middle-index enumeration (cyclic, first merged dimension
 fastest) and the shared ``(r_n slow, r_{n+1} fast)`` column pairing are
 fixed consistently with :mod:`tring.tensor_ops`.
+
+:func:`build_subchain` returns fresh memory.  The solver's fit instead
+builds each mode's subchain into one workspace of its own, through the
+private ``_subchain``; the values are the same bit for bit.
 """
+
+import math
 
 import numpy as np
 
@@ -127,7 +133,22 @@ def build_subchain(cores, mode):
 
     The chain is accumulated C-contiguous as ``(middle, r_cur, r_head)``
     and returned as a transposed view of that buffer, so the solver's
-    :func:`subchain_unfold2` of it is a view too.
+    :func:`subchain_unfold2` of it is a view too.  The buffer is fresh
+    memory on every call.
+    """
+    return _subchain(cores, mode)
+
+
+def _subchain(cores, mode, workspace=None):
+    """:func:`build_subchain`, with its last write going into ``workspace``.
+
+    ``workspace`` is a 1-D float64 array with at least as many entries as
+    the subchain (the other dims times ``r_mode * r_{mode+1}``), or ``None``
+    for fresh memory.  Given one, the subchain is a view of its head, valid
+    until the next build into it, and bitwise the fresh build.  Only the
+    final merge (for two cores, the one transposed copy) goes there: it is
+    the only full-size write, since every earlier merge lacks the last
+    core's dimension.
     """
     cores = list(cores)
     d = len(cores)
@@ -136,24 +157,38 @@ def build_subchain(cores, mode):
     if not 0 <= mode < d:
         raise ValueError(f"mode {mode} out of range for {d} cores")
     order = [(mode + j) % d for j in range(1, d)]
-    acc = np.ascontiguousarray(as_tensor(cores[order[0]]).transpose(1, 2, 0))
-    for idx in order[1:]:
-        acc = _merge(acc, as_tensor(cores[idx]))
+    first = as_tensor(cores[order[0]]).transpose(1, 2, 0)
+    if d == 2:
+        acc = _chain_buffer(first.shape, workspace)
+        acc[...] = first
+    else:
+        acc = np.ascontiguousarray(first)
+        for idx in order[1:-1]:
+            acc = _merge(acc, as_tensor(cores[idx]))
+        acc = _merge(acc, as_tensor(cores[order[-1]]), workspace)
     return acc.transpose(2, 0, 1)
 
 
-def _merge(acc, core):
+def _chain_buffer(shape, workspace):
+    """A C-contiguous float64 array of ``shape``: fresh, or the head of ``workspace``."""
+    if workspace is None:
+        return np.empty(shape)
+    return workspace[: math.prod(shape)].reshape(shape)
+
+
+def _merge(acc, core, workspace=None):
     """Append ``core`` to a ``(middle, r, r_head)`` chain as its slowest index.
 
-    Returns the ``(size * middle, r_next, r_head)`` chain, C-contiguous.
-    One batched GEMM writes it in that layout: block ``i`` is
+    Returns the ``(size * middle, r_next, r_head)`` chain, C-contiguous,
+    in fresh memory or at the head of ``workspace``.  One batched GEMM
+    writes it in that layout: block ``i`` is
     ``acc (middle, r * r_head) @ kron(core[:, i, :], I_head)``, i.e.
     ``out[i][m, b, a] = sum_k acc[m, k, a] * core[k, i, b]``.
     """
     middle, r, r_head = acc.shape
     size, r_next = core.shape[1], core.shape[2]
     kron = np.einsum("kib,ac->ikabc", core, np.eye(r_head))
-    out = np.empty((size, middle, r_next * r_head))
+    out = _chain_buffer((size, middle, r_next * r_head), workspace)
     np.matmul(acc.reshape(middle, r * r_head), kron.reshape(size, r * r_head, -1), out=out)
     return out.reshape(size * middle, r_next, r_head)
 

@@ -23,6 +23,14 @@ helper.  The objective is taken in the expanded form, from the Gram, the
 cross term X S and ||X||^2, in the inner accept test and in the reported
 sweep objective alike.
 
+The set-up is what moves memory: on a tensor with many samples a
+subchain is tens of MB.  :func:`fit` builds every mode's subchain into
+one workspace, sized to the largest, instead of fresh memory per sweep,
+and ``_products`` forms the Gram, the cross term and ||X||^2 in one pass
+over row blocks of S that stay in cache.  A subchain of at most
+``_BLOCK`` rows is one block and gets the one-shot products bit for bit;
+longer ones differ from them only in rounding.
+
 H is fixed and sparse, so the graph keeps it as a
 :class:`~tring.graph.LaplacianOperator` (``NeighborGraph.operator``): every
 product with H is a CSR product, and ||H||_2 is computed once per graph,
@@ -47,7 +55,7 @@ import numpy as np
 from .graph import NeighborGraph, laplacian_operator
 from .ring import (
     TRCores,
-    build_subchain,
+    _subchain,
     core_fold2,
     core_unfold2,
     init_random,
@@ -134,25 +142,64 @@ class FitReport:
     initial_objective: float = float("nan")
 
 
+# Rows of S, and columns of the unfolding X, per block of the subproblem
+# set-up.  A block then holds 4096 * (r_n*r_{n+1} + i_n) float64 entries,
+# 0.4-1.4 MB on the colour and COIL tensors' multi-block modes, so it stays
+# in cache between its products.  The rows do not depend on X, so the
+# Gram's summation order is a function of S alone.
+_BLOCK = 4096
+
+
+def _products(subchain2, x_unfold=None):
+    """``(S.T @ S, X @ S, ||X||^2)`` in one pass over row blocks of S.
+
+    Each block of ``_BLOCK`` rows of S and the matching column block of the
+    unfolding X is read from memory once and then reused from cache for
+    its three products, where the one-shot formulas read S and X twice
+    each.  A subchain of at most ``_BLOCK`` rows is one block, and then the
+    results are bitwise the one-shot ``S.T @ S``, ``X @ S`` and
+    ``x.ravel(order="K") @ x.ravel(order="K")`` (the unfolding read in its
+    own memory order, so it needs no copy).  Longer ones add the blocks'
+    products in row order, which can change the last bits.  Without
+    ``x_unfold`` only the Gram is formed, by the same blocks, and the other
+    two are ``None``; that is how the public Lipschitz functions form the
+    Gram the solver steps with, bit for bit.
+    """
+    sts = xs = norm_x2 = None
+    for lo in range(0, max(subchain2.shape[0], 1), _BLOCK):
+        s = subchain2[lo : lo + _BLOCK]
+        sts = _accumulate(sts, s.T @ s)
+        if x_unfold is not None:
+            xb = x_unfold[:, lo : lo + _BLOCK]
+            flat = xb.ravel(order="K")
+            xs = _accumulate(xs, xb @ s)
+            norm_x2 = _accumulate(norm_x2, float(flat @ flat))
+    return sts, xs, norm_x2
+
+
+def _accumulate(total, part):
+    """``part`` if nothing is summed yet, else ``total + part`` (in place for arrays)."""
+    if total is None:
+        return part
+    total += part
+    return total
+
+
 class _Subproblem:
     """One core subproblem, the only definition of its objective and gradient.
 
     ``min_{G >= 0} 0.5*||x_unfold - G @ subchain2.T||_F^2`` plus
     ``0.5*beta*tr(G.T H G)`` when a Laplacian ``h_g`` is given and
     ``beta > 0``.  The Gram ``S.T @ S``, the cross term ``X @ S`` and
-    ``||X||^2`` are formed once, so the objective is taken in the expanded
-    form ``0.5*(||X||^2 - 2<G, X S> + <G S.T S, G>)``.  ``ravel(order="K")``
-    reads the unfolding in its own memory order (``unfold_tr`` returns
-    F-ordered arrays), so ``||X||^2`` needs no copy.  The Lipschitz
-    constant is taken on first use only, so a gradient alone never runs an
+    ``||X||^2`` are formed once, in one pass by :func:`_products`, so the
+    objective is taken in the expanded form
+    ``0.5*(||X||^2 - 2<G, X S> + <G S.T S, G>)``.  The Lipschitz constant
+    is taken on first use only, so a gradient alone never runs an
     eigensolver.
     """
 
     def __init__(self, x_unfold, subchain2, h_g=None, beta=0.0):
-        self.sts = subchain2.T @ subchain2
-        self.xs = x_unfold @ subchain2
-        x_flat = x_unfold.ravel(order="K")
-        self.norm_x2 = float(x_flat @ x_flat)
+        self.sts, self.xs, self.norm_x2 = _products(subchain2, x_unfold)
         self.h_g = laplacian_operator(h_g) if h_g is not None and beta > 0 else None
         self.beta = beta
 
@@ -223,8 +270,7 @@ def _lipschitz(sts, h_g=None, beta=0.0):
 
 def lipschitz_ntr(subchain2):
     """Lipschitz constant ||S.T S||_2 of the plain subproblem gradient."""
-    subchain2 = as_tensor(subchain2)
-    return _lipschitz(subchain2.T @ subchain2)
+    return _lipschitz(_products(as_tensor(subchain2))[0])
 
 
 def lipschitz_gntr(subchain2, h_g, beta):
@@ -233,8 +279,8 @@ def lipschitz_gntr(subchain2, h_g, beta):
     ``h_g`` is the Laplacian, dense or as a ``LaplacianOperator``, whose
     kept norm is then reused.
     """
-    subchain2 = as_tensor(subchain2)
-    return _lipschitz(subchain2.T @ subchain2, laplacian_operator(h_g), beta)
+    gram = _products(as_tensor(subchain2))[0]
+    return _lipschitz(gram, laplacian_operator(h_g), beta)
 
 
 def alpha_next(alpha):
@@ -369,19 +415,27 @@ def fit(x, ranks, cfg=None, graph=None):
     t0 = time.perf_counter()
     cores = list(init_random(dims, ranks, cfg.seed))
     x_unfolds = [unfold_tr(x, n) for n in range(d)]
-
-    sub2 = subchain_unfold2(build_subchain(cores, d - 1))
-    prev_obj = _Subproblem(x_unfolds[d - 1], sub2, h_g, cfg.beta).objective(
-        core_unfold2(cores[d - 1])
+    # Every mode's subchain is built into this one buffer, sized to the
+    # largest.  Each is read only until the next build, and nothing the fit
+    # returns refers to it.
+    workspace = np.empty(
+        max(math.prod(dims) // dims[n] * ranks[n] * ranks[(n + 1) % d] for n in range(d))
     )
+
+    sub2 = subchain_unfold2(_subchain(cores, d - 1, workspace))
+    first = _Subproblem(x_unfolds[d - 1], sub2, h_g, cfg.beta)
+    prev_obj = first.objective(core_unfold2(cores[d - 1]))
     initial_objective = prev_obj
-    scale = max(initial_objective, np.finfo(np.float64).tiny)
+    # A fit that starts at an exact decomposition reads an initial objective
+    # of rounding size, or even below zero where the expanded form cancels;
+    # changes are then measured against the rounding of ||X||^2 instead.
+    scale = max(initial_objective, np.finfo(np.float64).eps * first.norm_x2)
     objectives, rel_changes, seconds = [], [], []
     terminated_by = "max_sweeps"
     sweeps_run = 0
     for _ in range(cfg.max_sweeps):
         for n in range(d):
-            sub2 = subchain_unfold2(build_subchain(cores, n))
+            sub2 = subchain_unfold2(_subchain(cores, n, workspace))
             g0 = core_unfold2(cores[n])
             hg_n = h_g if n == d - 1 else None
             g = solve_core(x_unfolds[n], sub2, g0, cfg, h_g=hg_n)

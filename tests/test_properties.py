@@ -1,6 +1,6 @@
 """Property-based checks of fit's guarantees on odd inputs.
 
-Orders 2 to 5, dimensions and ranks that may be 1, a graph weight of 0,
+Orders 2 to 6, dimensions and ranks that may be 1, a graph weight of 0,
 0.3 or 5, and mutual p-NN graphs with p anywhere from 1 to n - 1.  The
 examples are derandomized, so every run checks the same cases.
 """
@@ -10,7 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tring.graph import neighbor_graph
-from tring.ring import build_subchain, core_unfold2, init_random, reconstruct, subchain_unfold2
+from tring.ring import (
+    _subchain,
+    build_subchain,
+    core_unfold2,
+    init_random,
+    reconstruct,
+    subchain_unfold2,
+)
 from tring.solver import SolverConfig, fit, solve_core
 from tring.tensor_ops import unfold_tr
 
@@ -20,7 +27,7 @@ EXAMPLES = settings(max_examples=150, derandomize=True, database=None, deadline=
 @st.composite
 def problems(draw):
     """``(x, ranks, graph, cfg)`` for a small random nonnegative tensor."""
-    order = draw(st.integers(2, 5))
+    order = draw(st.integers(2, 6))
     n = draw(st.integers(2, 6))
     dims = tuple(draw(st.lists(st.integers(1, 4), min_size=order - 1, max_size=order - 1)))
     ranks = tuple(draw(st.lists(st.integers(1, 3), min_size=order, max_size=order)))
@@ -97,3 +104,20 @@ def test_zero_beta_ignores_the_graph_bitwise(problem):
     cores_b, rep_b = fit(x, ranks, cfg, graph)
     assert all(np.array_equal(a, b) for a, b in zip(cores_a, cores_b))
     assert np.array_equal(rep_a.objective_per_sweep, rep_b.objective_per_sweep)
+
+
+@EXAMPLES
+@given(problems())
+def test_matricized_identity_every_mode(problem):
+    # unfold_tr(X, n) == core_unfold2(G_n) @ subchain_unfold2(S_n).T for the
+    # ring's own tensor, with S_n built fresh and, as fit builds it, into
+    # one workspace that every mode reuses.
+    x, ranks, _, cfg = problem
+    cores = init_random(x.shape, ranks, cfg.seed)
+    full = reconstruct(cores)
+    workspace = np.empty(max(build_subchain(cores, n).size for n in range(x.ndim)))
+    for n in range(x.ndim):
+        want = unfold_tr(full, n)
+        g2 = core_unfold2(cores[n])
+        for sub in (build_subchain(cores, n), _subchain(cores, n, workspace)):
+            np.testing.assert_allclose(g2 @ subchain_unfold2(sub).T, want, rtol=1e-12)

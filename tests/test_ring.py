@@ -7,6 +7,7 @@ import pytest
 
 from tring.ring import (
     TRCores,
+    _subchain,
     build_subchain,
     core_fold2,
     core_unfold2,
@@ -150,6 +151,32 @@ class TestSubchain:
             m = subchain_unfold2(sub)
             assert np.shares_memory(m, sub)
             np.testing.assert_allclose(sub, subchain_oracle(cores, mode), rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "dims, ranks",
+        [
+            ((3, 4), (2, 3)),
+            ((4, 1), (1, 1)),  # the transposed core is already contiguous
+            ((2, 3, 1, 2), (2, 1, 3, 2)),
+            ((3, 70, 2), (2, 2, 3)),
+            ((2, 3, 2, 2, 3, 2), (2, 3, 1, 2, 2, 3)),
+        ],
+    )
+    def test_workspace_build_is_bitwise_the_fresh_build(self, dims, ranks):
+        # One buffer, sized to the largest subchain, serves every mode in
+        # turn, as in fit; the public build is fresh memory every time.
+        cores = init_random(dims, ranks, seed=13)
+        d = len(dims)
+        sizes = [build_subchain(cores, n).size for n in range(d)]
+        workspace = np.full(max(sizes), np.nan)
+        for mode in range(d):
+            fresh = build_subchain(cores, mode)
+            into = _subchain(cores, mode, workspace)
+            assert np.shares_memory(into, workspace)
+            assert not any(np.shares_memory(fresh, c) for c in cores)
+            assert not np.shares_memory(fresh, workspace)
+            assert np.array_equal(into, fresh)
+            assert np.array_equal(subchain_unfold2(into), subchain_unfold2(fresh))
 
     def test_contract_back_reproduces_reconstruction(self):
         cores = init_random((3, 2, 4), (2, 2, 3), seed=4)

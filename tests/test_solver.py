@@ -1,10 +1,16 @@
 """Solver pieces against finite differences, independent projected
 gradient, and the descent/majorization guarantees."""
 
+import hashlib
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 import tring.graph
+import tring.solver
 from tring.graph import (
     LaplacianOperator,
     NeighborGraph,
@@ -23,6 +29,7 @@ from tring.ring import (
 )
 from tring.solver import (
     DegenerateSubproblemError,
+    _products,
     NumericalError,
     SolverConfig,
     alpha_next,
@@ -485,6 +492,145 @@ class TestFit:
         for mode in range(3):
             s2 = subchain_unfold2(build_subchain(cores, mode))
             assert np.linalg.matrix_rank(s2) == s2.shape[1]
+
+
+class TestStopRule:
+    # ring_tensor's cores are init_random's for the same seed, so each fit
+    # starts at an exact decomposition; its initial objective reads above,
+    # at and below zero for seeds 0, 3 and 5.
+    @pytest.mark.parametrize("seed", [0, 3, 5])
+    def test_exact_start_measures_changes_against_rounding_of_the_data(self, seed):
+        x, _ = ring_tensor((8, 8, 3, 20), (2, 2, 2, 2), seed=seed)
+        cfg = SolverConfig(beta=0.0, seed=seed, max_sweeps=20)
+        _, report = fit(x, (2, 2, 2, 2), cfg)
+        floor = np.finfo(np.float64).eps * np.sum(x**2)
+        assert report.initial_objective < floor
+        objectives = np.concatenate([[report.initial_objective], report.objective_per_sweep])
+        np.testing.assert_allclose(
+            report.rel_change_per_sweep, np.abs(np.diff(objectives)) / floor, rtol=1e-12
+        )
+        # Rounding noise reads as a few units; floored at finfo.tiny, an
+        # initial objective of 0 or below made it read about 1e297.
+        assert np.all(report.rel_change_per_sweep < 10)
+
+    def test_ordinary_start_measures_changes_against_initial_objective(self):
+        x, _ = blob_tensor((4, 4), 2, 6, seed=1)
+        _, report = fit(x, (2, 2, 2), SolverConfig(t_max=10, max_sweeps=5, beta=0.0))
+        objectives = np.concatenate([[report.initial_objective], report.objective_per_sweep])
+        assert np.array_equal(
+            report.rel_change_per_sweep,
+            np.abs(np.diff(objectives)) / report.initial_objective,
+        )
+
+
+# One fit on 1400 samples: the sample mode's ||X||^2 is a dot over 1.08M
+# entries and its cross term a 1400x768 GEMM, both large enough for OpenBLAS
+# to split across threads (the reported objectives then differ in their last
+# bits between 1 and 2 threads), and the channel-mode subchain's 358400 rows
+# take 88 set-up blocks.  It prints a digest of the fitted cores.
+_THREADED_FIT = """
+import hashlib
+import numpy as np
+from tring.solver import SolverConfig, fit
+from tring.synthetic import blob_tensor
+x, _ = blob_tensor((16, 16, 3), 4, 350, seed=2)
+cores, _ = fit(x, (4, 2, 2, 5), SolverConfig(t_max=20, max_sweeps=3, beta=0.0))
+print(hashlib.sha256(b"".join(c.tobytes() for c in cores)).hexdigest())
+"""
+
+
+class TestBlockedSetup:
+    """``_products`` forms S.T S, X S and ||X||^2 from row blocks of S."""
+
+    # With _BLOCK = 8: fewer rows than a block, exactly one block, one row
+    # over, and a whole number of blocks.
+    @pytest.mark.parametrize("rows", [5, 8, 9, 32])
+    @pytest.mark.parametrize("order", ["F", "C"])
+    def test_matches_one_shot_formulas(self, monkeypatch, rows, order):
+        monkeypatch.setattr(tring.solver, "_BLOCK", 8)
+        rng = np.random.default_rng(rows)
+        s2 = rng.random((rows, 6))
+        x_unfold = np.asarray(rng.random((4, rows)), order=order)
+        sts, xs, norm_x2 = _products(s2, x_unfold)
+        flat = x_unfold.ravel(order="K")
+        one_shot = (s2.T @ s2, x_unfold @ s2, float(flat @ flat))
+        for got, want in zip((sts, xs, norm_x2), one_shot):
+            np.testing.assert_allclose(got, want, rtol=1e-13)
+            if rows <= 8:
+                assert np.array_equal(got, want)
+        gram, no_xs, no_norm = _products(s2)
+        assert np.array_equal(gram, sts) and no_xs is None and no_norm is None
+
+    @pytest.mark.parametrize("beta", [0.0, 0.4])
+    def test_multi_block_steps_at_the_public_constant(self, monkeypatch, beta):
+        # TestLipschitz's check with the sample-mode subchain's 16 rows in
+        # blocks of 5, 5, 5 and 1: the public gradient and constant must
+        # still be exactly the ones every solver step uses.
+        monkeypatch.setattr(tring.solver, "_BLOCK", 5)
+        x, _ = blob_tensor((4, 4), 3, 10, seed=4)
+        graph = neighbor_graph(x, 4)
+        cores = init_random(x.shape, (2, 2, 3), seed=1)
+        s2 = subchain_unfold2(build_subchain(cores, 2))
+        xn = unfold_tr(x, 2)
+        assert s2.shape[0] == 16
+        h = graph.operator if beta > 0 else None
+        lip = lipschitz_gntr(s2, h, beta) if beta > 0 else lipschitz_ntr(s2)
+        steps = []
+
+        def audit(g_new, y, grad_y):
+            public = gradient_gntr(y, s2, xn, h, beta)
+            steps.append(np.array_equal(grad_y, public)
+                         and np.array_equal(g_new, prox_step(y, grad_y, lip)))
+
+        solve_core(xn, s2, core_unfold2(cores[2]), SolverConfig(t_max=20, beta=beta),
+                   h_g=h, callback=audit)
+        assert len(steps) == 20 and all(steps)
+
+    def test_block_size_moves_only_rounding(self, monkeypatch):
+        x, _ = blob_tensor((6, 6), 3, 20, seed=6)
+        graph = neighbor_graph(x, 4)
+        cfg = SolverConfig(t_max=30, beta=0.1, seed=3)
+        reports = []
+        for block in (3, 10**9):
+            monkeypatch.setattr(tring.solver, "_BLOCK", block)
+            reports.append(fit(x, (2, 2, 3), cfg, graph)[1])
+        tiny, huge = reports
+        assert tiny.terminated_by == huge.terminated_by == "tol"
+        assert tiny.sweeps_run == huge.sweeps_run
+        np.testing.assert_allclose(
+            tiny.objective_per_sweep, huge.objective_per_sweep, rtol=1e-8
+        )
+
+    def test_back_to_back_fits_leave_the_first_untouched(self):
+        # Each fit builds its subchains into one workspace; nothing a fit
+        # returns may be a view of it, or of any buffer larger than itself.
+        x, _ = blob_tensor((5, 4), 2, 6, seed=8)
+        cfg = SolverConfig(t_max=10, max_sweeps=4, tol=1e-12, beta=0.0)
+        cores_a, rep_a = fit(x, (2, 3, 2), cfg)
+        kept_cores = [c.copy() for c in cores_a]
+        kept_objectives = rep_a.objective_per_sweep.copy()
+        kept_changes = rep_a.rel_change_per_sweep.copy()
+        cores_b, _ = fit(2.0 * x + 1.0, (2, 3, 2), cfg)
+        assert all(np.array_equal(a, k) for a, k in zip(cores_a, kept_cores))
+        assert np.array_equal(rep_a.objective_per_sweep, kept_objectives)
+        assert np.array_equal(rep_a.rel_change_per_sweep, kept_changes)
+        assert not any(np.shares_memory(a, b) for a in cores_a for b in cores_b)
+        for arr in [*cores_a, rep_a.objective_per_sweep, rep_a.rel_change_per_sweep]:
+            root = arr
+            while root.base is not None:
+                root = root.base
+            assert root.size == arr.size
+
+    def test_blas_thread_count_keeps_the_cores_bitwise(self):
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(sys.path))
+            out = subprocess.run([sys.executable, "-c", _THREADED_FIT], env=env,
+                                 capture_output=True, text=True, check=True)
+            digests.append(out.stdout.strip())
+        assert len(digests[0]) == len(hashlib.sha256().hexdigest())
+        assert digests[0] == digests[1]
 
 
 class TestLaplacianOperator:
