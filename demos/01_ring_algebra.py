@@ -14,8 +14,8 @@ from tring import (
     core_unfold2,
     fold_tr,
     init_random,
+    lipschitz_ntr,
     reconstruct,
-    spectral_norm,
     subchain_unfold2,
     unfold_tr,
 )
@@ -49,7 +49,7 @@ for mode in range(3):
     s2 = subchain_unfold2(build_subchain(cores, mode))   # rest x (r_n r_{n+1})
     residual = np.abs(fold_tr(g2 @ s2.T, mode, dims) - x_fast).max()
     print(f"mode {mode}: unfold identity residual {residual:.3e}, "
-          f"design-matrix spectral norm {spectral_norm(s2):.3f}")
+          f"step-size constant ||S^T S||_2 {lipschitz_ntr(s2):.3f}")
 
 # Cyclic unfolding = cycle the dimensions to the front, then flatten with
 # the first remaining dimension fastest. Nonnegative cores always give a

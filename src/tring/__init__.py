@@ -13,11 +13,8 @@ __version__ = "0.1.0"
 from .graph import (
     LaplacianOperator,
     NeighborGraph,
-    knn_graph,
     laplacian_operator,
-    laplacian_quadratic,
     neighbor_graph,
-    pairwise_distances,
 )
 from .metrics import accuracy, entropy, kmeans, knn_classify, mutual_information, nmi, sparseness
 from .ring import (
@@ -50,7 +47,6 @@ from .synthetic import blob_tensor, ring_tensor
 from .tensor_ops import (
     fold_tr,
     frobenius_norm,
-    spectral_norm,
     unfold_classical,
     unfold_tr,
 )
@@ -67,7 +63,6 @@ __all__ = [
     "unfold_classical",
     "unfold_tr",
     "fold_tr",
-    "spectral_norm",
     "init_random",
     "build_subchain",
     "subchain_unfold2",
@@ -76,10 +71,7 @@ __all__ = [
     "reconstruct",
     "relative_error",
     "feature_matrix",
-    "pairwise_distances",
-    "knn_graph",
     "neighbor_graph",
-    "laplacian_quadratic",
     "laplacian_operator",
     "gradient_ntr",
     "gradient_gntr",

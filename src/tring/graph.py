@@ -1,17 +1,20 @@
 """Mutual p-nearest-neighbor sample graphs and their combinatorial Laplacians.
 
-Samples are the slices of the data tensor along its sample dimension (the
-last one by convention).  Edges are binary and mutual: i and j are joined
+Samples are the slices of the data tensor along its last dimension, where
+``fit`` expects them too.  Edges are binary and mutual: i and j are joined
 iff each lies among the other's p nearest neighbors under Frobenius
 distance.  The graph is built once on the raw data and held fixed during
 optimization.
 
 A mutual p-NN graph has at most p*n edges, so a :class:`NeighborGraph`
-holds its adjacency as CSR.  ``neighbor_graph`` computes distances in row
-blocks of about 2**20 entries and never holds an n x n array; only reading
-a graph's dense ``w`` or ``laplacian`` view builds one.  The solver applies
-the fixed Laplacian through a :class:`LaplacianOperator`: a CSR matrix with
-its spectral norm taken once.
+holds its adjacency as CSR.  ``neighbor_graph``, the one way to build a
+graph from data, computes distances in row blocks of about 2**20 entries
+and never holds an n x n array; only reading a graph's dense ``w`` or
+``laplacian`` view builds one.
+Its distance kernel and p-nearest selection are the ones k-means and k-NN
+in :mod:`tring.metrics` use.  The solver applies the fixed Laplacian
+through a :class:`LaplacianOperator`: a CSR matrix with its spectral norm
+taken once.
 """
 
 from functools import cached_property
@@ -25,10 +28,7 @@ from .tensor_ops import as_tensor, gram_norm, unfold_classical, with_margin
 __all__ = [
     "NeighborGraph",
     "LaplacianOperator",
-    "pairwise_distances",
-    "knn_graph",
     "neighbor_graph",
-    "laplacian_quadratic",
     "laplacian_norm",
     "laplacian_operator",
 ]
@@ -99,26 +99,24 @@ class NeighborGraph:
         return LaplacianOperator(sparse.diags_array(self.degree, format="csr") - self.adjacency)
 
 
-def _samples(x, sample_mode):
-    """Validated sample rows of ``x`` (one per sample) and their squared norms."""
-    x = as_tensor(x)
-    mode = sample_mode % x.ndim
-    if x.shape[mode] < 2:
-        raise ValueError("pairwise distances need at least 2 samples")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("sample data must be finite (no NaN or Inf)")
-    flat = unfold_classical(x, mode)
-    return flat, np.einsum("ij,ij->i", flat, flat)
+def _sq_norms(rows):
+    """Squared Euclidean norm of each row of a matrix."""
+    return np.einsum("ij,ij->i", rows, rows)
 
 
-def _distance_rows(flat, sq, lo, hi):
-    """Rows ``lo:hi`` of the distance matrix, by ``|a|^2 + |b|^2 - 2 a.b``."""
-    d2 = np.add.outer(sq[lo:hi], sq)
-    gram = flat[lo:hi] @ flat.T
+def _squared_distances(a, b, sq_a, sq_b):
+    """Squared Euclidean distances between the rows of ``a`` and of ``b``.
+
+    Computed as ``|a|^2 + |b|^2 - 2 a.b`` from the rows' squared norms
+    ``sq_a`` and ``sq_b``, which callers compute once and reuse, and
+    clipped at 0 where rounding takes the difference below it.
+    """
+    d2 = np.add.outer(sq_a, sq_b)
+    gram = a @ b.T
     gram *= 2.0
     d2 -= gram
     np.maximum(d2, 0.0, out=d2)
-    return np.sqrt(d2, out=d2)
+    return d2
 
 
 def _row_blocks(rows, cols):
@@ -145,15 +143,31 @@ def _nearest(dist, p):
     return cols[rank < p].reshape(-1, p)
 
 
-def _mutual_knn(n, p, distance_rows):
-    """Mutual p-NN graph from ``distance_rows(lo, hi)``, a fresh array of
-    the distances of samples ``lo:hi`` to all n, taken block by block."""
+def neighbor_graph(x, p):
+    """Mutual p-nearest-neighbor graph over the sample slices of ``x``.
+
+    Samples lie along the last dimension.  ``w[i, j] = 1`` iff j is among
+    the p nearest neighbors of i AND i is among the p nearest neighbors of
+    j, under Frobenius distance.  Self is excluded from neighbor sets;
+    distance ties break toward the lower sample index so the graph is
+    reproducible.  Distances are taken in row blocks, never as an n x n
+    array.
+    """
+    x = as_tensor(x)
+    if x.ndim == 0 or x.shape[-1] < 2:
+        raise ValueError("a sample graph needs at least 2 samples")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("sample data must be finite (no NaN or Inf)")
+    flat = unfold_classical(x, x.ndim - 1)
+    sq = _sq_norms(flat)
+    n = flat.shape[0]
     p = int(p)
     if not 1 <= p < n:
         raise ValueError(f"neighbor count p={p} out of range for {n} samples")
     nbrs = np.empty((n, p), dtype=np.int64)
     for lo, hi in _row_blocks(n, n):
-        dist = distance_rows(lo, hi)
+        dist = _squared_distances(flat[lo:hi], flat, sq[lo:hi], sq)
+        np.sqrt(dist, out=dist)
         dist[np.arange(hi - lo), np.arange(lo, hi)] = np.inf  # no sample is its own neighbor
         nbrs[lo:hi] = _nearest(dist, p)
     src = np.repeat(np.arange(n, dtype=np.int64), p)
@@ -163,62 +177,6 @@ def _mutual_knn(n, p, distance_rows):
     return NeighborGraph._from_adjacency(
         sparse.csr_array((np.ones(edges.size), cols, indptr), shape=(n, n))
     )
-
-
-def pairwise_distances(x, sample_mode=-1):
-    """Frobenius distances between the sample slices of ``x``.
-
-    Returns the symmetric (n_samples, n_samples) distance matrix with an
-    exactly zero diagonal.
-    """
-    flat, sq = _samples(x, sample_mode)
-    dist = _distance_rows(flat, sq, 0, flat.shape[0])
-    dist = 0.5 * (dist + dist.T)
-    np.fill_diagonal(dist, 0.0)
-    return dist
-
-
-def knn_graph(dist, p):
-    """Mutual p-nearest-neighbor graph from a distance matrix.
-
-    ``w[i, j] = 1`` iff j is among the p nearest neighbors of i AND i is
-    among the p nearest neighbors of j.  Self is excluded from neighbor
-    sets; distance ties break toward the lower sample index so the graph
-    is reproducible.
-    """
-    dist = as_tensor(dist)
-    if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
-        raise ValueError("distance matrix must be square")
-    if not np.array_equal(dist, dist.T):
-        raise ValueError("distance matrix must be symmetric")
-    if np.any(np.diagonal(dist) != 0.0):
-        raise ValueError("distance matrix must have a zero diagonal")
-    return _mutual_knn(dist.shape[0], p, lambda lo, hi: dist[lo:hi].copy())
-
-
-def neighbor_graph(x, p, sample_mode=-1):
-    """Mutual p-NN graph over the sample slices of ``x``.
-
-    The same graph as ``knn_graph(pairwise_distances(x, sample_mode), p)``,
-    built from blocks of distance rows without an n x n array.
-    """
-    flat, sq = _samples(x, sample_mode)
-    return _mutual_knn(flat.shape[0], p, lambda lo, hi: _distance_rows(flat, sq, lo, hi))
-
-
-def laplacian_quadratic(h, g):
-    """Trace of ``g.T @ h @ g``.
-
-    For a combinatorial Laplacian ``h`` this equals half the edge-weighted
-    sum of squared row differences of ``g``, hence is >= 0.
-    """
-    h = as_tensor(h)
-    g = as_tensor(g)
-    if g.ndim == 1:
-        g = g[:, None]
-    if h.shape[0] != h.shape[1] or h.shape[1] != g.shape[0]:
-        raise ValueError(f"shape mismatch: h {h.shape} vs g {g.shape}")
-    return float(np.vdot(g, h @ g))
 
 
 def laplacian_norm(h):

@@ -1,14 +1,15 @@
 """Evaluation suite: sparseness, clustering accuracy, NMI, k-means, k-NN.
 
 Clustering accuracy maps predicted cluster ids onto true class ids with an
-exact optimal assignment on the confusion matrix; mutual information is
-measured in bits so the NMI ratio is base-free.
+exact optimal assignment on the confusion matrix, which also gives mutual
+information its joint distribution, in bits so the NMI ratio is base-free.
+k-means and k-NN take distances from the kernel in :mod:`tring.graph`.
 """
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .graph import _nearest, _row_blocks
+from .graph import _nearest, _row_blocks, _sq_norms, _squared_distances
 
 __all__ = [
     "sparseness",
@@ -69,15 +70,6 @@ def accuracy(pred, truth):
     return float(c[rows, cols].sum()) / pred.size
 
 
-def _joint_probs(a, b):
-    n = a.size
-    _, ai = np.unique(a, return_inverse=True)
-    _, bi = np.unique(b, return_inverse=True)
-    joint = np.zeros((ai.max() + 1, bi.max() + 1), dtype=np.float64)
-    np.add.at(joint, (ai, bi), 1.0)
-    return joint / n
-
-
 def entropy(labels):
     """Shannon entropy of a labeling, in bits."""
     labels = _labels(labels)
@@ -92,7 +84,7 @@ def mutual_information(a, b):
     b = _labels(b)
     if a.size != b.size:
         raise ValueError(f"length mismatch: {a.size} vs {b.size}")
-    joint = _joint_probs(a, b)
+    joint = _confusion(a, b) / a.size
     pa = joint.sum(axis=1)
     pb = joint.sum(axis=0)
     mask = joint > 0
@@ -111,26 +103,17 @@ def nmi(a, b):
     return float(min(1.0, mi / max(entropy(a), entropy(b))))
 
 
-def _squared_distances(x, centers):
-    d2 = (
-        np.einsum("ij,ij->i", x, x)[:, None]
-        + np.einsum("ij,ij->i", centers, centers)[None, :]
-        - 2.0 * (x @ centers.T)
-    )
-    np.maximum(d2, 0.0, out=d2)
-    return d2
-
-
 def _lloyd(x, k, rng, max_iter=300):
     """One k-means run.  Returns (labels, wcss, per-iteration objectives)."""
     n, f = x.shape
     centers = x[rng.choice(n, size=k, replace=False)].copy()
     # Bin c * f + j of a weighted bincount sums x[:, j] over cluster c in row order.
     bins = np.arange(f)
+    sq = _sq_norms(x)
     labels = None
     history = []
     for _ in range(max_iter):
-        d2 = _squared_distances(x, centers)
+        d2 = _squared_distances(x, centers, sq, _sq_norms(centers))
         new_labels = d2.argmin(axis=1)
         cost = d2[np.arange(n), new_labels]
         counts = np.bincount(new_labels, minlength=k)
@@ -156,7 +139,7 @@ def _lloyd(x, k, rng, max_iter=300):
         labels = new_labels
         sums = np.bincount((labels[:, None] * f + bins).ravel(), weights=x.ravel(), minlength=k * f)
         centers = sums.reshape(k, f) / counts[:, None]
-    d2 = _squared_distances(x, centers)
+    d2 = _squared_distances(x, centers, sq, _sq_norms(centers))
     wcss = float(d2[np.arange(n), labels].sum())
     return labels, wcss, history
 
@@ -225,9 +208,10 @@ def knn_classify(train, train_labels, test, k):
         raise ValueError(f"k={k} out of range for {train.shape[0]} training rows")
     classes, train_class = np.unique(train_labels, return_inverse=True)
     n_cls = classes.size
+    sq_test, sq_train = _sq_norms(test), _sq_norms(train)
     out = np.empty(test.shape[0], dtype=np.int64)
     for lo, hi in _row_blocks(test.shape[0], train.shape[0]):
-        dist = np.sqrt(_squared_distances(test[lo:hi], train))
+        dist = np.sqrt(_squared_distances(test[lo:hi], train, sq_test[lo:hi], sq_train))
         neigh = _nearest(dist, k)
         # Bin r * n_cls + c tallies row r's votes for class c and, summed
         # in neighbor order, their distances.

@@ -424,6 +424,8 @@ def fit(x, ranks, cfg=None, graph=None):
 
     sub2 = subchain_unfold2(_subchain(cores, d - 1, workspace))
     first = _Subproblem(x_unfolds[d - 1], sub2, h_g, cfg.beta)
+    if not np.isfinite(first.norm_x2):
+        raise ValueError("data tensor too large for float64: its squared norm overflows")
     prev_obj = first.objective(core_unfold2(cores[d - 1]))
     initial_objective = prev_obj
     # A fit that starts at an exact decomposition reads an initial objective

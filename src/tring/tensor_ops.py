@@ -6,9 +6,11 @@ conventions below enumerate the trailing multi-index with the *first*
 listed dimension varying fastest; the cyclic unfolding must agree with the
 subchain enumeration in :mod:`tring.ring` for the matricized ring identity
 to hold exactly, so these orders are frozen and covered by golden tests.
-"""
 
-import math
+Spectral norms are taken of symmetric PSD matrices only, by ``gram_norm``
+(and ``graph.laplacian_norm`` for a Laplacian): the Lipschitz constants
+need no other.
+"""
 
 import numpy as np
 
@@ -19,7 +21,6 @@ __all__ = [
     "unfold_tr",
     "fold_tr",
     "gram_norm",
-    "spectral_norm",
 ]
 
 # Relative margin added to a computed top eigenvalue: LAPACK and Lanczos can
@@ -99,22 +100,3 @@ def gram_norm(gram):
 def with_margin(top):
     """A computed top eigenvalue, clipped at 0 and raised by ``NORM_MARGIN``."""
     return max(top, 0.0) * (1.0 + NORM_MARGIN)
-
-
-def spectral_norm(a):
-    """Largest singular value of a matrix.
-
-    The square root of :func:`gram_norm` of the Gram on the smaller side
-    (``a.T @ a``, or ``a @ a.T`` for a wide matrix; both have the same
-    nonzero eigenvalues), so it shares the solver's eigenvalue route and
-    margin.  A zero matrix yields 0.
-    """
-    a = as_tensor(a)
-    if a.ndim != 2:
-        raise ValueError("spectral_norm expects a matrix")
-    if a.size == 0:
-        raise ValueError("spectral_norm of an empty matrix")
-    gram = a @ a.T if a.shape[0] < a.shape[1] else a.T @ a
-    if not np.all(np.isfinite(gram)):
-        raise ValueError("spectral_norm of a matrix with a non-finite Gram")
-    return math.sqrt(gram_norm(gram))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from tring.fileio import read_tensor, write_tensor
-from tring.graph import knn_graph, laplacian_quadratic, neighbor_graph, pairwise_distances
+from tring.graph import neighbor_graph
 from tring.images import area_resize, ingest_images, montage, read_pnm
 from tring.metrics import accuracy, entropy, kmeans, mutual_information, nmi, sparseness
 from tring.ring import (
@@ -154,7 +154,7 @@ def test_criterion_2_gradient_finite_difference_checks():
         err = np.linalg.norm(gradient_ntr(g, s2, xn) - ref) / np.linalg.norm(ref)
         worst_plain = max(worst_plain, err)
 
-        graph = knn_graph(pairwise_distances(rng.random((3, rows))), 2)
+        graph = neighbor_graph(rng.random((3, rows)), 2)
         h, beta = graph.laplacian, 0.1
 
         def f_graph(v):
@@ -179,7 +179,7 @@ def test_criterion_3_lipschitz_and_majorization():
         xn = np.abs(rng.standard_normal((6, 9)))
         use_graph = trial % 2 == 1
         if use_graph:
-            graph = knn_graph(pairwise_distances(rng.random((3, 6))), 2)
+            graph = neighbor_graph(rng.random((3, 6)), 2)
             h, beta = graph.laplacian, 0.2
             lip = lipschitz_gntr(s2, h, beta)
         else:
@@ -291,11 +291,10 @@ def test_criterion_7_graph_laplacian_properties():
     g = neighbor_graph(x, 4)
     rows_zero = bool(np.all(g.laplacian.sum(axis=1) == 0.0))
     quad_ok = all(
-        laplacian_quadratic(g.laplacian, rng.standard_normal(12)) >= -1e-10
-        for _ in range(1000)
+        np.vdot(v, g.operator @ v) >= -1e-10 for v in rng.standard_normal((1000, 12))
     )
     # hand-enumerated mutual 1-NN on scalar samples 0, 1, 10
-    hand = knn_graph(pairwise_distances(np.array([[0.0, 1.0, 10.0]])), 1)
+    hand = neighbor_graph(np.array([[0.0, 1.0, 10.0]]), 1)
     hand_ok = np.array_equal(
         hand.w, [[0, 1, 0], [1, 0, 0], [0, 0, 0]]
     ) and np.array_equal(hand.degree, [1, 1, 0])

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from tring.cli import default_ranks, main
-from tring.fileio import read_tensor, write_labels, write_tensor
+from tring.fileio import FileFormatError, read_tensor, write_labels, write_tensor
 from tring.ring import TRCores, relative_error
+from tring.solver import DegenerateSubproblemError, NumericalError
 from tring.synthetic import blob_tensor, ring_tensor
 
 
@@ -313,6 +314,41 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")])
         assert code == 2
         assert "finite" in capsys.readouterr().err
+
+    def test_overflowing_data_is_validation_error(self, tmp_path, capsys):
+        data = tmp_path / "huge.ten"
+        write_tensor(data, np.random.default_rng(0).random((3, 3, 4)) * 1e160)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["fit", "--data", str(data), "--ranks", "2,2,2", "--tmax", "5",
+                         "--max-sweeps", "2", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "too large for float64" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("exc, expected", [
+        (ValueError, 2),
+        (FileFormatError, 3),
+        (OSError, 3),
+        (NumericalError, 4),
+        (DegenerateSubproblemError, 4),
+    ])
+    def test_exception_maps_to_exit_code(self, exc, expected, blob_files, tmp_path, monkeypatch):
+        def failing_fit(*args, **kwargs):
+            raise exc("injected")
+
+        monkeypatch.setattr("tring.cli.fit", failing_fit)
+        data, _ = blob_files
+        code = main(["fit", "--data", str(data), "--ranks", "2,2,2",
+                     "--out", str(tmp_path / "o")])
+        assert code == expected
+
+    def test_unmapped_exception_propagates(self, blob_files, tmp_path, monkeypatch):
+        def failing_fit(*args, **kwargs):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr("tring.cli.fit", failing_fit)
+        data, _ = blob_files
+        with pytest.raises(RuntimeError, match="injected"):
+            main(["fit", "--data", str(data), "--ranks", "2,2,2", "--out", str(tmp_path / "o")])
 
     def test_unknown_command_exits_via_argparse(self):
         with pytest.raises(SystemExit):

@@ -10,7 +10,6 @@ import pytest
 import tring.graph
 from tring.metrics import (
     _lloyd,
-    _squared_distances,
     accuracy,
     entropy,
     kmeans,
@@ -59,6 +58,13 @@ def entropy_oracle(a):
     return -sum((c / n) * math.log2(c / n) for c in counts.values())
 
 
+def squared_distances(x, centers):
+    """The distance kernel k-means and k-NN share, with its row norms."""
+    return tring.graph._squared_distances(
+        x, centers, tring.graph._sq_norms(x), tring.graph._sq_norms(centers)
+    )
+
+
 def lloyd_oracle(x, k, rng, max_iter=300):
     """k-means run with per-cluster loops for the empty-cluster scan and
     the centre means.  Returns (labels, wcss, history, re-seed count)."""
@@ -68,7 +74,7 @@ def lloyd_oracle(x, k, rng, max_iter=300):
     history = []
     reseeds = 0
     for _ in range(max_iter):
-        d2 = _squared_distances(x, centers)
+        d2 = squared_distances(x, centers)
         new_labels = d2.argmin(axis=1)
         cost = d2[np.arange(n), new_labels]
         for c in range(k):
@@ -87,7 +93,7 @@ def lloyd_oracle(x, k, rng, max_iter=300):
         labels = new_labels
         for c in range(k):
             centers[c] = x[labels == c].mean(axis=0)
-    d2 = _squared_distances(x, centers)
+    d2 = squared_distances(x, centers)
     return labels, float(d2[np.arange(n), labels].sum()), history, reseeds
 
 

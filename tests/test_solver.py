@@ -14,10 +14,8 @@ import tring.solver
 from tring.graph import (
     LaplacianOperator,
     NeighborGraph,
-    knn_graph,
     laplacian_operator,
     neighbor_graph,
-    pairwise_distances,
 )
 from tring.ring import (
     build_subchain,
@@ -30,7 +28,6 @@ from tring.ring import (
 from tring.solver import (
     DegenerateSubproblemError,
     _products,
-    NumericalError,
     SolverConfig,
     alpha_next,
     fit,
@@ -229,7 +226,7 @@ class TestLipschitz:
             laps = []
             for n in (6, 12, 40, 150):
                 for _ in range(4):
-                    g = knn_graph(pairwise_distances(rng.random((3, n))), 1)
+                    g = neighbor_graph(rng.random((3, n)), 1)
                     assert np.any(g.degree == 0)
                     laps.append(g.laplacian)
         elif case == "no_edges":
@@ -479,11 +476,21 @@ class TestFit:
         got_c = solve_core(xc, s2, g0, cfg)
         assert np.linalg.norm(got_f - got_c) <= 1e-12 * np.linalg.norm(got_c)
 
-    def test_overflowing_data_raises_numerical_error(self):
+    def test_overflowing_data_rejected_before_fitting(self, monkeypatch):
+        # ||X||^2 overflows float64: bad input, rejected before any sweep.
         x = np.full((4, 4, 4), 1e160)
+        monkeypatch.setattr("tring.solver.solve_core", None)  # no sweep may start
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericalError):
+            with pytest.raises(ValueError, match="too large for float64"):
                 fit(x, (2, 2, 2), SolverConfig(t_max=3, max_sweeps=2, beta=0.0))
+
+    def test_near_overflow_data_with_finite_norm_fits(self):
+        x = np.random.default_rng(21).random((3, 3, 4)) * 1e150
+        with np.errstate(over="ignore", invalid="ignore"):
+            cores, report = fit(x, (2, 2, 2), SolverConfig(t_max=10, max_sweeps=5, beta=0.0))
+        assert all(np.all(np.isfinite(c)) and np.all(c >= 0) for c in cores)
+        assert np.all(np.isfinite(report.objective_per_sweep))
+        assert np.all(np.diff(report.objective_per_sweep) <= 0)
 
     def test_full_rank_subchain_on_synthetic_data(self):
         # When every r_n * r_{n+1} is at most i_n, random chains give
