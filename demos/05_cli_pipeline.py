@@ -1,7 +1,7 @@
 """Drive the full command-line pipeline on a generated corpus.
 
-Synthesizes a tiny PGM image corpus, then runs: ingest -> fit ->
-cluster -> sweep, all through the same entry point the installed
+Synthesizes a tiny PGM image corpus, then runs every subcommand:
+ingest -> fit -> cluster -> classify -> sweep -> basis, all through the same entry point the installed
 ``tring`` executable uses.  Outputs land in ./demo-out/cli/.
 """
 
@@ -38,10 +38,17 @@ steps = [
      "--labels", str(root / "data/labels.txt"), "--beta", "0.1", "--p", "3",
      "--tmax", "40", "--max-sweeps", "60", "--repeats", "3",
      "--restarts", "50", "--out", str(root / "cluster")],
+    ["classify", "--data", str(root / "data/data.ten"),
+     "--labels", str(root / "data/labels.txt"), "--beta", "0.1", "--p", "3",
+     "--label-fraction", "0.5", "--k-list", "1,3", "--tmax", "40",
+     "--max-sweeps", "60", "--repeats", "2", "--out", str(root / "classify")],
     ["sweep", "--data", str(root / "data/data.ten"),
      "--labels", str(root / "data/labels.txt"), "--sweep-param", "beta",
      "--sweep-values", "0,0.1,0.3", "--tmax", "30", "--max-sweeps", "40",
      "--repeats", "2", "--restarts", "50", "--out", str(root / "sweep")],
+    ["basis", "--data", str(root / "data/data.ten"), "--ranks", "2,2,2",
+     "--layout", "2x2", "--tmax", "40", "--max-sweeps", "60",
+     "--out", str(root / "basis")],
 ]
 
 for argv in steps:

@@ -46,7 +46,6 @@ from .solver import (
 from .synthetic import blob_tensor, ring_tensor
 from .tensor_ops import (
     fold_tr,
-    frobenius_norm,
     unfold_classical,
     unfold_tr,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "FitReport",
     "DegenerateSubproblemError",
     "NumericalError",
-    "frobenius_norm",
     "unfold_classical",
     "unfold_tr",
     "fold_tr",

@@ -9,6 +9,14 @@ sweep     rerun the clustering task over a parameter grid
 basis     export the learned per-feature basis images as one montage
 ingest    convert a PGM/PPM class-directory corpus to the tensor format
 
+Each subcommand accepts only the options it reads.  The five fitting
+commands share the input, rank, solver and output options; ``cluster``,
+``classify`` and ``sweep`` add ``--labels`` and ``--repeats``, and the
+two that run k-means add ``--restarts``.  Every fit goes through one
+loop, ``_fits``: it builds the sample graph once and seeds run ``r``
+(and that run's k-means) with ``--seed`` + ``r``.  ``sweep`` reruns the
+``cluster`` experiment with one option replaced by each grid value.
+
 Exit codes: 0 success, 2 validation error, 3 I/O error, 4 numerical
 failure.  Every run writes a ``manifest.json`` capturing the effective
 configuration and input digests, enough to reproduce the outputs
@@ -99,16 +107,6 @@ def default_ranks(order, n_classes):
     return tuple(ranks)
 
 
-def _solver_config(args, seed=None, beta=None, t_max=None):
-    return SolverConfig(
-        t_max=t_max if t_max is not None else args.tmax,
-        max_sweeps=args.max_sweeps,
-        tol=args.tol,
-        beta=beta if beta is not None else args.beta,
-        seed=seed if seed is not None else args.seed,
-    )
-
-
 def _load_data(args, need_labels):
     x = read_tensor(args.data)
     labels = None
@@ -134,8 +132,20 @@ def _resolve_ranks(args, x, labels):
     return default_ranks(x.ndim, np.unique(labels).size)
 
 
-def _graph_or_none(x, beta, p):
-    return neighbor_graph(x, p) if beta > 0 else None
+def _fits(x, ranks, args, repeats=1):
+    """Yield ``(seed, cores, report)`` for ``repeats`` fits of ``x``.
+
+    Run ``r`` is seeded ``args.seed + r``.  The sample graph is built once,
+    before the first fit, and only when ``args.beta > 0``.
+    """
+    if repeats < 1:
+        raise ValueError(f"--repeats must be at least 1, got {repeats}")
+    graph = neighbor_graph(x, args.p) if args.beta > 0 else None
+    for run in range(repeats):
+        cfg = SolverConfig(t_max=args.tmax, max_sweeps=args.max_sweeps, tol=args.tol,
+                           beta=args.beta, seed=args.seed + run)
+        cores, report = fit(x, ranks, cfg, graph)
+        yield cfg.seed, cores, report
 
 
 def _outdir(args):
@@ -185,9 +195,7 @@ def _common_params(args, ranks):
 def cmd_fit(args):
     x, _ = _load_data(args, need_labels=False)
     ranks = _resolve_ranks(args, x, None)
-    cfg = _solver_config(args)
-    graph = _graph_or_none(x, cfg.beta, args.p)
-    cores, report = fit(x, ranks, cfg, graph)
+    _, cores, report = next(_fits(x, ranks, args))
     out = _outdir(args)
     for i, core in enumerate(cores):
         write_tensor(out / f"core_{i + 1}.ten", core)
@@ -205,18 +213,12 @@ def cmd_fit(args):
     )
 
 
-def _cluster_runs(x, labels, ranks, args, beta=None, p=None, t_max=None):
+def _cluster_runs(x, labels, ranks, args):
     """One clustering experiment: repeated fit + k-means, scored per run."""
-    beta = args.beta if beta is None else beta
-    p = args.p if p is None else p
     k = int(np.unique(labels).size)
-    graph = _graph_or_none(x, beta, p)
     rows = []
-    for run in range(args.repeats):
-        cfg = _solver_config(args, seed=args.seed + run, beta=beta, t_max=t_max)
-        cores, _ = fit(x, ranks, cfg, graph)
-        pred = kmeans(feature_matrix(cores), k, restarts=args.restarts,
-                      seed=args.seed + run)
+    for seed, cores, _ in _fits(x, ranks, args, args.repeats):
+        pred = kmeans(feature_matrix(cores), k, restarts=args.restarts, seed=seed)
         rows.append((accuracy(pred, labels), nmi(pred, labels)))
     return np.asarray(rows)
 
@@ -266,11 +268,8 @@ def cmd_classify(args):
     ranks = _resolve_ranks(args, x, labels)
     k_list = _parse_int_list(args.k_list)
     train_idx, test_idx = _prefix_split(labels, args.label_fraction)
-    graph = _graph_or_none(x, args.beta, args.p)
     acc = {k: [] for k in k_list}
-    for run in range(args.repeats):
-        cfg = _solver_config(args, seed=args.seed + run)
-        cores, _ = fit(x, ranks, cfg, graph)
+    for _, cores, _ in _fits(x, ranks, args, args.repeats):
         feats = feature_matrix(cores)
         for k in k_list:
             pred = knn_classify(feats[train_idx], labels[train_idx],
@@ -301,11 +300,11 @@ def cmd_sweep(args):
                   else _parse_float_list(args.sweep_values))
     else:
         values = SWEEP_DEFAULTS[param]
-    arg_name = {"tmax": "t_max", "p": "p", "beta": "beta"}[param]
     rows = []
     for value in values:
         start = time.perf_counter()
-        scores = _cluster_runs(x, labels, ranks, args, **{arg_name: value})
+        scores = _cluster_runs(x, labels, ranks,
+                               argparse.Namespace(**{**vars(args), param: value}))
         elapsed = time.perf_counter() - start
         rows.append((param, value, scores[:, 0].mean(), scores[:, 0].std(),
                      scores[:, 1].mean(), scores[:, 1].std(), elapsed))
@@ -349,9 +348,7 @@ def cmd_basis(args):
             "basis montage needs grayscale (h, w, samples) or color "
             "(h, w, 3, samples) data"
         )
-    cfg = _solver_config(args)
-    graph = _graph_or_none(x, cfg.beta, args.p)
-    cores, _ = fit(x, ranks, cfg, graph)
+    _, cores, _ = next(_fits(x, ranks, args))
     tiles = [to_uint8(b) for b in basis_tensors(cores)]
     canvas = montage(tiles, rows_n, cols_n)
     out = _outdir(args)
@@ -376,31 +373,6 @@ def cmd_ingest(args):
     print(f"ingest: {labels.size} samples, shape {x.shape}, wrote {out}")
 
 
-def _add_solver_opts(p, uses_labels, uses_restarts):
-    # Every experiment subcommand accepts the same option set; flags a
-    # particular command does not use are tolerated and ignored.
-    p.add_argument("--data", required=True, help="input tensor (.ten)")
-    labels_help = ("labels file, one integer per line" if uses_labels
-                   else "accepted for interface uniformity; unused here")
-    p.add_argument("--labels", help=labels_help)
-    p.add_argument("--ranks", help="comma-separated rank chain r1,...,rd")
-    p.add_argument("--beta", type=float, default=0.0,
-                   help="graph regularization weight (0 = plain fit)")
-    p.add_argument("--p", type=int, default=5, help="neighbor count for the graph")
-    p.add_argument("--tmax", type=int, default=100, help="inner iterations per core")
-    p.add_argument("--tol", type=float, default=1e-6,
-                   help="relative objective-change stopping threshold")
-    p.add_argument("--max-sweeps", type=int, default=500, help="outer sweep cap")
-    p.add_argument("--seed", type=int, default=0, help="random seed")
-    restarts_help = ("k-means restarts" if uses_restarts
-                     else "accepted for interface uniformity; unused here")
-    p.add_argument("--restarts", type=int, default=200, help=restarts_help)
-    if uses_restarts:
-        p.add_argument("--repeats", type=int, default=10,
-                       help="independent experiment repetitions")
-    p.add_argument("--out", default="tring-out", help="output directory")
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="tring",
@@ -409,31 +381,54 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("fit", help="decompose a tensor and save the cores")
-    _add_solver_opts(p, uses_labels=False, uses_restarts=False)
+    # Shared option groups; each subcommand takes only the groups it reads.
+    fitting = argparse.ArgumentParser(add_help=False)
+    fitting.add_argument("--data", required=True, help="input tensor (.ten)")
+    fitting.add_argument("--ranks", help="comma-separated rank chain r1,...,rd")
+    fitting.add_argument("--beta", type=float, default=0.0,
+                         help="graph regularization weight (0 = plain fit)")
+    fitting.add_argument("--p", type=int, default=5,
+                         help="neighbor count for the graph (read when --beta > 0)")
+    fitting.add_argument("--tmax", type=int, default=100,
+                         help="inner iterations per core")
+    fitting.add_argument("--tol", type=float, default=1e-6,
+                         help="relative objective-change stopping threshold")
+    fitting.add_argument("--max-sweeps", type=int, default=500, help="outer sweep cap")
+    fitting.add_argument("--seed", type=int, default=0,
+                         help="random seed; repeated run r uses seed + r")
+    fitting.add_argument("--out", default="tring-out", help="output directory")
+    repeated = argparse.ArgumentParser(add_help=False, parents=[fitting])
+    repeated.add_argument("--labels", help="labels file, one integer per line")
+    repeated.add_argument("--repeats", type=int, default=10,
+                          help="independent experiment repetitions")
+    clustering = argparse.ArgumentParser(add_help=False, parents=[repeated])
+    clustering.add_argument("--restarts", type=int, default=200, help="k-means restarts")
+
+    p = sub.add_parser("fit", parents=[fitting],
+                       help="decompose a tensor and save the cores")
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("cluster", help="cluster extracted features, score AC/NMI")
-    _add_solver_opts(p, uses_labels=True, uses_restarts=True)
+    p = sub.add_parser("cluster", parents=[clustering],
+                       help="cluster extracted features, score AC/NMI")
     p.set_defaults(func=cmd_cluster)
 
-    p = sub.add_parser("classify", help="k-NN classification on extracted features")
-    _add_solver_opts(p, uses_labels=True, uses_restarts=True)
+    p = sub.add_parser("classify", parents=[repeated],
+                       help="k-NN classification on extracted features")
     p.add_argument("--label-fraction", type=float, default=0.4,
                    help="labeled prefix fraction per class (in (0, 1))")
     p.add_argument("--k-list", default="1,3,5",
                    help="comma-separated neighbor counts")
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("sweep", help="rerun the clustering task over a grid")
-    _add_solver_opts(p, uses_labels=True, uses_restarts=True)
+    p = sub.add_parser("sweep", parents=[clustering],
+                       help="rerun the clustering task over a grid")
     p.add_argument("--sweep-param", required=True, choices=("tmax", "p", "beta"))
     p.add_argument("--sweep-values",
                    help="comma-separated grid (defaults per parameter)")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("basis", help="export per-feature basis images as a montage")
-    _add_solver_opts(p, uses_labels=False, uses_restarts=False)
+    p = sub.add_parser("basis", parents=[fitting],
+                       help="export per-feature basis images as a montage")
     p.add_argument("--layout", required=True, help="montage grid, e.g. 3x4")
     p.set_defaults(func=cmd_basis)
 

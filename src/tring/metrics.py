@@ -155,8 +155,8 @@ def kmeans(features, k, restarts=200, seed=0):
     k : int
         Cluster count, 1 <= k <= n_samples.
     restarts : int
-        Independent restarts; the labeling with the lowest within-cluster
-        sum of squares wins, first-come on ties.
+        Independent restarts, at least 1; the labeling with the lowest
+        within-cluster sum of squares wins, first-come on ties.
     seed : int
         Root seed; each restart derives its own generator from
         ``(seed, restart index)`` so the result depends only on
@@ -178,6 +178,8 @@ def kmeans(features, k, restarts=200, seed=0):
     k = int(k)
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for {n} samples")
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
     best_labels, best_wcss = None, np.inf
     for r in range(int(restarts)):
         rng = np.random.default_rng((seed, r))

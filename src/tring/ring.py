@@ -15,16 +15,16 @@ subchain's middle-index enumeration (cyclic, first merged dimension
 fastest) and the shared ``(r_n slow, r_{n+1} fast)`` column pairing are
 fixed consistently with :mod:`tring.tensor_ops`.
 
-:func:`build_subchain` returns fresh memory.  The solver's fit instead
-builds each mode's subchain into one workspace of its own, through the
-private ``_subchain``; the values are the same bit for bit.
+:func:`build_subchain` returns fresh memory, or writes into a caller's
+workspace: the solver's fit builds each mode's subchain into one buffer
+of its own.  The values are the same bit for bit.
 """
 
 import math
 
 import numpy as np
 
-from .tensor_ops import as_tensor, fold_tr, frobenius_norm
+from .tensor_ops import as_tensor, fold_tr
 
 __all__ = [
     "TRCores",
@@ -122,7 +122,7 @@ def init_random(dims, ranks, seed):
     return TRCores(cores, nonneg=True, copy=False)
 
 
-def build_subchain(cores, mode):
+def build_subchain(cores, mode, workspace=None):
     """Merge all cores except ``mode`` into one third-order tensor.
 
     Contracts cores ``mode+1, ..., d-1, 0, ..., mode-1`` in cyclic order
@@ -133,22 +133,15 @@ def build_subchain(cores, mode):
 
     The chain is accumulated C-contiguous as ``(middle, r_cur, r_head)``
     and returned as a transposed view of that buffer, so the solver's
-    :func:`subchain_unfold2` of it is a view too.  The buffer is fresh
-    memory on every call.
-    """
-    return _subchain(cores, mode)
-
-
-def _subchain(cores, mode, workspace=None):
-    """:func:`build_subchain`, with its last write going into ``workspace``.
+    :func:`subchain_unfold2` of it is a view too.
 
     ``workspace`` is a 1-D float64 array with at least as many entries as
     the subchain (the other dims times ``r_mode * r_{mode+1}``), or ``None``
-    for fresh memory.  Given one, the subchain is a view of its head, valid
-    until the next build into it, and bitwise the fresh build.  Only the
-    final merge (for two cores, the one transposed copy) goes there: it is
-    the only full-size write, since every earlier merge lacks the last
-    core's dimension.
+    (the default) for fresh memory on every call.  Given one, the subchain
+    is a view of its head, valid until the next build into it, and bitwise
+    the fresh build.  Only the final merge (for two cores, the one
+    transposed copy) goes there: it is the only full-size write, since
+    every earlier merge lacks the last core's dimension.
     """
     cores = list(cores)
     d = len(cores)
@@ -244,10 +237,10 @@ def reconstruct(cores):
 def relative_error(x, cores):
     """Frobenius-relative reconstruction error ||x - ring(cores)|| / ||x||."""
     x = as_tensor(x)
-    norm_x = frobenius_norm(x)
+    norm_x = float(np.linalg.norm(x.ravel()))
     if norm_x == 0.0:
         raise ValueError("relative error undefined for an all-zero tensor")
-    return frobenius_norm(x - reconstruct(cores)) / norm_x
+    return float(np.linalg.norm((x - reconstruct(cores)).ravel())) / norm_x
 
 
 def feature_matrix(cores):

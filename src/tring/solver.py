@@ -55,7 +55,7 @@ import numpy as np
 from .graph import NeighborGraph, laplacian_operator
 from .ring import (
     TRCores,
-    _subchain,
+    build_subchain,
     core_fold2,
     core_unfold2,
     init_random,
@@ -127,10 +127,12 @@ class FitReport:
     """Per-sweep progress of one :func:`fit` run.
 
     ``rel_change_per_sweep`` is the objective decrease per sweep measured
-    relative to the run's initial objective.  Measuring against the
-    previous sweep instead would never flag a plateau on exactly
-    decomposable data, where the objective decays geometrically toward
-    zero at a near-constant rate.
+    relative to the run's initial objective, floored at ``eps * ||X||^2``
+    (float64 ``eps``): a fit that starts at an exact decomposition reads
+    an initial objective of rounding size, or below zero.  Measuring
+    against the previous sweep instead would never flag a plateau on
+    exactly decomposable data, where the objective decays geometrically
+    toward zero at a near-constant rate.
     """
 
     objective_per_sweep: np.ndarray
@@ -422,7 +424,7 @@ def fit(x, ranks, cfg=None, graph=None):
         max(math.prod(dims) // dims[n] * ranks[n] * ranks[(n + 1) % d] for n in range(d))
     )
 
-    sub2 = subchain_unfold2(_subchain(cores, d - 1, workspace))
+    sub2 = subchain_unfold2(build_subchain(cores, d - 1, workspace))
     first = _Subproblem(x_unfolds[d - 1], sub2, h_g, cfg.beta)
     if not np.isfinite(first.norm_x2):
         raise ValueError("data tensor too large for float64: its squared norm overflows")
@@ -437,7 +439,7 @@ def fit(x, ranks, cfg=None, graph=None):
     sweeps_run = 0
     for _ in range(cfg.max_sweeps):
         for n in range(d):
-            sub2 = subchain_unfold2(_subchain(cores, n, workspace))
+            sub2 = subchain_unfold2(build_subchain(cores, n, workspace))
             g0 = core_unfold2(cores[n])
             hg_n = h_g if n == d - 1 else None
             g = solve_core(x_unfolds[n], sub2, g0, cfg, h_g=hg_n)

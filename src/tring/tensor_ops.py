@@ -16,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "as_tensor",
-    "frobenius_norm",
     "unfold_classical",
     "unfold_tr",
     "fold_tr",
@@ -37,11 +36,6 @@ def as_tensor(x):
 def _check_mode(x, mode):
     if not 0 <= mode < x.ndim:
         raise ValueError(f"mode {mode} out of range for order-{x.ndim} tensor")
-
-
-def frobenius_norm(x):
-    """Frobenius norm, i.e. sqrt of the self inner product."""
-    return float(np.linalg.norm(as_tensor(x).ravel()))
 
 
 def unfold_classical(x, mode):

@@ -1,11 +1,12 @@
 """End-to-end command-line runs: outputs, schemas, determinism, exit codes."""
 
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from tring.cli import default_ranks, main
+from tring.cli import build_parser, default_ranks, main
 from tring.fileio import FileFormatError, read_tensor, write_labels, write_tensor
 from tring.ring import TRCores, relative_error
 from tring.solver import DegenerateSubproblemError, NumericalError
@@ -137,8 +138,9 @@ class TestClassifyCommand:
         data, labels = blob_files
         out = tmp_path / "out"
         code = main(["classify", "--data", str(data), "--labels", str(labels),
-                     "--label-fraction", "0.4", "--k-list", "1,3"]
-                    + fast_args(["--out", str(out)]))
+                     "--label-fraction", "0.4", "--k-list", "1,3", "--tmax", "10",
+                     "--max-sweeps", "6", "--repeats", "2", "--seed", "1",
+                     "--out", str(out)])
         assert code == 0
         lines = (out / "classify.csv").read_text().splitlines()
         assert lines[0] == "k,run,accuracy"
@@ -217,6 +219,32 @@ class TestSweepCommand:
         assert sweep_row[4] == cluster_row[2]  # nmi
 
 
+    @pytest.mark.parametrize("param, values", [("tmax", "2,8"), ("p", "2,4")])
+    def test_row_matches_cluster_run_with_that_value(self, param, values, tmp_path):
+        # Noisy enough that the grid values score differently, so a sweep
+        # that kept the base value would not match.
+        x, labels = blob_tensor((4, 4), n_classes=2, per_class=6, noise=1.0, seed=0)
+        data, label_file = tmp_path / "d.ten", tmp_path / "l.txt"
+        write_tensor(data, x)
+        write_labels(label_file, labels)
+        common = ["--data", str(data), "--labels", str(label_file), "--beta", "0.5",
+                  "--repeats", "2", "--restarts", "4", "--tmax", "8",
+                  "--max-sweeps", "4", "--seed", "5"]
+        assert main(["sweep", "--sweep-param", param, "--sweep-values", values]
+                    + common + ["--out", str(tmp_path / "s")]) == 0
+        first = values.split(",")[0]
+        assert main(["cluster"] + common
+                    + [f"--{param}", first, "--out", str(tmp_path / "c")]) == 0
+        sweep_rows = [r.split(",") for r in
+                      (tmp_path / "s" / "sweep.csv").read_text().splitlines()[1:]]
+        cluster_rows = [r.split(",") for r in
+                        (tmp_path / "c" / "cluster.csv").read_text().splitlines()[-2:]]
+        mean, std = cluster_rows
+        assert sweep_rows[0][1] == first
+        assert sweep_rows[0][2:6] == [mean[1], std[1], mean[2], std[2]]
+        assert sweep_rows[0][2:6] != sweep_rows[1][2:6]
+
+
 class TestBasisCommand:
     def test_montage_dimensions_contract(self, blob_files, tmp_path):
         data, _ = blob_files  # grayscale 4x4 slices
@@ -271,6 +299,38 @@ class TestIngestCommand:
         assert code == 2
 
 
+FITTING = {"-h", "--help", "--data", "--ranks", "--beta", "--p", "--tmax", "--tol",
+           "--max-sweeps", "--seed", "--out"}
+REPEATED = FITTING | {"--labels", "--repeats"}
+
+
+class TestOptions:
+    @pytest.mark.parametrize("command, expected", [
+        ("fit", FITTING),
+        ("basis", FITTING | {"--layout"}),
+        ("cluster", REPEATED | {"--restarts"}),
+        ("classify", REPEATED | {"--label-fraction", "--k-list"}),
+        ("sweep", REPEATED | {"--restarts", "--sweep-param", "--sweep-values"}),
+        ("ingest", {"-h", "--help", "--images", "--height", "--width", "--out"}),
+    ])
+    def test_each_command_takes_only_the_options_it_reads(self, command, expected):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        options = {s for a in sub.choices[command]._actions for s in a.option_strings}
+        assert options == expected
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--data", "d.ten", "--restarts", "5"],
+        ["basis", "--data", "d.ten", "--layout", "2x2", "--labels", "l.txt"],
+        ["classify", "--data", "d.ten", "--labels", "l.txt", "--restarts", "5"],
+    ])
+    def test_unread_option_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestExitCodes:
     def test_unreadable_data_file(self, tmp_path):
         code = main(["fit", "--data", str(tmp_path / "missing.ten"),
@@ -309,7 +369,8 @@ class TestExitCodes:
         monkeypatch.setattr("tring.cli.read_tensor", lambda path: x.copy())
         labels = tmp_path / "labels.txt"
         write_labels(labels, [0, 0, 1, 1, 1])
-        code = main([command, "--data", "nan.ten", "--labels", str(labels),
+        label_opts = ["--labels", str(labels)] if command == "cluster" else []
+        code = main([command, "--data", "nan.ten", *label_opts,
                      "--ranks", "2,2,2", "--beta", "0", "--tmax", "5", "--max-sweeps", "2",
                      "--out", str(tmp_path / "o")])
         assert code == 2
@@ -349,6 +410,29 @@ class TestExitCodes:
         data, _ = blob_files
         with pytest.raises(RuntimeError, match="injected"):
             main(["fit", "--data", str(data), "--ranks", "2,2,2", "--out", str(tmp_path / "o")])
+
+    @pytest.mark.parametrize("command", ["cluster", "classify", "sweep"])
+    @pytest.mark.parametrize("repeats", ["0", "-1"])
+    def test_no_repeats_is_validation_error(self, command, repeats, blob_files, tmp_path,
+                                            capsys):
+        data, labels = blob_files
+        extra = ["--sweep-param", "beta", "--sweep-values", "0"] if command == "sweep" else []
+        out = tmp_path / "o"
+        code = main([command, "--data", str(data), "--labels", str(labels),
+                     "--repeats", repeats, "--tmax", "5", "--max-sweeps", "2",
+                     "--out", str(out)] + extra)
+        assert code == 2
+        assert "--repeats must be at least 1" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
+
+    def test_no_kmeans_restarts_is_validation_error(self, blob_files, tmp_path, capsys):
+        data, labels = blob_files
+        code = main(["cluster", "--data", str(data), "--labels", str(labels),
+                     "--restarts", "0", "--repeats", "1", "--tmax", "5",
+                     "--max-sweeps", "2", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "restarts must be >= 1" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
 
     def test_unknown_command_exits_via_argparse(self):
         with pytest.raises(SystemExit):

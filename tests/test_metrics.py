@@ -334,6 +334,13 @@ class TestKmeans:
         with pytest.raises(ValueError):
             kmeans(x, 0, restarts=2, seed=0)
 
+    @pytest.mark.parametrize("restarts", [0, -1])
+    def test_no_restarts_rejected(self, restarts):
+        # Zero restarts would otherwise return no labeling at all (None).
+        x = np.random.default_rng(6).random((4, 2))
+        with pytest.raises(ValueError, match="restarts must be >= 1"):
+            kmeans(x, 2, restarts=restarts, seed=0)
+
 
 class TestKnnClassify:
     def test_exact_train_point_with_k1(self):

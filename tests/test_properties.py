@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from tring.graph import neighbor_graph
 from tring.ring import (
-    _subchain,
     build_subchain,
     core_unfold2,
     init_random,
@@ -119,5 +118,5 @@ def test_matricized_identity_every_mode(problem):
     for n in range(x.ndim):
         want = unfold_tr(full, n)
         g2 = core_unfold2(cores[n])
-        for sub in (build_subchain(cores, n), _subchain(cores, n, workspace)):
+        for sub in (build_subchain(cores, n), build_subchain(cores, n, workspace)):
             np.testing.assert_allclose(g2 @ subchain_unfold2(sub).T, want, rtol=1e-12)

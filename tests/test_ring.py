@@ -7,7 +7,6 @@ import pytest
 
 from tring.ring import (
     TRCores,
-    _subchain,
     build_subchain,
     core_fold2,
     core_unfold2,
@@ -171,7 +170,7 @@ class TestSubchain:
         workspace = np.full(max(sizes), np.nan)
         for mode in range(d):
             fresh = build_subchain(cores, mode)
-            into = _subchain(cores, mode, workspace)
+            into = build_subchain(cores, mode, workspace)
             assert np.shares_memory(into, workspace)
             assert not any(np.shares_memory(fresh, c) for c in cores)
             assert not np.shares_memory(fresh, workspace)
