@@ -44,11 +44,7 @@ from .solver import (
     solve_core,
 )
 from .synthetic import blob_tensor, ring_tensor
-from .tensor_ops import (
-    fold_tr,
-    unfold_classical,
-    unfold_tr,
-)
+from .tensor_ops import fold_tr, unfold_tr
 
 __all__ = [
     "TRCores",
@@ -58,7 +54,6 @@ __all__ = [
     "FitReport",
     "DegenerateSubproblemError",
     "NumericalError",
-    "unfold_classical",
     "unfold_tr",
     "fold_tr",
     "init_random",

@@ -13,6 +13,7 @@ partial file.
 """
 
 import hashlib
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -75,7 +76,7 @@ def read_tensor(path):
     dims = np.frombuffer(data, "<u8", count=d, offset=8).astype(np.int64)
     if np.any(dims < 1):
         raise FileFormatError(f"{path}: dimension sizes must be >= 1")
-    count = int(np.prod(dims))
+    count = math.prod(int(v) for v in dims)  # Python ints: no int64 wrap-around
     expected = 8 + 8 * d + 8 * count
     if len(data) != expected:
         raise FileFormatError(

@@ -23,7 +23,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import eigsh
 
-from .tensor_ops import as_tensor, gram_norm, unfold_classical, with_margin
+from .tensor_ops import as_tensor, gram_norm, unfold_tr, with_margin
 
 __all__ = [
     "NeighborGraph",
@@ -158,7 +158,7 @@ def neighbor_graph(x, p):
         raise ValueError("a sample graph needs at least 2 samples")
     if not np.all(np.isfinite(x)):
         raise ValueError("sample data must be finite (no NaN or Inf)")
-    flat = unfold_classical(x, x.ndim - 1)
+    flat = unfold_tr(x, x.ndim - 1)
     sq = _sq_norms(flat)
     n = flat.shape[0]
     p = int(p)

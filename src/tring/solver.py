@@ -19,17 +19,18 @@ S.T S once, for the gradient and for the Lipschitz constant alike:
 ||S.T S||_2 is its top eigenvalue (``eigvalsh``) raised by the same small
 relative margin as the graph norm, so it never falls below the true value.
 :func:`lipschitz_ntr` and :func:`lipschitz_gntr` go through the same
-helper.  The objective is taken in the expanded form, from the Gram, the
-cross term X S and ||X||^2, in the inner accept test and in the reported
-sweep objective alike.
+helper.  A subproblem holds only its Gram and its cross term X S; its
+objective leaves out the constant 0.5*||X||^2, which moves neither the
+minimizer, nor the gradient, nor the step.  :func:`fit` takes ||X||^2
+once and adds it to each objective it reports.
 
 The set-up is what moves memory: on a tensor with many samples a
 subchain is tens of MB.  :func:`fit` builds every mode's subchain into
 one workspace, sized to the largest, instead of fresh memory per sweep,
-and ``_products`` forms the Gram, the cross term and ||X||^2 in one pass
-over row blocks of S that stay in cache.  A subchain of at most
-``_BLOCK`` rows is one block and gets the one-shot products bit for bit;
-longer ones differ from them only in rounding.
+and ``_products`` forms the Gram and the cross term in one pass over row
+blocks of S that stay in cache.  A subchain of at most ``_BLOCK`` rows is
+one block and gets the one-shot products bit for bit; longer ones differ
+from them only in rounding.
 
 H is fixed and sparse, so the graph keeps it as a
 :class:`~tring.graph.LaplacianOperator` (``NeighborGraph.operator``): every
@@ -126,6 +127,11 @@ class SolverConfig:
 class FitReport:
     """Per-sweep progress of one :func:`fit` run.
 
+    ``objective_per_sweep`` and ``initial_objective`` are ``0.5*||X||^2``
+    plus the sample-mode subproblem's objective.  ``seconds_per_sweep``
+    holds seconds since the fit began, not per-sweep durations; the CLI
+    writes it as ``report.csv``'s ``seconds`` column.
+
     ``rel_change_per_sweep`` is the objective decrease per sweep measured
     relative to the run's initial objective, floored at ``eps * ||X||^2``
     (float64 ``eps``): a fit that starts at an exact decomposition reads
@@ -153,38 +159,27 @@ _BLOCK = 4096
 
 
 def _products(subchain2, x_unfold=None):
-    """``(S.T @ S, X @ S, ||X||^2)`` in one pass over row blocks of S.
+    """``(S.T @ S, X @ S)`` in one pass over row blocks of S.
 
     Each block of ``_BLOCK`` rows of S and the matching column block of the
     unfolding X is read from memory once and then reused from cache for
-    its three products, where the one-shot formulas read S and X twice
-    each.  A subchain of at most ``_BLOCK`` rows is one block, and then the
-    results are bitwise the one-shot ``S.T @ S``, ``X @ S`` and
-    ``x.ravel(order="K") @ x.ravel(order="K")`` (the unfolding read in its
-    own memory order, so it needs no copy).  Longer ones add the blocks'
+    both products, where the one-shot formulas read S twice.  A subchain of
+    at most ``_BLOCK`` rows is one block, and then the results are bitwise
+    the one-shot ``S.T @ S`` and ``X @ S``.  Longer ones add the blocks'
     products in row order, which can change the last bits.  Without
-    ``x_unfold`` only the Gram is formed, by the same blocks, and the other
-    two are ``None``; that is how the public Lipschitz functions form the
+    ``x_unfold`` only the Gram is formed, by the same blocks, and the cross
+    term is ``None``; that is how the public Lipschitz functions form the
     Gram the solver steps with, bit for bit.
     """
-    sts = xs = norm_x2 = None
-    for lo in range(0, max(subchain2.shape[0], 1), _BLOCK):
+    s = subchain2[:_BLOCK]
+    sts = s.T @ s
+    xs = None if x_unfold is None else x_unfold[:, :_BLOCK] @ s
+    for lo in range(_BLOCK, subchain2.shape[0], _BLOCK):
         s = subchain2[lo : lo + _BLOCK]
-        sts = _accumulate(sts, s.T @ s)
-        if x_unfold is not None:
-            xb = x_unfold[:, lo : lo + _BLOCK]
-            flat = xb.ravel(order="K")
-            xs = _accumulate(xs, xb @ s)
-            norm_x2 = _accumulate(norm_x2, float(flat @ flat))
-    return sts, xs, norm_x2
-
-
-def _accumulate(total, part):
-    """``part`` if nothing is summed yet, else ``total + part`` (in place for arrays)."""
-    if total is None:
-        return part
-    total += part
-    return total
+        sts += s.T @ s
+        if xs is not None:
+            xs += x_unfold[:, lo : lo + _BLOCK] @ s
+    return sts, xs
 
 
 class _Subproblem:
@@ -192,16 +187,15 @@ class _Subproblem:
 
     ``min_{G >= 0} 0.5*||x_unfold - G @ subchain2.T||_F^2`` plus
     ``0.5*beta*tr(G.T H G)`` when a Laplacian ``h_g`` is given and
-    ``beta > 0``.  The Gram ``S.T @ S``, the cross term ``X @ S`` and
-    ``||X||^2`` are formed once, in one pass by :func:`_products`, so the
-    objective is taken in the expanded form
-    ``0.5*(||X||^2 - 2<G, X S> + <G S.T S, G>)``.  The Lipschitz constant
-    is taken on first use only, so a gradient alone never runs an
-    eigensolver.
+    ``beta > 0``.  It holds only the Gram ``S.T @ S`` and the cross term
+    ``X @ S``, from one :func:`_products` pass, so :meth:`objective` is the
+    expanded form without its constant, ``0.5*<G S.T S, G> - <G, X S>``.
+    The Lipschitz constant is taken on first use only, so a gradient alone
+    never runs an eigensolver.
     """
 
     def __init__(self, x_unfold, subchain2, h_g=None, beta=0.0):
-        self.sts, self.xs, self.norm_x2 = _products(subchain2, x_unfold)
+        self.sts, self.xs = _products(subchain2, x_unfold)
         self.h_g = laplacian_operator(h_g) if h_g is not None and beta > 0 else None
         self.beta = beta
 
@@ -210,8 +204,7 @@ class _Subproblem:
         return _lipschitz(self.sts, self.h_g, self.beta)
 
     def objective(self, g):
-        cross = float(np.vdot(g, self.xs))
-        val = 0.5 * (self.norm_x2 - 2.0 * cross + float(np.vdot(g @ self.sts, g)))
+        val = 0.5 * float(np.vdot(g @ self.sts, g)) - float(np.vdot(g, self.xs))
         if self.h_g is not None:
             val += 0.5 * self.beta * float(np.vdot(g, self.h_g @ g))
         return val
@@ -396,14 +389,16 @@ def fit(x, ranks, cfg=None, graph=None):
         raise ValueError("data tensor must be finite (no NaN or Inf)")
     if np.any(x < 0):
         raise ValueError("data tensor must be nonnegative")
+    norm_x2 = float(np.vdot(x, x))
+    if not math.isfinite(norm_x2):
+        raise ValueError("data tensor too large for float64: its squared norm overflows")
     dims = x.shape
     d = x.ndim
     ranks = tuple(int(r) for r in ranks)
     if len(ranks) != d:
         raise ValueError(f"{len(ranks)} ranks for an order-{d} tensor")
 
-    active = graph is not None and cfg.beta > 0
-    if active:
+    if graph is not None and cfg.beta > 0:
         if not isinstance(graph, NeighborGraph):
             raise ValueError("graph must be a NeighborGraph")
         if graph.n_samples != dims[-1]:
@@ -424,19 +419,19 @@ def fit(x, ranks, cfg=None, graph=None):
         max(math.prod(dims) // dims[n] * ranks[n] * ranks[(n + 1) % d] for n in range(d))
     )
 
+    def objective(sub2, g):
+        """The full objective at the sample-mode core ``g``, subchain ``sub2``."""
+        sub = _Subproblem(x_unfolds[d - 1], sub2, h_g, cfg.beta)
+        return 0.5 * norm_x2 + sub.objective(g)
+
     sub2 = subchain_unfold2(build_subchain(cores, d - 1, workspace))
-    first = _Subproblem(x_unfolds[d - 1], sub2, h_g, cfg.beta)
-    if not np.isfinite(first.norm_x2):
-        raise ValueError("data tensor too large for float64: its squared norm overflows")
-    prev_obj = first.objective(core_unfold2(cores[d - 1]))
-    initial_objective = prev_obj
+    prev_obj = initial_objective = objective(sub2, core_unfold2(cores[d - 1]))
     # A fit that starts at an exact decomposition reads an initial objective
     # of rounding size, or even below zero where the expanded form cancels;
     # changes are then measured against the rounding of ||X||^2 instead.
-    scale = max(initial_objective, np.finfo(np.float64).eps * first.norm_x2)
+    scale = max(initial_objective, np.finfo(np.float64).eps * norm_x2)
     objectives, rel_changes, seconds = [], [], []
     terminated_by = "max_sweeps"
-    sweeps_run = 0
     for _ in range(cfg.max_sweeps):
         for n in range(d):
             sub2 = subchain_unfold2(build_subchain(cores, n, workspace))
@@ -446,10 +441,9 @@ def fit(x, ranks, cfg=None, graph=None):
             cores[n] = core_fold2(g, ranks[n], dims[n], ranks[(n + 1) % d])
         # Cores 0..d-2 are untouched since the last inner solve, so its
         # subchain is still the current one.
-        obj = _Subproblem(x_unfolds[d - 1], sub2, h_g, cfg.beta).objective(g)
+        obj = objective(sub2, g)
         if not np.isfinite(obj):
             raise NumericalError(f"objective became non-finite: {obj}")
-        sweeps_run += 1
         rel = abs(prev_obj - obj) / scale
         objectives.append(obj)
         rel_changes.append(rel)
@@ -463,7 +457,7 @@ def fit(x, ranks, cfg=None, graph=None):
         objective_per_sweep=np.asarray(objectives),
         rel_change_per_sweep=np.asarray(rel_changes),
         seconds_per_sweep=np.asarray(seconds),
-        sweeps_run=sweeps_run,
+        sweeps_run=len(objectives),
         terminated_by=terminated_by,
         wall_seconds=time.perf_counter() - t0,
         initial_objective=initial_objective,

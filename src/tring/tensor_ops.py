@@ -1,11 +1,11 @@
 """Dense tensor algebra primitives shared by every other module.
 
 Tensors are plain ``numpy.ndarray`` objects holding 64-bit floats in
-row-major (C) memory order.  Mode indices are 0-based.  Both matricization
-conventions below enumerate the trailing multi-index with the *first*
-listed dimension varying fastest; the cyclic unfolding must agree with the
-subchain enumeration in :mod:`tring.ring` for the matricized ring identity
-to hold exactly, so these orders are frozen and covered by golden tests.
+row-major (C) memory order.  Mode indices are 0-based.  The cyclic
+unfolding below enumerates the trailing multi-index with the *first* listed
+dimension varying fastest; it must agree with the subchain enumeration in
+:mod:`tring.ring` for the matricized ring identity to hold exactly, so this
+order is frozen and covered by golden tests.
 
 Spectral norms are taken of symmetric PSD matrices only, by ``gram_norm``
 (and ``graph.laplacian_norm`` for a Laplacian): the Lipschitz constants
@@ -16,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "as_tensor",
-    "unfold_classical",
     "unfold_tr",
     "fold_tr",
     "gram_norm",
@@ -33,23 +32,6 @@ def as_tensor(x):
     return np.asarray(x, dtype=np.float64)
 
 
-def _check_mode(x, mode):
-    if not 0 <= mode < x.ndim:
-        raise ValueError(f"mode {mode} out of range for order-{x.ndim} tensor")
-
-
-def unfold_classical(x, mode):
-    """Classical mode-``mode`` matricization.
-
-    Rows index dimension ``mode``; columns enumerate the remaining
-    dimensions in their natural order with the first one varying fastest.
-    """
-    x = as_tensor(x)
-    _check_mode(x, mode)
-    y = np.moveaxis(x, mode, 0)
-    return y.reshape(x.shape[mode], -1, order="F")
-
-
 def unfold_tr(x, mode):
     """Cyclic mode-``mode`` matricization.
 
@@ -59,8 +41,9 @@ def unfold_tr(x, mode):
     that one varying fastest.
     """
     x = as_tensor(x)
-    _check_mode(x, mode)
     d = x.ndim
+    if not 0 <= mode < d:
+        raise ValueError(f"mode {mode} out of range for order-{d} tensor")
     axes = tuple(range(mode, d)) + tuple(range(mode))
     y = np.transpose(x, axes)
     return y.reshape(x.shape[mode], -1, order="F")

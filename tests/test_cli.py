@@ -344,6 +344,13 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")])
         assert code == 3
 
+    def test_declared_size_beyond_int64_is_file_error(self, tmp_path):
+        bad = tmp_path / "huge.ten"
+        bad.write_bytes(b"TEN1" + (2).to_bytes(4, "little") + (2**32).to_bytes(8, "little") * 2)
+        code = main(["fit", "--data", str(bad), "--ranks", "2,2",
+                     "--out", str(tmp_path / "o")])
+        assert code == 3
+
     def test_bad_ranks_is_validation_error(self, blob_files, tmp_path):
         data, _ = blob_files
         code = main(["fit", "--data", str(data), "--ranks", "2,2",

@@ -76,6 +76,16 @@ class TestTensorFile:
         with pytest.raises(FileFormatError):
             read_tensor(path)
 
+    def test_declared_size_beyond_int64_rejected(self, tmp_path):
+        # 2**32 * 2**32 entries wraps to 0 in int64, which an empty payload
+        # would match; the size must be checked without wrap-around.
+        path = tmp_path / "huge.ten"
+        path.write_bytes(b"TEN1" + (2).to_bytes(4, "little")
+                         + (2**32).to_bytes(8, "little") * 2)
+        assert len(path.read_bytes()) == 24
+        with pytest.raises(FileFormatError, match="payload length"):
+            read_tensor(path)
+
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):
             read_tensor(tmp_path / "absent.ten")

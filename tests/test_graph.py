@@ -9,7 +9,7 @@ from scipy import sparse
 import tring.graph
 from tring.graph import LaplacianOperator, NeighborGraph, neighbor_graph
 from tring.solver import SolverConfig, fit
-from tring.tensor_ops import unfold_classical
+from tring.tensor_ops import unfold_tr
 
 
 def distance_oracle(x):
@@ -24,7 +24,7 @@ def distance_oracle(x):
 def kernel_distances(x):
     """All-pairs distances between the sample slices of ``x`` from the
     graph's own distance kernel, in one call."""
-    flat = unfold_classical(x, x.ndim - 1)
+    flat = unfold_tr(x, x.ndim - 1)
     sq = tring.graph._sq_norms(flat)
     return np.sqrt(tring.graph._squared_distances(flat, flat, sq, sq))
 

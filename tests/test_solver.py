@@ -463,7 +463,7 @@ class TestFit:
 
     @pytest.mark.parametrize("mode", range(3))
     def test_solve_core_independent_of_unfolding_memory_order(self, mode):
-        # unfold_tr returns F-ordered arrays; ||X||^2 is read in memory order.
+        # unfold_tr returns F-ordered arrays; a caller may pass C-ordered ones.
         x, _ = blob_tensor((4, 5), 3, 6, seed=9)
         cores = init_random(x.shape, (2, 3, 2), seed=2)
         s2 = subchain_unfold2(build_subchain(cores, mode))
@@ -479,6 +479,7 @@ class TestFit:
     def test_overflowing_data_rejected_before_fitting(self, monkeypatch):
         # ||X||^2 overflows float64: bad input, rejected before any sweep.
         x = np.full((4, 4, 4), 1e160)
+        monkeypatch.setattr("tring.solver.init_random", None)  # no work may start
         monkeypatch.setattr("tring.solver.solve_core", None)  # no sweep may start
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="too large for float64"):
@@ -530,11 +531,12 @@ class TestStopRule:
         )
 
 
-# One fit on 1400 samples: the sample mode's ||X||^2 is a dot over 1.08M
-# entries and its cross term a 1400x768 GEMM, both large enough for OpenBLAS
-# to split across threads (the reported objectives then differ in their last
-# bits between 1 and 2 threads), and the channel-mode subchain's 358400 rows
-# take 88 set-up blocks.  It prints a digest of the fitted cores.
+# One fit on 1400 samples: ||X||^2 is a dot over 1.08M entries and the
+# sample mode's cross term a 1400x768 GEMM, both large enough for OpenBLAS to
+# split across threads (the reported objectives then differ in their last
+# bits between 1 and 2 threads; the cores do not read ||X||^2 at all), and
+# the channel-mode subchain's 358400 rows take 88 set-up blocks.  It prints a
+# digest of the fitted cores.
 _THREADED_FIT = """
 import hashlib
 import numpy as np
@@ -547,7 +549,7 @@ print(hashlib.sha256(b"".join(c.tobytes() for c in cores)).hexdigest())
 
 
 class TestBlockedSetup:
-    """``_products`` forms S.T S, X S and ||X||^2 from row blocks of S."""
+    """``_products`` forms S.T S and X S from row blocks of S."""
 
     # With _BLOCK = 8: fewer rows than a block, exactly one block, one row
     # over, and a whole number of blocks.
@@ -558,15 +560,13 @@ class TestBlockedSetup:
         rng = np.random.default_rng(rows)
         s2 = rng.random((rows, 6))
         x_unfold = np.asarray(rng.random((4, rows)), order=order)
-        sts, xs, norm_x2 = _products(s2, x_unfold)
-        flat = x_unfold.ravel(order="K")
-        one_shot = (s2.T @ s2, x_unfold @ s2, float(flat @ flat))
-        for got, want in zip((sts, xs, norm_x2), one_shot):
+        sts, xs = _products(s2, x_unfold)
+        for got, want in zip((sts, xs), (s2.T @ s2, x_unfold @ s2)):
             np.testing.assert_allclose(got, want, rtol=1e-13)
             if rows <= 8:
                 assert np.array_equal(got, want)
-        gram, no_xs, no_norm = _products(s2)
-        assert np.array_equal(gram, sts) and no_xs is None and no_norm is None
+        gram, no_xs = _products(s2)
+        assert np.array_equal(gram, sts) and no_xs is None
 
     @pytest.mark.parametrize("beta", [0.0, 0.4])
     def test_multi_block_steps_at_the_public_constant(self, monkeypatch, beta):

@@ -6,19 +6,15 @@ import pytest
 from tring.tensor_ops import (
     fold_tr,
     gram_norm,
-    unfold_classical,
     unfold_tr,
 )
 
 
-def unfold_oracle(x, mode, cyclic):
-    """Column j decodes little-endian over the remaining dims (natural or
-    cyclic order starting after ``mode``), first listed fastest."""
+def unfold_oracle(x, mode):
+    """Column j decodes little-endian over the remaining dims in cyclic
+    order starting after ``mode``, first listed fastest."""
     d = x.ndim
-    if cyclic:
-        rest = [(mode + j) % d for j in range(1, d)]
-    else:
-        rest = [j for j in range(d) if j != mode]
+    rest = [(mode + j) % d for j in range(1, d)]
     sizes = [x.shape[j] for j in rest]
     out = np.zeros((x.shape[mode], int(np.prod(sizes))))
     for r in range(x.shape[mode]):
@@ -58,14 +54,7 @@ def jacobi_eigenvalues(a, sweeps=100):
 class TestUnfoldings:
     def test_matrix_is_its_own_mode0_unfolding(self):
         x = np.random.default_rng(5).random((2, 3))
-        assert np.array_equal(unfold_classical(x, 0), x)
         assert np.array_equal(unfold_tr(x, 0), x)
-
-    def test_classical_frozen_ordering(self):
-        # x[a, b, c] = 4a + 2b + c; columns enumerate (b, c) with b fastest
-        x = np.arange(8.0).reshape(2, 2, 2)
-        expected = np.array([[0.0, 2.0, 1.0, 3.0], [4.0, 6.0, 5.0, 7.0]])
-        assert np.array_equal(unfold_classical(x, 0), expected)
 
     def test_cyclic_frozen_ordering(self):
         # mode 1: columns enumerate (c, a) with c fastest
@@ -74,14 +63,19 @@ class TestUnfoldings:
         assert np.array_equal(unfold_tr(x, 1), expected)
 
     def test_cyclic_mode0_equals_classical(self):
+        # The classical mode-0 unfolding: columns enumerate the other
+        # dimensions in natural order, the first one fastest.
         x = np.random.default_rng(6).random((3, 2, 4))
-        assert np.array_equal(unfold_tr(x, 0), unfold_classical(x, 0))
+        assert np.array_equal(unfold_tr(x, 0), x.reshape(3, -1, order="F"))
 
     @pytest.mark.parametrize("mode", range(3))
     def test_both_match_enumeration_oracle(self, mode):
+        # Both directions: unfold_tr gives the oracle's matrix, fold_tr
+        # takes it back.
         x = np.random.default_rng(7).random((3, 2, 4))
-        assert np.array_equal(unfold_classical(x, mode), unfold_oracle(x, mode, False))
-        assert np.array_equal(unfold_tr(x, mode), unfold_oracle(x, mode, True))
+        oracle = unfold_oracle(x, mode)
+        assert np.array_equal(unfold_tr(x, mode), oracle)
+        assert np.array_equal(fold_tr(oracle, mode, x.shape), x)
 
     @pytest.mark.parametrize("mode", range(4))
     def test_round_trips_bit_exact(self, mode):
@@ -93,11 +87,11 @@ class TestUnfoldings:
         x = np.random.default_rng(9).random((3, 2, 4, 2))
         d = x.ndim
         cycled = np.transpose(x, tuple(range(mode, d)) + tuple(range(mode)))
-        assert np.array_equal(unfold_tr(x, mode), unfold_classical(cycled, 0))
+        assert np.array_equal(unfold_tr(x, mode), unfold_tr(cycled, 0))
 
     def test_mode_out_of_range(self):
         with pytest.raises(ValueError):
-            unfold_classical(np.ones((2, 2)), 2)
+            unfold_tr(np.ones((2, 2)), 2)
         with pytest.raises(ValueError):
             unfold_tr(np.ones((2, 2)), -1)
 
