@@ -135,15 +135,16 @@ def _resolve_ranks(args, x, labels):
 def _fits(x, ranks, args, repeats=1):
     """Yield ``(seed, cores, report)`` for ``repeats`` fits of ``x``.
 
-    Run ``r`` is seeded ``args.seed + r``.  The sample graph is built once,
-    before the first fit, and only when ``args.beta > 0``.
+    Run ``r`` is seeded ``args.seed + r``.  Every run's config is built
+    first, so a bad setting fails before any work.  The sample graph is
+    built once, before the first fit, and only when ``args.beta > 0``.
     """
     if repeats < 1:
         raise ValueError(f"--repeats must be at least 1, got {repeats}")
+    cfgs = [SolverConfig(t_max=args.tmax, max_sweeps=args.max_sweeps, tol=args.tol,
+                         beta=args.beta, seed=args.seed + run) for run in range(repeats)]
     graph = neighbor_graph(x, args.p) if args.beta > 0 else None
-    for run in range(repeats):
-        cfg = SolverConfig(t_max=args.tmax, max_sweeps=args.max_sweeps, tol=args.tol,
-                           beta=args.beta, seed=args.seed + run)
+    for cfg in cfgs:
         cores, report = fit(x, ranks, cfg, graph)
         yield cfg.seed, cores, report
 
@@ -295,6 +296,8 @@ def cmd_sweep(args):
     x, labels = _load_data(args, need_labels=True)
     ranks = _resolve_ranks(args, x, labels)
     param = args.sweep_param
+    if param == "p" and not args.beta > 0:
+        raise ValueError("sweeping p needs --beta > 0")
     if args.sweep_values is not None:
         values = (_parse_int_list(args.sweep_values) if param in ("tmax", "p")
                   else _parse_float_list(args.sweep_values))

@@ -205,6 +205,8 @@ def knn_classify(train, train_labels, test, k):
         raise ValueError("one label per training row required")
     if train.shape[1] != test.shape[1]:
         raise ValueError("train and test feature widths differ")
+    if not (np.all(np.isfinite(train)) and np.all(np.isfinite(test))):
+        raise ValueError("features must be finite")
     k = int(k)
     if not 1 <= k <= train.shape[0]:
         raise ValueError(f"k={k} out of range for {train.shape[0]} training rows")

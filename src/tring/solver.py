@@ -13,13 +13,13 @@ regularized sample-mode update).
 
 The subproblem is defined once, by the private ``_Subproblem``: its
 objective, gradient and Lipschitz constant are what :func:`solve_core`
-iterates on, what :func:`gradient_ntr` and :func:`gradient_gntr` return,
-and what :func:`fit` reports per sweep.  It forms the r^2 x r^2 Gram
-S.T S once, for the gradient and for the Lipschitz constant alike:
-||S.T S||_2 is its top eigenvalue (``eigvalsh``) raised by the same small
-relative margin as the graph norm, so it never falls below the true value.
-:func:`lipschitz_ntr` and :func:`lipschitz_gntr` go through the same
-helper.  A subproblem holds only its Gram and its cross term X S; its
+iterates on, what :func:`gradient_ntr`, :func:`gradient_gntr`,
+:func:`lipschitz_ntr` and :func:`lipschitz_gntr` return, and what
+:func:`fit` reports per sweep.  It forms the r^2 x r^2 Gram S.T S once,
+for the gradient and for the Lipschitz constant alike: ||S.T S||_2 is its
+top eigenvalue (``eigvalsh``) raised by the same small relative margin as
+the graph norm, so it never falls below the true value.  A subproblem
+holds only its Gram and its cross term X S; its
 objective leaves out the constant 0.5*||X||^2, which moves neither the
 minimizer, nor the gradient, nor the step.  :func:`fit` takes ||X||^2
 once and adds it to each objective it reports.
@@ -27,17 +27,17 @@ once and adds it to each objective it reports.
 The set-up is what moves memory: on a tensor with many samples a
 subchain is tens of MB.  :func:`fit` builds every mode's subchain into
 one workspace, sized to the largest, instead of fresh memory per sweep,
-and ``_products`` forms the Gram and the cross term in one pass over row
-blocks of S that stay in cache.  A subchain of at most ``_BLOCK`` rows is
-one block and gets the one-shot products bit for bit; longer ones differ
-from them only in rounding.
+and ``_Subproblem`` forms the Gram and the cross term in one pass over
+row blocks of S that stay in cache.  A subchain of at most ``_BLOCK``
+rows is one block and gets the one-shot products bit for bit; longer ones
+differ from them only in rounding.
 
 H is fixed and sparse, so the graph keeps it as a
 :class:`~tring.graph.LaplacianOperator` (``NeighborGraph.operator``): every
 product with H is a CSR product, and ||H||_2 is computed once per graph,
-however many fits use it.  The gradient, Lipschitz and inner-solver code
-below all go through that one operator, whether they are handed it or a
-dense Laplacian.
+however many fits use it.  ``_Subproblem`` wraps a dense Laplacian in
+that operator and keeps a given one, so the gradient, Lipschitz and
+inner-solver code below all go through it.
 
 Plain momentum can overshoot, so a step that would raise the subproblem
 objective restarts the momentum (alpha <- 1, search point <- current
@@ -46,8 +46,8 @@ majorization guarantees is non-increasing.  This keeps both the per-core
 and the full objective monotone without giving up acceleration.
 """
 
-import functools
 import math
+import operator
 import time
 from dataclasses import dataclass
 
@@ -113,14 +113,18 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.t_max < 1:
-            raise ValueError("t_max must be >= 1")
-        if self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be >= 1")
-        if not self.tol > 0:
-            raise ValueError("tol must be > 0")
-        if self.beta < 0:
-            raise ValueError("beta must be >= 0")
+        for name in ("t_max", "max_sweeps"):
+            value = getattr(self, name)
+            try:
+                valid = operator.index(value) >= 1
+            except TypeError:
+                valid = False
+            if not valid:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
+        if not (math.isfinite(self.beta) and self.beta >= 0):
+            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
 
 
 @dataclass
@@ -158,50 +162,55 @@ class FitReport:
 _BLOCK = 4096
 
 
-def _products(subchain2, x_unfold=None):
-    """``(S.T @ S, X @ S)`` in one pass over row blocks of S.
-
-    Each block of ``_BLOCK`` rows of S and the matching column block of the
-    unfolding X is read from memory once and then reused from cache for
-    both products, where the one-shot formulas read S twice.  A subchain of
-    at most ``_BLOCK`` rows is one block, and then the results are bitwise
-    the one-shot ``S.T @ S`` and ``X @ S``.  Longer ones add the blocks'
-    products in row order, which can change the last bits.  Without
-    ``x_unfold`` only the Gram is formed, by the same blocks, and the cross
-    term is ``None``; that is how the public Lipschitz functions form the
-    Gram the solver steps with, bit for bit.
-    """
-    s = subchain2[:_BLOCK]
-    sts = s.T @ s
-    xs = None if x_unfold is None else x_unfold[:, :_BLOCK] @ s
-    for lo in range(_BLOCK, subchain2.shape[0], _BLOCK):
-        s = subchain2[lo : lo + _BLOCK]
-        sts += s.T @ s
-        if xs is not None:
-            xs += x_unfold[:, lo : lo + _BLOCK] @ s
-    return sts, xs
-
-
 class _Subproblem:
-    """One core subproblem, the only definition of its objective and gradient.
+    """One core subproblem, the only definition of its objective, gradient and step.
 
     ``min_{G >= 0} 0.5*||x_unfold - G @ subchain2.T||_F^2`` plus
     ``0.5*beta*tr(G.T H G)`` when a Laplacian ``h_g`` is given and
-    ``beta > 0``.  It holds only the Gram ``S.T @ S`` and the cross term
-    ``X @ S``, from one :func:`_products` pass, so :meth:`objective` is the
-    expanded form without its constant, ``0.5*<G S.T S, G> - <G, X S>``.
-    The Lipschitz constant is taken on first use only, so a gradient alone
-    never runs an eigensolver.
+    ``beta > 0``; the Laplacian is then held as a ``LaplacianOperator``.
+    The set-up forms only the Gram ``S.T @ S`` and the cross term ``X @ S``,
+    so :meth:`objective` is the expanded form without its constant,
+    ``0.5*<G S.T S, G> - <G, X S>``.  Without ``x_unfold`` only the Gram is
+    formed and ``xs`` is ``None``; that is how the public Lipschitz
+    functions read the very constant the solver steps with.
+
+    Both products come from one pass over row blocks of S: each block of
+    ``_BLOCK`` rows of S and the matching column block of X is read from
+    memory once and then reused from cache for both, where the one-shot
+    formulas read S twice.  A subchain of at most ``_BLOCK`` rows is one
+    block, and then the products are bitwise the one-shot ``S.T @ S`` and
+    ``X @ S``.  Longer ones add the blocks' products in row order, which can
+    change the last bits.
     """
 
-    def __init__(self, x_unfold, subchain2, h_g=None, beta=0.0):
-        self.sts, self.xs = _products(subchain2, x_unfold)
+    def __init__(self, subchain2, x_unfold=None, h_g=None, beta=0.0):
+        s = subchain2[:_BLOCK]
+        self.sts = s.T @ s
+        self.xs = None if x_unfold is None else x_unfold[:, :_BLOCK] @ s
+        for lo in range(_BLOCK, subchain2.shape[0], _BLOCK):
+            s = subchain2[lo : lo + _BLOCK]
+            self.sts += s.T @ s
+            if self.xs is not None:
+                self.xs += x_unfold[:, lo : lo + _BLOCK] @ s
         self.h_g = laplacian_operator(h_g) if h_g is not None and beta > 0 else None
         self.beta = beta
 
-    @functools.cached_property
+    @property
     def lipschitz(self):
-        return _lipschitz(self.sts, self.h_g, self.beta)
+        """``gram_norm(S.T S)`` (top eigenvalue plus margin), plus ``beta*||H||_2``.
+
+        Taken on each read, not at set-up, so a gradient alone never runs
+        an eigensolver.  Raises ``NumericalError`` on a non-finite Gram or
+        constant.
+        """
+        if not np.all(np.isfinite(self.sts)):
+            raise NumericalError("subchain Gram became non-finite")
+        lipschitz = gram_norm(self.sts)
+        if self.h_g is not None:
+            lipschitz += self.beta * self.h_g.norm
+        if not math.isfinite(lipschitz):
+            raise NumericalError(f"non-finite subproblem step size: {lipschitz}")
+        return lipschitz
 
     def objective(self, g):
         val = 0.5 * float(np.vdot(g @ self.sts, g)) - float(np.vdot(g, self.xs))
@@ -230,10 +239,8 @@ def gradient_gntr(g2, subchain2, x_unfold, h_g, beta):
     g2 = as_tensor(g2)
     subchain2 = as_tensor(subchain2)
     x_unfold = as_tensor(x_unfold)
-    if h_g is not None:
-        h_g = laplacian_operator(h_g)
-        if h_g.shape[1] != g2.shape[0]:
-            raise ValueError(f"Laplacian shape {h_g.shape} does not match g2 rows")
+    if h_g is not None and np.shape(h_g)[-1:] != (g2.shape[0],):
+        raise ValueError(f"Laplacian shape {np.shape(h_g)} does not match g2 rows")
     if (
         g2.shape[1] != subchain2.shape[1]
         or x_unfold.shape[0] != g2.shape[0]
@@ -243,39 +250,22 @@ def gradient_gntr(g2, subchain2, x_unfold, h_g, beta):
             f"shape mismatch: g2 {g2.shape}, subchain2 {subchain2.shape}, "
             f"x_unfold {x_unfold.shape}"
         )
-    return _Subproblem(x_unfold, subchain2, h_g, beta).gradient(g2)
-
-
-def _lipschitz(sts, h_g=None, beta=0.0):
-    """Lipschitz constant of a subproblem gradient from its Gram ``S.T @ S``.
-
-    ``gram_norm(sts)`` (top eigenvalue plus margin), plus ``beta * ||H||_2``
-    when a ``LaplacianOperator`` ``h_g`` is given.  Raises
-    ``NumericalError`` on a non-finite Gram or constant.
-    """
-    if not np.all(np.isfinite(sts)):
-        raise NumericalError("subchain Gram became non-finite")
-    lipschitz = gram_norm(sts)
-    if h_g is not None:
-        lipschitz += beta * h_g.norm
-    if not math.isfinite(lipschitz):
-        raise NumericalError(f"non-finite subproblem step size: {lipschitz}")
-    return lipschitz
+    return _Subproblem(subchain2, x_unfold, h_g, beta).gradient(g2)
 
 
 def lipschitz_ntr(subchain2):
     """Lipschitz constant ||S.T S||_2 of the plain subproblem gradient."""
-    return _lipschitz(_products(as_tensor(subchain2))[0])
+    return _Subproblem(as_tensor(subchain2)).lipschitz
 
 
 def lipschitz_gntr(subchain2, h_g, beta):
     """Lipschitz constant of the graph-regularized subproblem gradient.
 
     ``h_g`` is the Laplacian, dense or as a ``LaplacianOperator``, whose
-    kept norm is then reused.
+    kept norm is then reused.  ``None`` gives the plain constant, as does
+    ``beta == 0``.
     """
-    gram = _products(as_tensor(subchain2))[0]
-    return _lipschitz(gram, laplacian_operator(h_g), beta)
+    return _Subproblem(as_tensor(subchain2), None, h_g, beta).lipschitz
 
 
 def alpha_next(alpha):
@@ -325,7 +315,7 @@ def solve_core(x_unfold, subchain2, g_init, cfg, h_g=None, callback=None):
         exceeds the initial one.
     """
     g_init = as_tensor(g_init)
-    sub = _Subproblem(as_tensor(x_unfold), as_tensor(subchain2), h_g, cfg.beta)
+    sub = _Subproblem(as_tensor(subchain2), as_tensor(x_unfold), h_g, cfg.beta)
     lipschitz = sub.lipschitz
     if lipschitz == 0.0:
         raise DegenerateSubproblemError("all-zero subchain gives a zero step size")
@@ -394,9 +384,6 @@ def fit(x, ranks, cfg=None, graph=None):
         raise ValueError("data tensor too large for float64: its squared norm overflows")
     dims = x.shape
     d = x.ndim
-    ranks = tuple(int(r) for r in ranks)
-    if len(ranks) != d:
-        raise ValueError(f"{len(ranks)} ranks for an order-{d} tensor")
 
     if graph is not None and cfg.beta > 0:
         if not isinstance(graph, NeighborGraph):
@@ -410,7 +397,8 @@ def fit(x, ranks, cfg=None, graph=None):
         h_g = None
 
     t0 = time.perf_counter()
-    cores = list(init_random(dims, ranks, cfg.seed))
+    init = init_random(dims, ranks, cfg.seed)
+    cores, ranks = list(init), init.ranks
     x_unfolds = [unfold_tr(x, n) for n in range(d)]
     # Every mode's subchain is built into this one buffer, sized to the
     # largest.  Each is read only until the next build, and nothing the fit
@@ -421,7 +409,7 @@ def fit(x, ranks, cfg=None, graph=None):
 
     def objective(sub2, g):
         """The full objective at the sample-mode core ``g``, subchain ``sub2``."""
-        sub = _Subproblem(x_unfolds[d - 1], sub2, h_g, cfg.beta)
+        sub = _Subproblem(sub2, x_unfolds[d - 1], h_g, cfg.beta)
         return 0.5 * norm_x2 + sub.objective(g)
 
     sub2 = subchain_unfold2(build_subchain(cores, d - 1, workspace))

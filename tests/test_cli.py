@@ -432,6 +432,27 @@ class TestExitCodes:
         assert "--repeats must be at least 1" in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.csv"))
 
+    @pytest.mark.parametrize("option, value", [("--beta", "nan"), ("--beta", "inf"),
+                                               ("--tol", "inf")])
+    def test_unrunnable_setting_is_validation_error(self, option, value, blob_files,
+                                                     tmp_path, capsys):
+        data, _ = blob_files
+        out = tmp_path / "o"
+        code = main(["fit", "--data", str(data), "--ranks", "2,2,2", option, value,
+                     "--tmax", "5", "--max-sweeps", "2", "--out", str(out)])
+        assert code == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    def test_p_sweep_without_graph_is_validation_error(self, blob_files, tmp_path, capsys):
+        data, labels = blob_files
+        code = main(["sweep", "--data", str(data), "--labels", str(labels),
+                     "--sweep-param", "p", "--sweep-values", "2,3", "--repeats", "1",
+                     "--tmax", "5", "--max-sweeps", "2", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "sweeping p needs --beta > 0" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
+
     def test_no_kmeans_restarts_is_validation_error(self, blob_files, tmp_path, capsys):
         data, labels = blob_files
         code = main(["cluster", "--data", str(data), "--labels", str(labels),

@@ -394,6 +394,14 @@ class TestKnnClassify:
         with pytest.raises(ValueError):
             knn_classify(np.ones((3, 2)), [0, 1, 0], np.ones((1, 2)), 4)
 
+    @pytest.mark.parametrize("train, test", [
+        ([[np.nan], [1.0]], [[0.5]]),
+        ([[0.0], [1.0]], [[np.inf]]),
+    ])
+    def test_non_finite_features_rejected(self, train, test):
+        with pytest.raises(ValueError, match="finite"):
+            knn_classify(train, [0, 1], test, 1)
+
 
 class TestKnnTies:
     @pytest.mark.parametrize("block", [None, 1000])

@@ -27,8 +27,8 @@ from tring.ring import (
 )
 from tring.solver import (
     DegenerateSubproblemError,
-    _products,
     SolverConfig,
+    _Subproblem,
     alpha_next,
     fit,
     gradient_gntr,
@@ -146,6 +146,11 @@ class TestLipschitz:
         s2 = np.random.default_rng(1).random((7, 3))
         h = np.eye(5)
         assert lipschitz_gntr(s2, h, 0.0) == lipschitz_ntr(s2)
+
+    def test_no_laplacian_gives_plain(self):
+        # As gradient_gntr documents for h_g=None, whatever beta is.
+        s2 = np.random.default_rng(2).random((7, 3))
+        assert lipschitz_gntr(s2, None, 0.4) == lipschitz_ntr(s2)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_sampled_lipschitz_inequality(self, seed):
@@ -451,6 +456,16 @@ class TestFit:
         with pytest.raises(ValueError, match="finite"):
             fit(x, (2, 2, 2), SolverConfig(beta=beta), empty_graph(5))
 
+    @pytest.mark.parametrize("field, value", [
+        ("beta", -0.1), ("beta", np.nan), ("beta", np.inf),
+        ("tol", 0.0), ("tol", -1e-6), ("tol", np.nan), ("tol", np.inf),
+        ("t_max", 0), ("t_max", 2.5), ("t_max", "3"),
+        ("max_sweeps", 0), ("max_sweeps", 2.5), ("max_sweeps", None),
+    ])
+    def test_config_rejects_values_it_cannot_run(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(**{field: value})
+
     def test_rank_mismatch_rejected(self):
         with pytest.raises(ValueError):
             fit(np.ones((3, 3, 3)), (2, 2), SolverConfig(beta=0.0))
@@ -549,7 +564,7 @@ print(hashlib.sha256(b"".join(c.tobytes() for c in cores)).hexdigest())
 
 
 class TestBlockedSetup:
-    """``_products`` forms S.T S and X S from row blocks of S."""
+    """``_Subproblem`` forms S.T S and X S from row blocks of S."""
 
     # With _BLOCK = 8: fewer rows than a block, exactly one block, one row
     # over, and a whole number of blocks.
@@ -560,13 +575,14 @@ class TestBlockedSetup:
         rng = np.random.default_rng(rows)
         s2 = rng.random((rows, 6))
         x_unfold = np.asarray(rng.random((4, rows)), order=order)
-        sts, xs = _products(s2, x_unfold)
+        sub = _Subproblem(s2, x_unfold)
+        sts, xs = sub.sts, sub.xs
         for got, want in zip((sts, xs), (s2.T @ s2, x_unfold @ s2)):
             np.testing.assert_allclose(got, want, rtol=1e-13)
             if rows <= 8:
                 assert np.array_equal(got, want)
-        gram, no_xs = _products(s2)
-        assert np.array_equal(gram, sts) and no_xs is None
+        gram_only = _Subproblem(s2)
+        assert np.array_equal(gram_only.sts, sts) and gram_only.xs is None
 
     @pytest.mark.parametrize("beta", [0.0, 0.4])
     def test_multi_block_steps_at_the_public_constant(self, monkeypatch, beta):
