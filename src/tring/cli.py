@@ -12,10 +12,11 @@ ingest    convert a PGM/PPM class-directory corpus to the tensor format
 Each subcommand accepts only the options it reads.  The five fitting
 commands share the input, rank, solver and output options; ``cluster``,
 ``classify`` and ``sweep`` add ``--labels`` and ``--repeats``, and the
-two that run k-means add ``--restarts``.  Every fit goes through one
-loop, ``_fits``: it builds the sample graph once and seeds run ``r``
-(and that run's k-means) with ``--seed`` + ``r``.  ``sweep`` reruns the
-``cluster`` experiment with one option replaced by each grid value.
+two that run k-means add ``--restarts``.  Every fit is planned by
+``_fits``, which checks each setting and builds the sample graph before
+any fit runs, and seeds run ``r`` (and its k-means) with ``--seed`` + ``r``.
+``sweep`` reruns the ``cluster`` experiment with one option replaced by
+each grid value, and plans every value before the first fit.
 
 Exit codes: 0 success, 2 validation error, 3 I/O error, 4 numerical
 failure.  Every run writes a ``manifest.json`` capturing the effective
@@ -59,18 +60,12 @@ SWEEP_DEFAULTS = {
 }
 
 
-def _parse_int_list(text):
+def _parse_list(text, kind=int):
     try:
-        return tuple(int(v) for v in text.split(","))
+        return tuple(kind(v) for v in text.split(","))
     except ValueError as exc:
-        raise ValueError(f"expected comma-separated integers, got {text!r}") from exc
-
-
-def _parse_float_list(text):
-    try:
-        return tuple(float(v) for v in text.split(","))
-    except ValueError as exc:
-        raise ValueError(f"expected comma-separated numbers, got {text!r}") from exc
+        what = "integers" if kind is int else "numbers"
+        raise ValueError(f"expected comma-separated {what}, got {text!r}") from exc
 
 
 def _parse_layout(text):
@@ -107,7 +102,8 @@ def default_ranks(order, n_classes):
     return tuple(ranks)
 
 
-def _load_data(args, need_labels):
+def _load(args, need_labels):
+    """``(x, labels, ranks)`` from ``--data``, ``--labels`` and ``--ranks``."""
     x = read_tensor(args.data)
     labels = None
     if need_labels:
@@ -118,35 +114,31 @@ def _load_data(args, need_labels):
             raise ValueError(
                 f"{labels.size} labels for {x.shape[-1]} samples (last dimension)"
             )
-    return x, labels
-
-
-def _resolve_ranks(args, x, labels):
     if args.ranks is not None:
-        ranks = _parse_int_list(args.ranks)
+        ranks = _parse_list(args.ranks)
         if len(ranks) != x.ndim:
             raise ValueError(f"{len(ranks)} ranks for an order-{x.ndim} tensor")
-        return ranks
-    if labels is None:
+    elif labels is None:
         raise ValueError("--ranks is required when no labels define a class count")
-    return default_ranks(x.ndim, np.unique(labels).size)
+    else:
+        ranks = default_ranks(x.ndim, np.unique(labels).size)
+    return x, labels, ranks
 
 
 def _fits(x, ranks, args, repeats=1):
-    """Yield ``(seed, cores, report)`` for ``repeats`` fits of ``x``.
+    """Plan ``repeats`` fits of ``x``; iterating the result runs them.
 
-    Run ``r`` is seeded ``args.seed + r``.  Every run's config is built
-    first, so a bad setting fails before any work.  The sample graph is
-    built once, before the first fit, and only when ``args.beta > 0``.
+    This call builds every run's config, and the sample graph when
+    ``args.beta > 0``, so a bad setting fails before any fit.  The
+    returned iterator fits run ``r`` seeded ``args.seed + r`` and yields
+    ``(seed, cores, report)``.
     """
     if repeats < 1:
         raise ValueError(f"--repeats must be at least 1, got {repeats}")
     cfgs = [SolverConfig(t_max=args.tmax, max_sweeps=args.max_sweeps, tol=args.tol,
                          beta=args.beta, seed=args.seed + run) for run in range(repeats)]
     graph = neighbor_graph(x, args.p) if args.beta > 0 else None
-    for cfg in cfgs:
-        cores, report = fit(x, ranks, cfg, graph)
-        yield cfg.seed, cores, report
+    return ((cfg.seed, *fit(x, ranks, cfg, graph)) for cfg in cfgs)
 
 
 def _outdir(args):
@@ -181,8 +173,9 @@ def _write_manifest(outdir, command, params, inputs):
     )
 
 
-def _common_params(args, ranks):
-    return {
+def _write_fit_manifest(outdir, args, ranks, **extra):
+    """Write the fit settings plus ``extra``, and digests of the input files."""
+    params = {
         "ranks": list(ranks),
         "beta": args.beta,
         "p": args.p,
@@ -190,12 +183,16 @@ def _common_params(args, ranks):
         "tol": args.tol,
         "max_sweeps": args.max_sweeps,
         "seed": args.seed,
+        **extra,
     }
+    inputs = {"data": args.data}
+    if hasattr(args, "labels"):
+        inputs["labels"] = args.labels
+    _write_manifest(outdir, args.command, params, inputs)
 
 
 def cmd_fit(args):
-    x, _ = _load_data(args, need_labels=False)
-    ranks = _resolve_ranks(args, x, None)
+    x, _, ranks = _load(args, need_labels=False)
     _, cores, report = next(_fits(x, ranks, args))
     out = _outdir(args)
     for i, core in enumerate(cores):
@@ -206,7 +203,7 @@ def cmd_fit(args):
         for s in range(report.sweeps_run)
     ]
     _write_csv(out / "report.csv", ("sweep", "objective", "rel_change", "seconds"), rows)
-    _write_manifest(out, "fit", _common_params(args, ranks), {"data": args.data})
+    _write_fit_manifest(out, args, ranks)
     print(
         f"fit: {report.sweeps_run} sweeps, objective "
         f"{report.objective_per_sweep[-1]:.6g}, stopped by {report.terminated_by}, "
@@ -214,29 +211,27 @@ def cmd_fit(args):
     )
 
 
-def _cluster_runs(x, labels, ranks, args):
-    """One clustering experiment: repeated fit + k-means, scored per run."""
+def _cluster_runs(fits, labels, restarts):
+    """Score planned fits: k-means each run seeded like its fit, one (AC, NMI) row."""
+    if restarts < 1:  # kmeans' own check, made before the first fit runs
+        raise ValueError("restarts must be >= 1")
     k = int(np.unique(labels).size)
     rows = []
-    for seed, cores, _ in _fits(x, ranks, args, args.repeats):
-        pred = kmeans(feature_matrix(cores), k, restarts=args.restarts, seed=seed)
+    for seed, cores, _ in fits:
+        pred = kmeans(feature_matrix(cores), k, restarts=restarts, seed=seed)
         rows.append((accuracy(pred, labels), nmi(pred, labels)))
     return np.asarray(rows)
 
 
 def cmd_cluster(args):
-    x, labels = _load_data(args, need_labels=True)
-    ranks = _resolve_ranks(args, x, labels)
-    scores = _cluster_runs(x, labels, ranks, args)
+    x, labels, ranks = _load(args, need_labels=True)
+    scores = _cluster_runs(_fits(x, ranks, args, args.repeats), labels, args.restarts)
     out = _outdir(args)
     rows = [(r + 1, scores[r, 0], scores[r, 1]) for r in range(len(scores))]
     rows.append(("mean", scores[:, 0].mean(), scores[:, 1].mean()))
     rows.append(("std", scores[:, 0].std(), scores[:, 1].std()))
     _write_csv(out / "cluster.csv", ("run", "ac", "nmi"), rows)
-    params = _common_params(args, ranks)
-    params.update({"restarts": args.restarts, "repeats": args.repeats})
-    _write_manifest(out, "cluster", params,
-                    {"data": args.data, "labels": args.labels})
+    _write_fit_manifest(out, args, ranks, restarts=args.restarts, repeats=args.repeats)
     for r in range(len(scores)):
         print(f"run {r + 1}: ac={scores[r, 0]:.4f} nmi={scores[r, 1]:.4f}")
     print(
@@ -255,8 +250,6 @@ def _prefix_split(labels, fraction):
             raise ValueError(
                 f"class {c} has {idx.size} samples; fraction {fraction} labels none"
             )
-        if n_lab == idx.size:
-            raise ValueError(f"fraction {fraction} leaves class {c} without test data")
         train_idx.extend(idx[:n_lab])
         test_idx.extend(idx[n_lab:])
     return np.asarray(train_idx), np.asarray(test_idx)
@@ -265,12 +258,15 @@ def _prefix_split(labels, fraction):
 def cmd_classify(args):
     if not 0.0 < args.label_fraction < 1.0:
         raise ValueError("--label-fraction must lie strictly between 0 and 1")
-    x, labels = _load_data(args, need_labels=True)
-    ranks = _resolve_ranks(args, x, labels)
-    k_list = _parse_int_list(args.k_list)
+    x, labels, ranks = _load(args, need_labels=True)
+    k_list = _parse_list(args.k_list)
     train_idx, test_idx = _prefix_split(labels, args.label_fraction)
+    fits = _fits(x, ranks, args, args.repeats)
+    for k in k_list:  # knn_classify's own check, made before the first fit runs
+        if not 1 <= k <= train_idx.size:
+            raise ValueError(f"k={k} out of range for {train_idx.size} training rows")
     acc = {k: [] for k in k_list}
-    for _, cores, _ in _fits(x, ranks, args, args.repeats):
+    for _, cores, _ in fits:
         feats = feature_matrix(cores)
         for k in k_list:
             pred = knn_classify(feats[train_idx], labels[train_idx],
@@ -285,29 +281,23 @@ def cmd_classify(args):
         rows.append((k, "std", vals.std()))
         print(f"k={k}: mean accuracy {vals.mean():.4f} (std {vals.std():.4f})")
     _write_csv(out / "classify.csv", ("k", "run", "accuracy"), rows)
-    params = _common_params(args, ranks)
-    params.update({"label_fraction": args.label_fraction, "k_list": list(k_list),
-                   "repeats": args.repeats})
-    _write_manifest(out, "classify", params,
-                    {"data": args.data, "labels": args.labels})
+    _write_fit_manifest(out, args, ranks, label_fraction=args.label_fraction,
+                        k_list=list(k_list), repeats=args.repeats)
 
 
 def cmd_sweep(args):
-    x, labels = _load_data(args, need_labels=True)
-    ranks = _resolve_ranks(args, x, labels)
+    x, labels, ranks = _load(args, need_labels=True)
     param = args.sweep_param
     if param == "p" and not args.beta > 0:
         raise ValueError("sweeping p needs --beta > 0")
-    if args.sweep_values is not None:
-        values = (_parse_int_list(args.sweep_values) if param in ("tmax", "p")
-                  else _parse_float_list(args.sweep_values))
-    else:
-        values = SWEEP_DEFAULTS[param]
+    values = (SWEEP_DEFAULTS[param] if args.sweep_values is None
+              else _parse_list(args.sweep_values, float if param == "beta" else int))
+    plans = [_fits(x, ranks, argparse.Namespace(**{**vars(args), param: value}),
+                   args.repeats) for value in values]
     rows = []
-    for value in values:
+    for value, fits in zip(values, plans):
         start = time.perf_counter()
-        scores = _cluster_runs(x, labels, ranks,
-                               argparse.Namespace(**{**vars(args), param: value}))
+        scores = _cluster_runs(fits, labels, args.restarts)
         elapsed = time.perf_counter() - start
         rows.append((param, value, scores[:, 0].mean(), scores[:, 0].std(),
                      scores[:, 1].mean(), scores[:, 1].std(), elapsed))
@@ -317,11 +307,8 @@ def cmd_sweep(args):
     _write_csv(out / "sweep.csv",
                ("param", "value", "ac_mean", "ac_std", "nmi_mean", "nmi_std", "seconds"),
                rows)
-    params = _common_params(args, ranks)
-    params.update({"sweep_param": param, "sweep_values": list(values),
-                   "restarts": args.restarts, "repeats": args.repeats})
-    _write_manifest(out, "sweep", params,
-                    {"data": args.data, "labels": args.labels})
+    _write_fit_manifest(out, args, ranks, sweep_param=param, sweep_values=list(values),
+                        restarts=args.restarts, repeats=args.repeats)
 
 
 def basis_tensors(cores):
@@ -341,8 +328,7 @@ def basis_tensors(cores):
 
 
 def cmd_basis(args):
-    x, _ = _load_data(args, need_labels=False)
-    ranks = _resolve_ranks(args, x, None)
+    x, _, ranks = _load(args, need_labels=False)
     rows_n, cols_n = _parse_layout(args.layout)
     slice_dims = x.shape[:-1]
     color = len(slice_dims) == 3 and slice_dims[2] == 3
@@ -357,9 +343,7 @@ def cmd_basis(args):
     out = _outdir(args)
     name = "basis.ppm" if color else "basis.pgm"
     (write_ppm if color else write_pgm)(out / name, canvas)
-    params = _common_params(args, ranks)
-    params.update({"layout": [rows_n, cols_n]})
-    _write_manifest(out, "basis", params, {"data": args.data})
+    _write_fit_manifest(out, args, ranks, layout=[rows_n, cols_n])
     print(f"basis: {len(tiles)} tiles -> {out / name} "
           f"({canvas.shape[0]}x{canvas.shape[1]} pixels)")
 

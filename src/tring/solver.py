@@ -104,6 +104,10 @@ class SolverConfig:
         Graph regularization weight; 0 disables the graph term entirely.
     seed
         Seed for the random nonnegative initialization.
+
+    Every assignment is checked, at construction and after it, so a
+    config that :func:`fit` cannot run never exists; a rejected value
+    raises ``ValueError`` and leaves the old one in place.
     """
 
     t_max: int = 100
@@ -112,19 +116,19 @@ class SolverConfig:
     beta: float = 0.1
     seed: int = 0
 
-    def __post_init__(self):
-        for name in ("t_max", "max_sweeps"):
-            value = getattr(self, name)
+    def __setattr__(self, name, value):
+        if name in ("t_max", "max_sweeps"):
             try:
                 valid = operator.index(value) >= 1
             except TypeError:
                 valid = False
             if not valid:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
-        if not (math.isfinite(self.beta) and self.beta >= 0):
-            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
+        elif name == "tol" and not (math.isfinite(value) and value > 0):
+            raise ValueError(f"tol must be finite and > 0, got {value}")
+        elif name == "beta" and not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"beta must be finite and >= 0, got {value}")
+        super().__setattr__(name, value)
 
 
 @dataclass

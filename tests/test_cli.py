@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from tring.cli import build_parser, default_ranks, main
-from tring.fileio import FileFormatError, read_tensor, write_labels, write_tensor
+from tring.fileio import FileFormatError, read_tensor, sha256_file, write_labels, write_tensor
 from tring.ring import TRCores, relative_error
-from tring.solver import DegenerateSubproblemError, NumericalError
+from tring.solver import DegenerateSubproblemError, NumericalError, fit
 from tring.synthetic import blob_tensor, ring_tensor
 
 
@@ -20,6 +20,19 @@ def blob_files(tmp_path_factory):
     write_tensor(root / "data.ten", x)
     write_labels(root / "labels.txt", labels)
     return root / "data.ten", root / "labels.txt"
+
+
+@pytest.fixture
+def fit_calls(monkeypatch):
+    """Count the fits the CLI starts; each still runs."""
+    calls = []
+
+    def counting_fit(*args, **kwargs):
+        calls.append(args)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr("tring.cli.fit", counting_fit)
+    return calls
 
 
 def fast_args(extra):
@@ -275,6 +288,40 @@ class TestBasisCommand:
         assert code == 2
 
 
+FIT_SETTINGS = {"ranks": [2, 2, 2], "beta": 0.2, "p": 3, "t_max": 5, "tol": 1e-5,
+                "max_sweeps": 2, "seed": 4}
+
+
+class TestManifest:
+    @pytest.mark.parametrize("command, extra_argv, extra_params", [
+        ("fit", [], {}),
+        ("basis", ["--layout", "2x2"], {"layout": [2, 2]}),
+        ("cluster", ["--restarts", "3", "--repeats", "2"], {"restarts": 3, "repeats": 2}),
+        ("classify", ["--label-fraction", "0.5", "--k-list", "1,3", "--repeats", "2"],
+         {"label_fraction": 0.5, "k_list": [1, 3], "repeats": 2}),
+        ("sweep", ["--sweep-param", "beta", "--sweep-values", "0,0.2", "--restarts", "3",
+                   "--repeats", "2"],
+         {"sweep_param": "beta", "sweep_values": [0.0, 0.2], "restarts": 3, "repeats": 2}),
+    ])
+    def test_parameters_and_input_digests(self, command, extra_argv, extra_params,
+                                          blob_files, tmp_path):
+        data, labels = blob_files
+        with_labels = command in ("cluster", "classify", "sweep")
+        out = tmp_path / "o"
+        code = main([command, "--data", str(data), "--ranks", "2,2,2", "--beta", "0.2",
+                     "--p", "3", "--tmax", "5", "--tol", "1e-5", "--max-sweeps", "2",
+                     "--seed", "4", "--out", str(out)]
+                    + (["--labels", str(labels)] if with_labels else []) + extra_argv)
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == command
+        assert manifest["parameters"] == {**FIT_SETTINGS, **extra_params}
+        digests = {"data": sha256_file(data)}
+        if with_labels:
+            digests["labels"] = sha256_file(labels)
+        assert manifest["inputs"] == digests
+
+
 class TestIngestCommand:
     def test_pgm_corpus_to_tensor(self, tmp_path):
         corpus = tmp_path / "corpus"
@@ -453,13 +500,48 @@ class TestExitCodes:
         assert "sweeping p needs --beta > 0" in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.csv"))
 
-    def test_no_kmeans_restarts_is_validation_error(self, blob_files, tmp_path, capsys):
+    def test_no_kmeans_restarts_is_validation_error(self, blob_files, tmp_path, capsys,
+                                                    fit_calls):
         data, labels = blob_files
         code = main(["cluster", "--data", str(data), "--labels", str(labels),
                      "--restarts", "0", "--repeats", "1", "--tmax", "5",
                      "--max-sweeps", "2", "--out", str(tmp_path / "o")])
         assert code == 2
         assert "restarts must be >= 1" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
+        assert not fit_calls
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--sweep-param", "beta", "--sweep-values", "0.1", "--restarts", "0"],
+         "restarts must be >= 1"),
+        (["classify", "--k-list", "0"], "k=0 out of range for 4 training rows"),
+        (["classify", "--k-list", "1,1000"], "k=1000 out of range for 4 training rows"),
+    ])
+    def test_scoring_setting_fails_before_any_fit(self, argv, message, blob_files,
+                                                  tmp_path, capsys, fit_calls):
+        data, labels = blob_files
+        code = main(argv + ["--data", str(data), "--labels", str(labels), "--beta", "0.2",
+                            "--p", "3", "--repeats", "2", "--tmax", "5",
+                            "--max-sweeps", "2", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not fit_calls
+
+    @pytest.mark.parametrize("param, values, message", [
+        ("beta", "0.1,nan", "beta must be finite"),
+        ("tmax", "5,0", "t_max must be an integer >= 1"),
+        ("p", "3,0", "neighbor count p=0 out of range"),
+    ])
+    def test_bad_sweep_value_fails_before_any_fit(self, param, values, message,
+                                                  blob_files, tmp_path, capsys, fit_calls):
+        data, labels = blob_files
+        code = main(["sweep", "--data", str(data), "--labels", str(labels),
+                     "--sweep-param", param, "--sweep-values", values, "--beta", "0.2",
+                     "--repeats", "3", "--restarts", "2", "--tmax", "5",
+                     "--max-sweeps", "2", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not fit_calls
         assert not list(tmp_path.rglob("*.csv"))
 
     def test_unknown_command_exits_via_argparse(self):

@@ -465,6 +465,11 @@ class TestFit:
     def test_config_rejects_values_it_cannot_run(self, field, value):
         with pytest.raises(ValueError, match=field):
             SolverConfig(**{field: value})
+        cfg = SolverConfig()
+        before = getattr(cfg, field)
+        with pytest.raises(ValueError, match=field):
+            setattr(cfg, field, value)
+        assert getattr(cfg, field) == before
 
     def test_rank_mismatch_rejected(self):
         with pytest.raises(ValueError):
