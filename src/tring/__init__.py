@@ -10,12 +10,7 @@ experiments on top of it.
 
 __version__ = "0.1.0"
 
-from .graph import (
-    LaplacianOperator,
-    NeighborGraph,
-    laplacian_operator,
-    neighbor_graph,
-)
+from .graph import LaplacianOperator, NeighborGraph, neighbor_graph
 from .metrics import accuracy, entropy, kmeans, knn_classify, mutual_information, nmi, sparseness
 from .ring import (
     TRCores,
@@ -65,7 +60,6 @@ __all__ = [
     "relative_error",
     "feature_matrix",
     "neighbor_graph",
-    "laplacian_operator",
     "gradient_ntr",
     "gradient_gntr",
     "lipschitz_ntr",

@@ -16,7 +16,8 @@ two that run k-means add ``--restarts``.  Every fit is planned by
 ``_fits``, which checks each setting and builds the sample graph before
 any fit runs, and seeds run ``r`` (and its k-means) with ``--seed`` + ``r``.
 ``sweep`` reruns the ``cluster`` experiment with one option replaced by
-each grid value, and plans every value before the first fit.
+each grid value, and plans every value before the first fit; its plans
+share one graph per distinct ``p``.
 
 Exit codes: 0 success, 2 validation error, 3 I/O error, 4 numerical
 failure.  Every run writes a ``manifest.json`` capturing the effective
@@ -125,19 +126,24 @@ def _load(args, need_labels):
     return x, labels, ranks
 
 
-def _fits(x, ranks, args, repeats=1):
+def _fits(x, ranks, args, repeats=1, graphs=None):
     """Plan ``repeats`` fits of ``x``; iterating the result runs them.
 
     This call builds every run's config, and the sample graph when
-    ``args.beta > 0``, so a bad setting fails before any fit.  The
-    returned iterator fits run ``r`` seeded ``args.seed + r`` and yields
-    ``(seed, cores, report)``.
+    ``args.beta > 0``, so a bad setting fails before any fit.  The graph
+    is taken from ``graphs``, a ``p -> graph`` dict on ``x``, and added to
+    it when missing, so plans that share the dict build one graph per
+    distinct ``p``.  The returned iterator fits run ``r`` seeded
+    ``args.seed + r`` and yields ``(seed, cores, report)``.
     """
     if repeats < 1:
         raise ValueError(f"--repeats must be at least 1, got {repeats}")
     cfgs = [SolverConfig(t_max=args.tmax, max_sweeps=args.max_sweeps, tol=args.tol,
                          beta=args.beta, seed=args.seed + run) for run in range(repeats)]
-    graph = neighbor_graph(x, args.p) if args.beta > 0 else None
+    graphs = {} if graphs is None else graphs
+    if args.beta > 0 and args.p not in graphs:
+        graphs[args.p] = neighbor_graph(x, args.p)
+    graph = graphs[args.p] if args.beta > 0 else None
     return ((cfg.seed, *fit(x, ranks, cfg, graph)) for cfg in cfgs)
 
 
@@ -292,8 +298,9 @@ def cmd_sweep(args):
         raise ValueError("sweeping p needs --beta > 0")
     values = (SWEEP_DEFAULTS[param] if args.sweep_values is None
               else _parse_list(args.sweep_values, float if param == "beta" else int))
+    graphs = {}
     plans = [_fits(x, ranks, argparse.Namespace(**{**vars(args), param: value}),
-                   args.repeats) for value in values]
+                   args.repeats, graphs) for value in values]
     rows = []
     for value, fits in zip(values, plans):
         start = time.perf_counter()

@@ -6,15 +6,16 @@ iff each lies among the other's p nearest neighbors under Frobenius
 distance.  The graph is built once on the raw data and held fixed during
 optimization.
 
-A mutual p-NN graph has at most p*n edges, so a :class:`NeighborGraph`
-holds its adjacency as CSR.  ``neighbor_graph``, the one way to build a
-graph from data, computes distances in row blocks of about 2**20 entries
-and never holds an n x n array; only reading a graph's dense ``w`` or
-``laplacian`` view builds one.
-Its distance kernel and p-nearest selection are the ones k-means and k-NN
-in :mod:`tring.metrics` use.  The solver applies the fixed Laplacian
-through a :class:`LaplacianOperator`: a CSR matrix with its spectral norm
-taken once.
+There is one Laplacian type, :class:`LaplacianOperator`: an immutable CSR
+copy of the matrix with its spectral norm taken once.  A
+:class:`NeighborGraph` is such an operator that also holds its adjacency
+(as CSR: a mutual p-NN graph has at most p*n edges) and degrees, so the
+solver applies the graph itself.  ``neighbor_graph``, the one way to
+build a graph from data, computes distances in row blocks of about 2**20
+entries and never holds an n x n array; only reading a graph's dense
+``w`` or ``laplacian`` view builds one.  Its distance kernel and
+p-nearest selection are the ones k-means and k-NN in
+:mod:`tring.metrics` use.
 """
 
 from functools import cached_property
@@ -23,14 +24,13 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import eigsh
 
-from .tensor_ops import as_tensor, gram_norm, unfold_tr, with_margin
+from .tensor_ops import as_count, as_tensor, gram_norm, unfold_tr, with_margin
 
 __all__ = [
     "NeighborGraph",
     "LaplacianOperator",
     "neighbor_graph",
     "laplacian_norm",
-    "laplacian_operator",
 ]
 
 # Distances computed per row block; bounds the graph build's working memory.
@@ -42,61 +42,12 @@ def _read_only(arr):
     return arr
 
 
-class NeighborGraph:
-    """Binary symmetric adjacency W, its degree vector, and the Laplacian D - W.
-
-    The graph holds ``adjacency`` (W as a read-only CSR array) and
-    ``degree``: O(n*p) memory.  ``w`` and ``laplacian`` are dense read-only
-    n x n arrays built on every access and not kept, so only a caller that
-    reads them pays for them; the solver does not.  ``operator`` is the
-    Laplacian as a :class:`LaplacianOperator`, built from adjacency and
-    degree on first use and kept, so every fit on one graph shares its CSR
-    matrix and its norm.  Its entries are stored in the order that
-    ``csr_array`` gives the dense ``laplacian``.
-
-    A graph can also be built by hand from dense arrays,
-    ``NeighborGraph(w=..., degree=..., laplacian=...)``.  Its operator is
-    then built from the ``laplacian`` given, which is not checked against
-    ``w``.  The arrays passed in are made read-only, like the graph's own,
-    and no attribute of a graph can be reassigned.
-    """
-
-    def __init__(self, w, degree, laplacian):
-        w, degree, laplacian = (_read_only(np.asarray(a)) for a in (w, degree, laplacian))
-        self._hold(sparse.csr_array(w, dtype=np.float64), degree)
-        # Fills the cached ``operator`` ahead of first use.
-        object.__setattr__(self, "operator", LaplacianOperator(laplacian))
-
-    @classmethod
-    def _from_adjacency(cls, adjacency):
-        graph = cls.__new__(cls)
-        graph._hold(adjacency, np.diff(adjacency.indptr).astype(np.float64))
-        return graph
-
-    def _hold(self, adjacency, degree):
-        for arr in (adjacency.data, adjacency.indices, adjacency.indptr, degree):
-            _read_only(arr)
-        object.__setattr__(self, "adjacency", adjacency)
-        object.__setattr__(self, "degree", degree)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign {name!r}: a NeighborGraph is immutable")
-
-    @property
-    def n_samples(self):
-        return self.degree.size
-
-    @property
-    def w(self):
-        return _read_only(self.adjacency.toarray())
-
-    @property
-    def laplacian(self):
-        return _read_only(self.operator.matrix.toarray())
-
-    @cached_property
-    def operator(self):
-        return LaplacianOperator(sparse.diags_array(self.degree, format="csr") - self.adjacency)
+def _frozen_csr(matrix):
+    """A float64 CSR copy of a dense or sparse ``matrix`` whose arrays are read-only."""
+    csr = sparse.csr_array(matrix, dtype=np.float64, copy=True)
+    for arr in (csr.data, csr.indices, csr.indptr):
+        _read_only(arr)
+    return csr
 
 
 def _sq_norms(rows):
@@ -161,7 +112,7 @@ def neighbor_graph(x, p):
     flat = unfold_tr(x, x.ndim - 1)
     sq = _sq_norms(flat)
     n = flat.shape[0]
-    p = int(p)
+    p = as_count(p, "neighbor count p")
     if not 1 <= p < n:
         raise ValueError(f"neighbor count p={p} out of range for {n} samples")
     nbrs = np.empty((n, p), dtype=np.int64)
@@ -170,13 +121,13 @@ def neighbor_graph(x, p):
         np.sqrt(dist, out=dist)
         dist[np.arange(hi - lo), np.arange(lo, hi)] = np.inf  # no sample is its own neighbor
         nbrs[lo:hi] = _nearest(dist, p)
-    src = np.repeat(np.arange(n, dtype=np.int64), p)
-    edges = np.intersect1d(src * n + nbrs.ravel(), nbrs.ravel() * n + src, assume_unique=True)
-    rows, cols = np.divmod(edges, n)
-    indptr = np.searchsorted(rows, np.arange(n + 1))
-    return NeighborGraph._from_adjacency(
-        sparse.csr_array((np.ones(edges.size), cols, indptr), shape=(n, n))
-    )
+    # Sorted rows make the CSR canonical, so the product's rows come out sorted.
+    nbrs.sort(axis=1)
+    directed = sparse.csr_array((np.ones(n * p), nbrs.ravel(), np.arange(0, n * p + 1, p)),
+                                shape=(n, n))
+    w = directed.multiply(directed.T)
+    degree = np.diff(w.indptr).astype(np.float64)
+    return NeighborGraph(w, degree, sparse.diags_array(degree, format="csr") - w)
 
 
 def laplacian_norm(h):
@@ -201,17 +152,22 @@ def laplacian_norm(h):
 class LaplacianOperator:
     """A fixed graph Laplacian, given dense or sparse, held as a CSR matrix.
 
-    ``op @ g`` returns a dense ndarray, so the operator stands in for the
-    dense Laplacian in products.  ``norm`` is ``laplacian_norm`` of the
-    matrix, computed on first use and kept.
+    ``matrix`` is the operator's own float64 CSR copy with read-only
+    arrays, so a caller that edits what it passed in changes neither the
+    products nor the norm.  ``op @ g`` returns a dense ndarray, so the
+    operator stands in for the dense Laplacian in products.  ``norm`` is
+    ``laplacian_norm`` of the matrix, computed on first use and kept.  No
+    attribute can be reassigned.
     """
 
     def __init__(self, laplacian):
-        if not sparse.issparse(laplacian):
-            laplacian = as_tensor(laplacian)
-        if laplacian.ndim != 2 or laplacian.shape[0] != laplacian.shape[1]:
-            raise ValueError(f"Laplacian must be square, got shape {laplacian.shape}")
-        self.matrix = sparse.csr_array(laplacian)
+        shape = np.shape(laplacian)
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise ValueError(f"Laplacian must be square, got shape {shape}")
+        object.__setattr__(self, "matrix", _frozen_csr(laplacian))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name!r}: a {type(self).__name__} is immutable")
 
     @property
     def shape(self):
@@ -225,6 +181,36 @@ class LaplacianOperator:
         return laplacian_norm(self.matrix)
 
 
-def laplacian_operator(h):
-    """``h`` as a :class:`LaplacianOperator`; an operator is returned as is."""
-    return h if isinstance(h, LaplacianOperator) else LaplacianOperator(h)
+class NeighborGraph(LaplacianOperator):
+    """A sample graph: its Laplacian D - W as an operator, plus W and the degrees.
+
+    The graph is the :class:`LaplacianOperator` the solver applies, so
+    every fit on one graph shares its CSR matrix and its norm.  It also
+    holds ``adjacency`` (W as a read-only CSR array) and ``degree``:
+    O(n*p) memory in all.  ``w`` and ``laplacian`` are dense read-only
+    n x n arrays built on every access and not kept, so only a caller that
+    reads them pays for them; the solver does not.
+
+    ``neighbor_graph`` builds one from data.  A graph can also be built by
+    hand, ``NeighborGraph(w=..., degree=..., laplacian=...)``, from dense
+    or sparse arrays; the ``laplacian`` given is what the graph applies,
+    and is not checked against ``w``.  The graph keeps read-only copies of
+    what it is given.
+    """
+
+    def __init__(self, w, degree, laplacian):
+        super().__init__(laplacian)
+        object.__setattr__(self, "adjacency", _frozen_csr(w))
+        object.__setattr__(self, "degree", _read_only(np.array(degree)))
+
+    @property
+    def n_samples(self):
+        return self.degree.size
+
+    @property
+    def w(self):
+        return _read_only(self.adjacency.toarray())
+
+    @property
+    def laplacian(self):
+        return _read_only(self.matrix.toarray())

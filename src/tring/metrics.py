@@ -10,6 +10,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .graph import _nearest, _row_blocks, _sq_norms, _squared_distances
+from .tensor_ops import as_count
 
 __all__ = [
     "sparseness",
@@ -175,13 +176,13 @@ def kmeans(features, k, restarts=200, seed=0):
     if not np.all(np.isfinite(x)):
         raise ValueError("features must be finite")
     n = x.shape[0]
-    k = int(k)
+    k = as_count(k, "k")
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for {n} samples")
-    if restarts < 1:
+    if as_count(restarts, "restarts") < 1:
         raise ValueError("restarts must be >= 1")
     best_labels, best_wcss = None, np.inf
-    for r in range(int(restarts)):
+    for r in range(restarts):
         rng = np.random.default_rng((seed, r))
         labels, wcss, _ = _lloyd(x, k, rng)
         if wcss < best_wcss:
@@ -207,7 +208,7 @@ def knn_classify(train, train_labels, test, k):
         raise ValueError("train and test feature widths differ")
     if not (np.all(np.isfinite(train)) and np.all(np.isfinite(test))):
         raise ValueError("features must be finite")
-    k = int(k)
+    k = as_count(k, "k")
     if not 1 <= k <= train.shape[0]:
         raise ValueError(f"k={k} out of range for {train.shape[0]} training rows")
     classes, train_class = np.unique(train_labels, return_inverse=True)

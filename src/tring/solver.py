@@ -32,11 +32,12 @@ row blocks of S that stay in cache.  A subchain of at most ``_BLOCK``
 rows is one block and gets the one-shot products bit for bit; longer ones
 differ from them only in rounding.
 
-H is fixed and sparse, so the graph keeps it as a
-:class:`~tring.graph.LaplacianOperator` (``NeighborGraph.operator``): every
-product with H is a CSR product, and ||H||_2 is computed once per graph,
-however many fits use it.  ``_Subproblem`` wraps a dense Laplacian in
-that operator and keeps a given one, so the gradient, Lipschitz and
+H is fixed and sparse, and the sample graph is the operator that applies
+it: a :class:`~tring.graph.NeighborGraph` is a
+:class:`~tring.graph.LaplacianOperator`, so every product with H is a CSR
+product and ||H||_2 is computed once per graph, however many fits use it.
+``_Subproblem`` keeps any operator it is given and wraps anything else (a
+dense Laplacian) in a new one, so the gradient, Lipschitz and
 inner-solver code below all go through it.
 
 Plain momentum can overshoot, so a step that would raise the subproblem
@@ -47,13 +48,12 @@ and the full objective monotone without giving up acceleration.
 """
 
 import math
-import operator
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import NeighborGraph, laplacian_operator
+from .graph import LaplacianOperator, NeighborGraph
 from .ring import (
     TRCores,
     build_subchain,
@@ -62,7 +62,7 @@ from .ring import (
     init_random,
     subchain_unfold2,
 )
-from .tensor_ops import as_tensor, gram_norm, unfold_tr
+from .tensor_ops import as_count, as_tensor, gram_norm, unfold_tr
 
 __all__ = [
     "SolverConfig",
@@ -118,11 +118,7 @@ class SolverConfig:
 
     def __setattr__(self, name, value):
         if name in ("t_max", "max_sweeps"):
-            try:
-                valid = operator.index(value) >= 1
-            except TypeError:
-                valid = False
-            if not valid:
+            if as_count(value, name) < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         elif name == "tol" and not (math.isfinite(value) and value > 0):
             raise ValueError(f"tol must be finite and > 0, got {value}")
@@ -196,7 +192,9 @@ class _Subproblem:
             self.sts += s.T @ s
             if self.xs is not None:
                 self.xs += x_unfold[:, lo : lo + _BLOCK] @ s
-        self.h_g = laplacian_operator(h_g) if h_g is not None and beta > 0 else None
+        if h_g is not None and beta > 0 and not isinstance(h_g, LaplacianOperator):
+            h_g = LaplacianOperator(h_g)
+        self.h_g = h_g if beta > 0 else None
         self.beta = beta
 
     @property
@@ -305,9 +303,9 @@ def solve_core(x_unfold, subchain2, g_init, cfg, h_g=None, callback=None):
         Supplies ``t_max`` and ``beta``.
     h_g : LaplacianOperator or ndarray, optional
         Sample-graph Laplacian; pass only for the sample-mode core.
-        :func:`fit` passes the graph's kept operator, so ``||H||_2`` is
-        not recomputed per call; a dense Laplacian is wrapped in a new
-        operator on every call.
+        :func:`fit` passes the graph itself, an operator that keeps its
+        ``||H||_2``, so the norm is not recomputed per call; a dense
+        Laplacian is wrapped in a new operator on every call.
     callback : callable, optional
         ``callback(g_new, y, grad_y)`` after each accepted iterate, for
         diagnostics and audits.
@@ -396,9 +394,8 @@ def fit(x, ranks, cfg=None, graph=None):
             raise ValueError(
                 f"graph has {graph.n_samples} samples, tensor has {dims[-1]}"
             )
-        h_g = graph.operator
     else:
-        h_g = None
+        graph = None
 
     t0 = time.perf_counter()
     init = init_random(dims, ranks, cfg.seed)
@@ -413,7 +410,7 @@ def fit(x, ranks, cfg=None, graph=None):
 
     def objective(sub2, g):
         """The full objective at the sample-mode core ``g``, subchain ``sub2``."""
-        sub = _Subproblem(sub2, x_unfolds[d - 1], h_g, cfg.beta)
+        sub = _Subproblem(sub2, x_unfolds[d - 1], graph, cfg.beta)
         return 0.5 * norm_x2 + sub.objective(g)
 
     sub2 = subchain_unfold2(build_subchain(cores, d - 1, workspace))
@@ -428,8 +425,7 @@ def fit(x, ranks, cfg=None, graph=None):
         for n in range(d):
             sub2 = subchain_unfold2(build_subchain(cores, n, workspace))
             g0 = core_unfold2(cores[n])
-            hg_n = h_g if n == d - 1 else None
-            g = solve_core(x_unfolds[n], sub2, g0, cfg, h_g=hg_n)
+            g = solve_core(x_unfolds[n], sub2, g0, cfg, h_g=graph if n == d - 1 else None)
             cores[n] = core_fold2(g, ranks[n], dims[n], ranks[(n + 1) % d])
         # Cores 0..d-2 are untouched since the last inner solve, so its
         # subchain is still the current one.

@@ -12,6 +12,8 @@ Spectral norms are taken of symmetric PSD matrices only, by ``gram_norm``
 need no other.
 """
 
+import operator
+
 import numpy as np
 
 __all__ = [
@@ -30,6 +32,18 @@ NORM_MARGIN = 1e-10
 def as_tensor(x):
     """Coerce to a float64 ndarray without copying when already one."""
     return np.asarray(x, dtype=np.float64)
+
+
+def as_count(value, name):
+    """``value`` as a Python int; a float such as 2.7 is rejected, not truncated.
+
+    Ints and numpy integers pass (``operator.index``); anything else
+    raises ``ValueError`` naming the count.
+    """
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def unfold_tr(x, mode):

@@ -291,7 +291,7 @@ def test_criterion_7_graph_laplacian_properties():
     g = neighbor_graph(x, 4)
     rows_zero = bool(np.all(g.laplacian.sum(axis=1) == 0.0))
     quad_ok = all(
-        np.vdot(v, g.operator @ v) >= -1e-10 for v in rng.standard_normal((1000, 12))
+        np.vdot(v, g @ v) >= -1e-10 for v in rng.standard_normal((1000, 12))
     )
     # hand-enumerated mutual 1-NN on scalar samples 0, 1, 10
     hand = neighbor_graph(np.array([[0.0, 1.0, 10.0]]), 1)

@@ -8,6 +8,7 @@ import pytest
 
 from tring.cli import build_parser, default_ranks, main
 from tring.fileio import FileFormatError, read_tensor, sha256_file, write_labels, write_tensor
+from tring.graph import neighbor_graph
 from tring.ring import TRCores, relative_error
 from tring.solver import DegenerateSubproblemError, NumericalError, fit
 from tring.synthetic import blob_tensor, ring_tensor
@@ -231,6 +232,25 @@ class TestSweepCommand:
         assert sweep_row[2] == cluster_row[1]  # ac
         assert sweep_row[4] == cluster_row[2]  # nmi
 
+
+    @pytest.mark.parametrize("argv, builds", [
+        (["--sweep-param", "beta"], [4]),
+        (["--sweep-param", "tmax", "--sweep-values", "10,20,30", "--beta", "0.2"], [4]),
+        (["--sweep-param", "p", "--sweep-values", "3,3,4", "--beta", "0.2"], [3, 4]),
+    ])
+    def test_one_graph_per_distinct_p(self, argv, builds, blob_files, tmp_path, monkeypatch):
+        built = []
+
+        def counting(x, p):
+            built.append(p)
+            return neighbor_graph(x, p)
+
+        monkeypatch.setattr("tring.cli.neighbor_graph", counting)
+        data, labels = blob_files
+        assert main(["sweep", "--data", str(data), "--labels", str(labels), "--p", "4",
+                     "--repeats", "1", "--restarts", "2", "--tmax", "4", "--max-sweeps", "2",
+                     "--out", str(tmp_path / "s")] + argv) == 0
+        assert built == builds
 
     @pytest.mark.parametrize("param, values", [("tmax", "2,8"), ("p", "2,4")])
     def test_row_matches_cluster_run_with_that_value(self, param, values, tmp_path):

@@ -154,15 +154,30 @@ class TestKnnGraph:
             for arr in (graph.w, graph.degree, graph.laplacian):
                 with pytest.raises(ValueError, match="read-only"):
                     arr[0] = 1.0
-        assert not lap.flags.writeable
-        np.testing.assert_array_equal(hand.operator @ np.eye(6), g.laplacian)
+        lap *= 100.0  # the graph holds its own copy
+        np.testing.assert_array_equal(hand @ np.eye(6), g.laplacian)
+        np.testing.assert_array_equal(hand.laplacian, g.laplacian)
+
+    def test_hand_built_graph_ignores_later_edits_of_its_inputs(self):
+        w = np.array([[0.0, 1.0], [1.0, 0.0]])
+        degree = np.ones(2)
+        lap = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        g = NeighborGraph(w=w, degree=degree, laplacian=sparse.csr_array(lap))
+        norm = g.norm
+        for arr in (w, degree, lap):
+            arr *= 7.0
+        assert np.array_equal(g.w, [[0.0, 1.0], [1.0, 0.0]])
+        assert np.array_equal(g.degree, [1.0, 1.0])
+        assert np.array_equal(g @ np.eye(2), [[1.0, -1.0], [-1.0, 1.0]])
+        assert g.norm == norm
+        assert w.flags.writeable and degree.flags.writeable and lap.flags.writeable
 
 
 class TestLaplacianQuadratic:
     def test_constant_rows_in_nullspace(self):
         g = neighbor_graph(np.random.default_rng(7).random((3, 6)), 2)
         const = np.full((6, 3), 2.5)
-        assert abs(quadratic(g.operator, const)) <= 1e-12
+        assert abs(quadratic(g, const)) <= 1e-12
 
     def test_two_node_hand_value(self):
         h = np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -173,7 +188,7 @@ class TestLaplacianQuadratic:
         rng = np.random.default_rng(8)
         g = neighbor_graph(rng.random((4, 10)), 3)
         feats = rng.standard_normal((10, 3))
-        assert quadratic(g.operator, feats) == pytest.approx(
+        assert quadratic(g, feats) == pytest.approx(
             quadratic_oracle(g.w, feats), abs=1e-10
         )
 
@@ -182,7 +197,31 @@ class TestLaplacianQuadratic:
         g = neighbor_graph(rng.random((5, 8)), 3)
         for _ in range(200):
             v = rng.standard_normal(8)
-            assert quadratic(g.operator, v) >= -1e-10
+            assert quadratic(g, v) >= -1e-10
+
+
+class TestImmutableOperator:
+    def test_caller_edits_leave_products_and_norm_unchanged(self):
+        lap = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        csr = sparse.csr_array(lap)
+        op = LaplacianOperator(csr)
+        norm = op.norm
+        csr.data *= 100.0
+        assert np.array_equal(op @ np.eye(2), lap)
+        assert op.norm == norm == tring.graph.laplacian_norm(lap)
+
+    def test_matrix_read_only_and_not_reassignable(self):
+        op = LaplacianOperator(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+        for arr in (op.matrix.data, op.matrix.indices, op.matrix.indptr):
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            op.matrix.data[0] = 5.0
+        with pytest.raises(AttributeError, match="immutable"):
+            op.matrix = sparse.csr_array(np.eye(2))
+        g = neighbor_graph(np.random.default_rng(4).random((2, 5)), 2)
+        assert isinstance(g, LaplacianOperator)
+        with pytest.raises(AttributeError, match="immutable"):
+            g.matrix = sparse.csr_array(np.eye(5))
 
 
 class TestBlockedBuild:
@@ -214,9 +253,9 @@ class TestBlockedBuild:
         assert g.degree[12] == 0
         lap = np.diag(g.degree) - g.w
         assert np.array_equal(g.laplacian, lap)
-        ref, got = sparse.csr_array(lap), g.operator.matrix
-        for attr in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(got, attr), getattr(ref, attr))
+        for ref, got in ((sparse.csr_array(lap), g.matrix), (sparse.csr_array(g.w), g.adjacency)):
+            for attr in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(got, attr), getattr(ref, attr))
 
     def test_dense_views_are_built_on_access_not_kept(self):
         g = neighbor_graph(np.random.default_rng(13).random((3, 9)), 2)
@@ -231,7 +270,7 @@ class TestBlockedBuild:
         lap = np.array([[2.0, -1.0], [-1.0, 3.0]])
         g = NeighborGraph(w=w, degree=np.ones(2), laplacian=lap)
         assert np.array_equal(g.laplacian, lap)
-        assert np.array_equal(g.operator @ np.eye(2), lap)
+        assert np.array_equal(g @ np.eye(2), lap)
         assert np.array_equal(g.w, w)
 
     def test_overflowing_distances_named(self):

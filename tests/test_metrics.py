@@ -418,3 +418,25 @@ class TestKnnTies:
         test = rng.integers(0, 3, size=(60, 3)) + rng.choice([0.0, 0.5], size=(60, 3))
         pred = knn_classify(train, labels, test, k)
         assert np.array_equal(pred, knn_oracle(train, labels, test, k))
+
+
+_POINTS = np.array([[0.0], [0.1], [5.0], [5.1], [9.0]])
+_COUNTS = {
+    "graph p": lambda n: tring.graph.neighbor_graph(_POINTS.T, n),
+    "kmeans k": lambda n: kmeans(_POINTS, n, restarts=2),
+    "kmeans restarts": lambda n: kmeans(_POINTS, 2, restarts=n),
+    "knn k": lambda n: knn_classify(_POINTS, [0, 0, 1, 1, 2], _POINTS, n),
+}
+
+
+class TestCounts:
+    @pytest.mark.parametrize("value", [2.7, 1.5, np.float64(2.0), "2"])
+    @pytest.mark.parametrize("count", sorted(_COUNTS))
+    def test_non_integer_count_rejected_not_truncated(self, count, value):
+        with pytest.raises(ValueError, match="must be an integer"):
+            _COUNTS[count](value)
+
+    @pytest.mark.parametrize("count", sorted(_COUNTS))
+    def test_numpy_integer_count_accepted(self, count):
+        a, b = _COUNTS[count](np.int64(2)), _COUNTS[count](2)
+        assert np.array_equal(getattr(a, "w", a), getattr(b, "w", b))

@@ -11,12 +11,7 @@ import pytest
 
 import tring.graph
 import tring.solver
-from tring.graph import (
-    LaplacianOperator,
-    NeighborGraph,
-    laplacian_operator,
-    neighbor_graph,
-)
+from tring.graph import LaplacianOperator, NeighborGraph, neighbor_graph
 from tring.ring import (
     build_subchain,
     core_unfold2,
@@ -201,21 +196,21 @@ class TestLipschitz:
         s2 = subchain_unfold2(build_subchain(cores, 2))
         xn = unfold_tr(x, 2)
         if beta > 0:
-            lip = lipschitz_gntr(s2, graph.operator, beta)
+            lip = lipschitz_gntr(s2, graph, beta)
         else:
             lip = lipschitz_ntr(s2)
         steps = []
 
         def audit(g_new, y, grad_y):
             if beta > 0:
-                public = gradient_gntr(y, s2, xn, graph.operator, beta)
+                public = gradient_gntr(y, s2, xn, graph, beta)
             else:
                 public = gradient_ntr(y, s2, xn)
             steps.append(np.array_equal(grad_y, public)
                          and np.array_equal(g_new, prox_step(y, grad_y, lip)))
 
         solve_core(xn, s2, core_unfold2(cores[2]),
-                   SolverConfig(t_max=20, beta=beta), h_g=graph.operator,
+                   SolverConfig(t_max=20, beta=beta), h_g=graph,
                    callback=audit)
         assert len(steps) == 20 and all(steps)
 
@@ -601,7 +596,7 @@ class TestBlockedSetup:
         s2 = subchain_unfold2(build_subchain(cores, 2))
         xn = unfold_tr(x, 2)
         assert s2.shape[0] == 16
-        h = graph.operator if beta > 0 else None
+        h = graph if beta > 0 else None
         lip = lipschitz_gntr(s2, h, beta) if beta > 0 else lipschitz_ntr(s2)
         steps = []
 
@@ -673,7 +668,7 @@ class TestLaplacianOperator:
 
     def test_solve_core_sparse_matches_dense_products(self, monkeypatch):
         args, graph = self.sample_mode_problem()
-        op = laplacian_operator(graph.laplacian)
+        op = LaplacianOperator(graph.laplacian)
         sparse_out = solve_core(*args, h_g=op)
         # A dense Laplacian from a caller goes through the same operator.
         assert np.array_equal(solve_core(*args, h_g=graph.laplacian), sparse_out)
@@ -711,6 +706,21 @@ class TestLaplacianOperator:
         for seed in (1, 2):
             fit(x, (2, 2, 2), SolverConfig(t_max=5, max_sweeps=3, beta=0.2, seed=seed), graph)
         assert calls == [(16, 16)]
+
+    def test_fit_hands_solve_core_the_graph_itself(self, monkeypatch):
+        laplacians = []
+
+        def recording(*args, h_g=None, **kwargs):
+            laplacians.append(h_g)
+            return solve_core(*args, h_g=h_g, **kwargs)
+
+        monkeypatch.setattr(tring.solver, "solve_core", recording)
+        x, _ = blob_tensor((4, 4), 2, 8, seed=3)
+        graph = neighbor_graph(x, 4)
+        fit(x, (2, 2, 2), SolverConfig(t_max=5, max_sweeps=2, tol=1e-15, beta=0.2), graph)
+        assert len(laplacians) == 6
+        assert laplacians[0::3] == laplacians[1::3] == [None, None]
+        assert all(h is graph for h in laplacians[2::3])
 
     def test_final_objective_matches_dense_formula(self):
         x, _ = blob_tensor((4, 4), 2, 8, seed=3)
