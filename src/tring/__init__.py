@@ -10,7 +10,7 @@ experiments on top of it.
 
 __version__ = "0.1.0"
 
-from .graph import LaplacianOperator, NeighborGraph, neighbor_graph
+from .graph import NeighborGraph, neighbor_graph
 from .metrics import accuracy, entropy, kmeans, knn_classify, mutual_information, nmi, sparseness
 from .ring import (
     TRCores,
@@ -44,7 +44,6 @@ from .tensor_ops import fold_tr, unfold_tr
 __all__ = [
     "TRCores",
     "NeighborGraph",
-    "LaplacianOperator",
     "SolverConfig",
     "FitReport",
     "DegenerateSubproblemError",

@@ -6,11 +6,10 @@ iff each lies among the other's p nearest neighbors under Frobenius
 distance.  The graph is built once on the raw data and held fixed during
 optimization.
 
-There is one Laplacian type, :class:`LaplacianOperator`: an immutable CSR
-copy of the matrix with its spectral norm taken once.  A
-:class:`NeighborGraph` is such an operator that also holds its adjacency
-(as CSR: a mutual p-NN graph has at most p*n edges) and degrees, so the
-solver applies the graph itself.  ``neighbor_graph``, the one way to
+There is one graph type, :class:`NeighborGraph`, and it is the Laplacian
+the solver applies: an immutable CSR copy of D - W with its spectral norm
+taken once, plus the adjacency (as CSR: a mutual p-NN graph has at most
+p*n edges) and the degrees.  ``neighbor_graph``, the one way to
 build a graph from data, computes distances in row blocks of about 2**20
 entries and never holds an n x n array; only reading a graph's dense
 ``w`` or ``laplacian`` view builds one.  Its distance kernel and
@@ -28,7 +27,6 @@ from .tensor_ops import as_count, as_tensor, gram_norm, unfold_tr, with_margin
 
 __all__ = [
     "NeighborGraph",
-    "LaplacianOperator",
     "neighbor_graph",
     "laplacian_norm",
 ]
@@ -149,29 +147,34 @@ def laplacian_norm(h):
     return with_margin(float(eigsh(h, k=1, which="LA", v0=v0, return_eigenvectors=False)[0]))
 
 
-class LaplacianOperator:
-    """A fixed graph Laplacian, given dense or sparse, held as a CSR matrix.
+class NeighborGraph:
+    """A sample graph: its Laplacian D - W, which the solver applies, plus W.
 
-    ``matrix`` is the operator's own float64 CSR copy with read-only
-    arrays, so a caller that edits what it passed in changes neither the
-    products nor the norm.  ``op @ g`` returns a dense ndarray, so the
-    operator stands in for the dense Laplacian in products.  ``norm`` is
-    ``laplacian_norm`` of the matrix, computed on first use and kept.  No
+    ``matrix`` is the graph's own float64 CSR copy of the Laplacian, with
+    read-only arrays, and ``graph @ g`` is a dense ndarray.  ``norm`` is
+    ``laplacian_norm`` of the matrix, taken on first use and kept, so every
+    fit on one graph shares it.  ``adjacency`` (W as read-only CSR) and
+    ``degree`` make O(n*p) memory in all; the dense read-only n x n views
+    ``w`` and ``laplacian`` are built on each access and not kept.  No
     attribute can be reassigned.
+
+    ``neighbor_graph`` builds one from data.  Built by hand,
+    ``NeighborGraph(w=..., degree=..., laplacian=...)`` from dense or
+    sparse arrays, a graph applies the square ``laplacian`` given, not
+    checked against ``w``: that is how a custom Laplacian reaches the
+    solver.  The graph keeps read-only copies of what it is given.
     """
 
-    def __init__(self, laplacian):
+    def __init__(self, w, degree, laplacian):
         shape = np.shape(laplacian)
         if len(shape) != 2 or shape[0] != shape[1]:
             raise ValueError(f"Laplacian must be square, got shape {shape}")
         object.__setattr__(self, "matrix", _frozen_csr(laplacian))
+        object.__setattr__(self, "adjacency", _frozen_csr(w))
+        object.__setattr__(self, "degree", _read_only(np.array(degree)))
 
     def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign {name!r}: a {type(self).__name__} is immutable")
-
-    @property
-    def shape(self):
-        return self.matrix.shape
+        raise AttributeError(f"cannot assign {name!r}: a NeighborGraph is immutable")
 
     def __matmul__(self, g):
         return self.matrix @ g
@@ -180,32 +183,10 @@ class LaplacianOperator:
     def norm(self):
         return laplacian_norm(self.matrix)
 
-
-class NeighborGraph(LaplacianOperator):
-    """A sample graph: its Laplacian D - W as an operator, plus W and the degrees.
-
-    The graph is the :class:`LaplacianOperator` the solver applies, so
-    every fit on one graph shares its CSR matrix and its norm.  It also
-    holds ``adjacency`` (W as a read-only CSR array) and ``degree``:
-    O(n*p) memory in all.  ``w`` and ``laplacian`` are dense read-only
-    n x n arrays built on every access and not kept, so only a caller that
-    reads them pays for them; the solver does not.
-
-    ``neighbor_graph`` builds one from data.  A graph can also be built by
-    hand, ``NeighborGraph(w=..., degree=..., laplacian=...)``, from dense
-    or sparse arrays; the ``laplacian`` given is what the graph applies,
-    and is not checked against ``w``.  The graph keeps read-only copies of
-    what it is given.
-    """
-
-    def __init__(self, w, degree, laplacian):
-        super().__init__(laplacian)
-        object.__setattr__(self, "adjacency", _frozen_csr(w))
-        object.__setattr__(self, "degree", _read_only(np.array(degree)))
-
     @property
     def n_samples(self):
-        return self.degree.size
+        """Rows of the Laplacian the graph applies: one per sample."""
+        return self.matrix.shape[0]
 
     @property
     def w(self):

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .fileio import FileFormatError, atomic_write_bytes
+from .tensor_ops import as_count
 
 __all__ = [
     "read_pnm",
@@ -24,7 +25,10 @@ __all__ = [
 
 
 def read_pnm(path):
-    """Load a binary PGM (P5) or PPM (P6) image as floats in [0, 1]."""
+    """Load a binary PGM (P5) or PPM (P6) image as floats in [0, 1].
+
+    A sample above the header's maxval raises ``FileFormatError``.
+    """
     data = Path(path).read_bytes()
     pos = 0
 
@@ -62,6 +66,8 @@ def read_pnm(path):
     if len(data) - pos < count * dtype.itemsize:
         raise FileFormatError(f"{path}: truncated raster data")
     raw = np.frombuffer(data, dtype, count=count, offset=pos)
+    if maxval < np.iinfo(dtype).max and raw.max() > maxval:
+        raise FileFormatError(f"{path}: sample {raw.max()} above maxval {maxval}")
     img = raw.astype(np.float64) / maxval
     if channels == 3:
         return img.reshape(height, width, 3)
@@ -113,6 +119,7 @@ def area_resize(img, out_h, out_w):
     img = np.asarray(img, dtype=np.float64)
     if img.ndim not in (2, 3):
         raise ValueError("expected a 2-D or 3-D image array")
+    out_h, out_w = as_count(out_h, "output height"), as_count(out_w, "output width")
     if out_h < 1 or out_w < 1:
         raise ValueError("output size must be positive")
     rows = _overlap_weights(img.shape[0], out_h)

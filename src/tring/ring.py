@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .tensor_ops import as_tensor, fold_tr
+from .tensor_ops import as_count, as_tensor, fold_tr
 
 __all__ = [
     "TRCores",
@@ -107,8 +107,8 @@ def init_random(dims, ranks, seed):
     Gaussian draws pass through absolute value so the chain is a valid
     nonnegative starting point while keeping the unit scale.
     """
-    dims = tuple(int(i) for i in dims)
-    ranks = tuple(int(r) for r in ranks)
+    dims = tuple(as_count(i, "dimension") for i in dims)
+    ranks = tuple(as_count(r, "rank") for r in ranks)
     if len(dims) != len(ranks):
         raise ValueError(f"{len(ranks)} ranks for an order-{len(dims)} tensor")
     if any(i < 1 for i in dims) or any(r < 1 for r in ranks):

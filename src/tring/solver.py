@@ -33,12 +33,10 @@ rows is one block and gets the one-shot products bit for bit; longer ones
 differ from them only in rounding.
 
 H is fixed and sparse, and the sample graph is the operator that applies
-it: a :class:`~tring.graph.NeighborGraph` is a
-:class:`~tring.graph.LaplacianOperator`, so every product with H is a CSR
-product and ||H||_2 is computed once per graph, however many fits use it.
-``_Subproblem`` keeps any operator it is given and wraps anything else (a
-dense Laplacian) in a new one, so the gradient, Lipschitz and
-inner-solver code below all go through it.
+it: every entry point that takes H takes a
+:class:`~tring.graph.NeighborGraph`, as :func:`fit` does, so every product
+with H is a CSR product and ||H||_2 is computed once per graph.  A custom
+Laplacian goes in through a hand-built ``NeighborGraph``.
 
 Plain momentum can overshoot, so a step that would raise the subproblem
 objective restarts the momentum (alpha <- 1, search point <- current
@@ -53,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import LaplacianOperator, NeighborGraph
+from .graph import NeighborGraph
 from .ring import (
     TRCores,
     build_subchain,
@@ -103,7 +101,7 @@ class SolverConfig:
     beta
         Graph regularization weight; 0 disables the graph term entirely.
     seed
-        Seed for the random nonnegative initialization.
+        Seed for the random nonnegative initialization, an integer >= 0.
 
     Every assignment is checked, at construction and after it, so a
     config that :func:`fit` cannot run never exists; a rejected value
@@ -124,6 +122,8 @@ class SolverConfig:
             raise ValueError(f"tol must be finite and > 0, got {value}")
         elif name == "beta" and not (math.isfinite(value) and value >= 0):
             raise ValueError(f"beta must be finite and >= 0, got {value}")
+        elif name == "seed" and as_count(value, name) < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {value!r}")
         super().__setattr__(name, value)
 
 
@@ -162,12 +162,28 @@ class FitReport:
 _BLOCK = 4096
 
 
+def _sample_graph(graph, beta, n_samples=None):
+    """``graph``, checked, if it regularizes (``beta > 0``); else ``None``.
+
+    It must be a ``NeighborGraph`` with ``n_samples`` samples, where that is
+    given; anything else raises ``ValueError``.
+    """
+    if graph is None or not beta > 0:
+        return None
+    if not isinstance(graph, NeighborGraph):
+        raise ValueError("graph must be a NeighborGraph")
+    if n_samples is not None and graph.n_samples != n_samples:
+        raise ValueError(f"graph has {graph.n_samples} samples, tensor has {n_samples}")
+    return graph
+
+
 class _Subproblem:
     """One core subproblem, the only definition of its objective, gradient and step.
 
     ``min_{G >= 0} 0.5*||x_unfold - G @ subchain2.T||_F^2`` plus
-    ``0.5*beta*tr(G.T H G)`` when a Laplacian ``h_g`` is given and
-    ``beta > 0``; the Laplacian is then held as a ``LaplacianOperator``.
+    ``0.5*beta*tr(G.T H G)`` when a sample graph ``h_g`` is given and
+    ``beta > 0``; ``_sample_graph`` checks it against the rows of
+    ``x_unfold``.
     The set-up forms only the Gram ``S.T @ S`` and the cross term ``X @ S``,
     so :meth:`objective` is the expanded form without its constant,
     ``0.5*<G S.T S, G> - <G, X S>``.  Without ``x_unfold`` only the Gram is
@@ -192,9 +208,7 @@ class _Subproblem:
             self.sts += s.T @ s
             if self.xs is not None:
                 self.xs += x_unfold[:, lo : lo + _BLOCK] @ s
-        if h_g is not None and beta > 0 and not isinstance(h_g, LaplacianOperator):
-            h_g = LaplacianOperator(h_g)
-        self.h_g = h_g if beta > 0 else None
+        self.h_g = _sample_graph(h_g, beta, None if x_unfold is None else x_unfold.shape[0])
         self.beta = beta
 
     @property
@@ -235,14 +249,12 @@ def gradient_ntr(g2, subchain2, x_unfold):
 def gradient_gntr(g2, subchain2, x_unfold, h_g, beta):
     """Gradient of the graph-regularized subproblem (sample mode only).
 
-    ``h_g`` is the Laplacian, dense or as a ``LaplacianOperator``; ``None``
-    gives the plain gradient, as does ``beta == 0``.
+    ``h_g`` is the sample graph, a ``NeighborGraph``, as :func:`fit`
+    takes it; ``None`` gives the plain gradient, as does ``beta == 0``.
     """
     g2 = as_tensor(g2)
     subchain2 = as_tensor(subchain2)
     x_unfold = as_tensor(x_unfold)
-    if h_g is not None and np.shape(h_g)[-1:] != (g2.shape[0],):
-        raise ValueError(f"Laplacian shape {np.shape(h_g)} does not match g2 rows")
     if (
         g2.shape[1] != subchain2.shape[1]
         or x_unfold.shape[0] != g2.shape[0]
@@ -263,9 +275,8 @@ def lipschitz_ntr(subchain2):
 def lipschitz_gntr(subchain2, h_g, beta):
     """Lipschitz constant of the graph-regularized subproblem gradient.
 
-    ``h_g`` is the Laplacian, dense or as a ``LaplacianOperator``, whose
-    kept norm is then reused.  ``None`` gives the plain constant, as does
-    ``beta == 0``.
+    ``h_g`` is the sample graph, a ``NeighborGraph``, whose kept norm is
+    reused.  ``None`` gives the plain constant, as does ``beta == 0``.
     """
     return _Subproblem(as_tensor(subchain2), None, h_g, beta).lipschitz
 
@@ -301,11 +312,11 @@ def solve_core(x_unfold, subchain2, g_init, cfg, h_g=None, callback=None):
         Nonnegative starting iterate (current core unfolding).
     cfg : SolverConfig
         Supplies ``t_max`` and ``beta``.
-    h_g : LaplacianOperator or ndarray, optional
-        Sample-graph Laplacian; pass only for the sample-mode core.
-        :func:`fit` passes the graph itself, an operator that keeps its
-        ``||H||_2``, so the norm is not recomputed per call; a dense
-        Laplacian is wrapped in a new operator on every call.
+    h_g : NeighborGraph, optional
+        Sample graph whose Laplacian regularizes the core; pass only for
+        the sample-mode core.  Checked as :func:`fit` checks its graph.
+        The graph keeps its ``||H||_2``, so the norm is not recomputed
+        per call.
     callback : callable, optional
         ``callback(g_new, y, grad_y)`` after each accepted iterate, for
         diagnostics and audits.
@@ -387,15 +398,7 @@ def fit(x, ranks, cfg=None, graph=None):
     dims = x.shape
     d = x.ndim
 
-    if graph is not None and cfg.beta > 0:
-        if not isinstance(graph, NeighborGraph):
-            raise ValueError("graph must be a NeighborGraph")
-        if graph.n_samples != dims[-1]:
-            raise ValueError(
-                f"graph has {graph.n_samples} samples, tensor has {dims[-1]}"
-            )
-    else:
-        graph = None
+    graph = _sample_graph(graph, cfg.beta, dims[-1])
 
     t0 = time.perf_counter()
     init = init_random(dims, ranks, cfg.seed)

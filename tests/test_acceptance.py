@@ -161,7 +161,7 @@ def test_criterion_2_gradient_finite_difference_checks():
             return f_plain(v) + 0.5 * beta * float(np.vdot(v, h @ v))
 
         ref = fd_gradient(f_graph, g)
-        err = np.linalg.norm(gradient_gntr(g, s2, xn, h, beta) - ref) / np.linalg.norm(ref)
+        err = np.linalg.norm(gradient_gntr(g, s2, xn, graph, beta) - ref) / np.linalg.norm(ref)
         worst_graph = max(worst_graph, err)
     elapsed = time.perf_counter() - start
     check(
@@ -180,14 +180,14 @@ def test_criterion_3_lipschitz_and_majorization():
         use_graph = trial % 2 == 1
         if use_graph:
             graph = neighbor_graph(rng.random((3, 6)), 2)
-            h, beta = graph.laplacian, 0.2
-            lip = lipschitz_gntr(s2, h, beta)
+            beta = 0.2
+            lip = lipschitz_gntr(s2, graph, beta)
         else:
             lip = lipschitz_ntr(s2)
         a = rng.standard_normal((6, 4))
         b = rng.standard_normal((6, 4))
         if use_graph:
-            diff = gradient_gntr(a, s2, xn, h, beta) - gradient_gntr(b, s2, xn, h, beta)
+            diff = gradient_gntr(a, s2, xn, graph, beta) - gradient_gntr(b, s2, xn, graph, beta)
         else:
             diff = gradient_ntr(a, s2, xn) - gradient_ntr(b, s2, xn)
         if np.linalg.norm(diff) > lip * np.linalg.norm(a - b) * (1 + 1e-9):
@@ -199,17 +199,18 @@ def test_criterion_3_lipschitz_and_majorization():
     graph = neighbor_graph(x, 5)
     bad_steps = 0
     total_steps = 0
-    for h_g, beta in ((None, 0.0), (graph.laplacian, 0.1)):
+    for h_g, beta in ((None, 0.0), (graph, 0.1)):
         mode = 3
         s2 = subchain_unfold2(build_subchain(cores, mode))
         xn = unfold_tr(x, mode)
         g0 = core_unfold2(cores[mode])
         lip = lipschitz_ntr(s2) if h_g is None else lipschitz_gntr(s2, h_g, beta)
+        h = None if h_g is None else h_g.laplacian
 
         def f(v):
             val = 0.5 * np.linalg.norm(xn - v @ s2.T) ** 2
-            if h_g is not None:
-                val += 0.5 * beta * float(np.vdot(v, h_g @ v))
+            if h is not None:
+                val += 0.5 * beta * float(np.vdot(v, h @ v))
             return val
 
         steps = []

@@ -564,6 +564,22 @@ class TestExitCodes:
         assert not fit_calls
         assert not list(tmp_path.rglob("*.csv"))
 
+    @pytest.mark.parametrize("argv", [
+        ["cluster"],
+        ["sweep", "--sweep-param", "beta", "--sweep-values", "0.1,0.2"],
+    ])
+    def test_negative_seed_fails_before_any_graph_or_fit(self, argv, blob_files, tmp_path,
+                                                         capsys, fit_calls, monkeypatch):
+        built = []
+        monkeypatch.setattr("tring.cli.neighbor_graph", lambda x, p: built.append(p))
+        data, labels = blob_files
+        code = main(argv + ["--data", str(data), "--labels", str(labels), "--beta", "0.1",
+                            "--seed", "-1", "--repeats", "1", "--restarts", "2", "--tmax", "5",
+                            "--max-sweeps", "2", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "seed must be an integer >= 0" in capsys.readouterr().err
+        assert not built and not fit_calls
+
     def test_unknown_command_exits_via_argparse(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])

@@ -7,7 +7,7 @@ import pytest
 from scipy import sparse
 
 import tring.graph
-from tring.graph import LaplacianOperator, NeighborGraph, neighbor_graph
+from tring.graph import NeighborGraph, neighbor_graph
 from tring.solver import SolverConfig, fit
 from tring.tensor_ops import unfold_tr
 
@@ -29,9 +29,14 @@ def kernel_distances(x):
     return np.sqrt(tring.graph._squared_distances(flat, flat, sq, sq))
 
 
-def quadratic(op, g):
-    """``tr(g.T @ h @ g)`` for the Laplacian ``h`` that ``op`` applies."""
-    return float(np.vdot(g, op @ g))
+def quadratic(graph, g):
+    """``tr(g.T @ h @ g)`` for the Laplacian ``h`` that ``graph`` applies."""
+    return float(np.vdot(g, graph @ g))
+
+
+def two_node_graph(lap):
+    """The hand-built graph of one edge that applies the Laplacian ``lap``."""
+    return NeighborGraph(w=np.array([[0.0, 1.0], [1.0, 0.0]]), degree=np.ones(2), laplacian=lap)
 
 
 def mutual_knn_oracle(dist, p):
@@ -182,7 +187,7 @@ class TestLaplacianQuadratic:
     def test_two_node_hand_value(self):
         h = np.array([[1.0, -1.0], [-1.0, 1.0]])
         v = np.array([[0.0], [2.0]])
-        assert quadratic(LaplacianOperator(h), v) == pytest.approx(4.0)
+        assert quadratic(two_node_graph(h), v) == pytest.approx(4.0)
 
     def test_matches_pairwise_difference_oracle(self):
         rng = np.random.default_rng(8)
@@ -204,24 +209,22 @@ class TestImmutableOperator:
     def test_caller_edits_leave_products_and_norm_unchanged(self):
         lap = np.array([[1.0, -1.0], [-1.0, 1.0]])
         csr = sparse.csr_array(lap)
-        op = LaplacianOperator(csr)
-        norm = op.norm
+        graph = two_node_graph(csr)
+        norm = graph.norm
         csr.data *= 100.0
-        assert np.array_equal(op @ np.eye(2), lap)
-        assert op.norm == norm == tring.graph.laplacian_norm(lap)
+        assert np.array_equal(graph @ np.eye(2), lap)
+        assert graph.norm == norm == tring.graph.laplacian_norm(lap)
 
     def test_matrix_read_only_and_not_reassignable(self):
-        op = LaplacianOperator(np.array([[1.0, -1.0], [-1.0, 1.0]]))
-        for arr in (op.matrix.data, op.matrix.indices, op.matrix.indptr):
-            assert not arr.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            op.matrix.data[0] = 5.0
-        with pytest.raises(AttributeError, match="immutable"):
-            op.matrix = sparse.csr_array(np.eye(2))
+        hand = two_node_graph(np.array([[1.0, -1.0], [-1.0, 1.0]]))
         g = neighbor_graph(np.random.default_rng(4).random((2, 5)), 2)
-        assert isinstance(g, LaplacianOperator)
-        with pytest.raises(AttributeError, match="immutable"):
-            g.matrix = sparse.csr_array(np.eye(5))
+        for graph in (hand, g):
+            for arr in (graph.matrix.data, graph.matrix.indices, graph.matrix.indptr):
+                assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                graph.matrix.data[0] = 5.0
+            with pytest.raises(AttributeError, match="immutable"):
+                graph.matrix = sparse.csr_array(np.eye(graph.n_samples))
 
 
 class TestBlockedBuild:

@@ -108,6 +108,10 @@ class TestReadPnm:
             pytest.param(b"P5\n0 1\n255\n", "bad dimensions or maxval", id="zero-width"),
             pytest.param(b"P5\n1 1\n65536\n\x00\x00", "bad dimensions or maxval", id="maxval"),
             pytest.param(b"P5\n1 1\n255", "truncated raster data", id="no-raster"),
+            pytest.param(b"P5\n2 1\n100\n\x00\xc8", "sample 200 above maxval 100",
+                         id="sample-above-maxval"),
+            pytest.param(b"P5\n1 1\n1000\n\x03\xe9", "sample 1001 above maxval 1000",
+                         id="16-bit-sample-above-maxval"),
         ],
     )
     def test_header_errors(self, tmp_path, data, error):
@@ -160,6 +164,13 @@ class TestAreaResize:
         img = np.array([[1.0, 1.0, 3.0, 3.0], [1.0, 1.0, 3.0, 3.0]])
         out = area_resize(img, 1, 2)
         assert np.allclose(out, [[1.0, 3.0]])
+
+    @pytest.mark.parametrize("value", [2.5, np.float64(2.0), "2"])
+    @pytest.mark.parametrize("side", ["height", "width"])
+    def test_non_integer_size_rejected_not_truncated(self, side, value):
+        size = (value, 2) if side == "height" else (2, value)
+        with pytest.raises(ValueError, match=f"output {side} must be an integer"):
+            area_resize(np.ones((4, 4)), *size)
 
     def test_fractional_overlap(self):
         # 3 -> 2 cells: output 0 covers [0, 1.5) = cell0 + half of cell1

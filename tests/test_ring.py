@@ -16,6 +16,8 @@ from tring.ring import (
     relative_error,
     subchain_unfold2,
 )
+from tring.solver import SolverConfig, fit
+from tring.synthetic import ring_tensor
 from tring.tensor_ops import fold_tr, unfold_tr
 
 
@@ -100,6 +102,19 @@ class TestInitRandom:
     def test_rank_length_mismatch(self):
         with pytest.raises(ValueError):
             init_random((4, 4), (2, 2, 2), seed=0)
+
+    @pytest.mark.parametrize("value", [2.7, 4.9, np.float64(2.0), "2"])
+    @pytest.mark.parametrize("size", ["dimension", "rank", "fit_rank"])
+    def test_non_integer_size_rejected_not_truncated(self, size, value):
+        x, _ = ring_tensor((3, 4, 5), (2, 2, 2), seed=0)
+        calls = {
+            "dimension": lambda: init_random((3, value), (2, 2), seed=0),
+            "rank": lambda: init_random((3, 4), (2, value), seed=0),
+            "fit_rank": lambda: fit(x, (value, 2, 2), SolverConfig(max_sweeps=1, beta=0.0)),
+        }
+        name = "dimension" if size == "dimension" else "rank"
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            calls[size]()
 
 
 class TestSubchain:

@@ -8,10 +8,11 @@ import sys
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import tring.graph
 import tring.solver
-from tring.graph import LaplacianOperator, NeighborGraph, neighbor_graph
+from tring.graph import NeighborGraph, neighbor_graph
 from tring.ring import (
     build_subchain,
     core_unfold2,
@@ -55,9 +56,14 @@ def fd_gradient(objective, g, h=1e-6):
     return grad
 
 
+def laplacian_graph(lap):
+    """A hand-built graph that applies the Laplacian ``lap``."""
+    degree = np.diag(lap).copy()
+    return NeighborGraph(w=np.diag(degree) - lap, degree=degree, laplacian=lap)
+
+
 def empty_graph(n):
-    zeros = np.zeros((n, n))
-    return NeighborGraph(w=zeros, degree=np.zeros(n), laplacian=zeros)
+    return laplacian_graph(np.zeros((n, n)))
 
 
 def random_instance(seed, rows=5, cols=8, width=4):
@@ -115,14 +121,14 @@ class TestGradients:
         g = np.tile(np.abs(rng.standard_normal((1, 4))), (6, 1))  # constant rows
         xn = g @ s2.T
         graph = neighbor_graph(rng.random((3, 6)), 2)
-        grad = gradient_gntr(g, s2, xn, graph.laplacian, 0.5)
+        grad = gradient_gntr(g, s2, xn, graph, 0.5)
         assert np.abs(grad).max() <= 1e-10
 
     @pytest.mark.parametrize("seed", range(8))
     def test_graph_gradient_matches_finite_differences(self, seed):
         g, s2, xn = random_instance(seed + 20, rows=6)
         graph = neighbor_graph(np.random.default_rng(seed).random((4, 6)), 2)
-        h, beta = graph.laplacian, 0.1
+        h, beta = graph, 0.1
         grad = gradient_gntr(g, s2, xn, h, beta)
         ref = fd_gradient(lambda v: objective_graph(v, s2, xn, h, beta), g)
         assert np.linalg.norm(grad - ref) / np.linalg.norm(ref) <= 1e-5
@@ -164,7 +170,7 @@ class TestLipschitz:
         s2 = np.abs(rng.standard_normal((8, 4)))
         xn = np.abs(rng.standard_normal((6, 8)))
         graph = neighbor_graph(rng.random((3, 6)), 2)
-        h, beta = graph.laplacian, 0.3
+        h, beta = graph, 0.3
         lip = lipschitz_gntr(s2, h, beta)
         for _ in range(20):
             a = rng.standard_normal((6, 4))
@@ -223,23 +229,23 @@ class TestLipschitz:
         # undershoot by an ulp (1.9999999999999998 for the 2-node path's 2.0).
         rng = np.random.default_rng(30)
         if case == "isolated":
-            laps = []
+            graphs = []
             for n in (6, 12, 40, 150):
                 for _ in range(4):
                     g = neighbor_graph(rng.random((3, n)), 1)
                     assert np.any(g.degree == 0)
-                    laps.append(g.laplacian)
+                    graphs.append(g)
         elif case == "no_edges":
-            laps = [np.zeros((7, 7))]
+            graphs = [empty_graph(7)]
         elif case.startswith("path"):
             n = int(case[-1])
             w = np.eye(n, k=1) + np.eye(n, k=-1)
-            laps = [np.diag(w.sum(axis=1)) - w]
+            graphs = [laplacian_graph(np.diag(w.sum(axis=1)) - w)]
         else:
-            laps = [n * np.eye(n) - np.ones((n, n)) for n in (3, 9, 30)]
-        for h in laps:
-            top = np.linalg.eigvalsh(h)[-1]
-            lip = lipschitz_gntr(np.zeros((1, 1)), h, 1.0)
+            graphs = [laplacian_graph(n * np.eye(n) - np.ones((n, n))) for n in (3, 9, 30)]
+        for graph in graphs:
+            top = np.linalg.eigvalsh(graph.laplacian)[-1]
+            lip = lipschitz_gntr(np.zeros((1, 1)), graph, 1.0)
             assert top <= lip <= top * (1 + 1e-8) + 1e-12
 
 
@@ -456,6 +462,7 @@ class TestFit:
         ("tol", 0.0), ("tol", -1e-6), ("tol", np.nan), ("tol", np.inf),
         ("t_max", 0), ("t_max", 2.5), ("t_max", "3"),
         ("max_sweeps", 0), ("max_sweeps", 2.5), ("max_sweeps", None),
+        ("seed", 1.5), ("seed", -1),
     ])
     def test_config_rejects_values_it_cannot_run(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -657,6 +664,8 @@ class TestBlockedSetup:
 
 
 class TestLaplacianOperator:
+    """The sample graph as the Laplacian operator every solver entry point applies."""
+
     @staticmethod
     def sample_mode_problem(beta=0.5):
         x, _ = blob_tensor((4, 4), 3, 10, seed=4)
@@ -668,14 +677,44 @@ class TestLaplacianOperator:
 
     def test_solve_core_sparse_matches_dense_products(self, monkeypatch):
         args, graph = self.sample_mode_problem()
-        op = LaplacianOperator(graph.laplacian)
-        sparse_out = solve_core(*args, h_g=op)
-        # A dense Laplacian from a caller goes through the same operator.
-        assert np.array_equal(solve_core(*args, h_g=graph.laplacian), sparse_out)
+        sparse_out = solve_core(*args, h_g=graph)
+        # A dense Laplacian is not a graph: it goes in through a NeighborGraph.
+        with pytest.raises(ValueError, match="NeighborGraph"):
+            solve_core(*args, h_g=graph.laplacian)
         dense = graph.laplacian
-        monkeypatch.setattr(LaplacianOperator, "__matmul__", lambda self, g: dense @ g)
-        dense_out = solve_core(*args, h_g=op)
+        monkeypatch.setattr(NeighborGraph, "__matmul__", lambda self, g: dense @ g)
+        dense_out = solve_core(*args, h_g=graph)
         assert np.linalg.norm(sparse_out - dense_out) <= 1e-12 * np.linalg.norm(dense_out)
+
+    @pytest.mark.parametrize("entry", ["solve_core", "gradient_gntr", "lipschitz_gntr"])
+    def test_only_a_neighbor_graph_is_accepted(self, entry):
+        (xn, s2, g0, cfg), graph = self.sample_mode_problem()
+        calls = {
+            "solve_core": lambda h, beta: solve_core(xn, s2, g0, SolverConfig(beta=beta), h_g=h),
+            "gradient_gntr": lambda h, beta: gradient_gntr(g0, s2, xn, h, beta),
+            "lipschitz_gntr": lambda h, beta: lipschitz_gntr(s2, h, beta),
+        }
+        for dense in (graph.laplacian, sparse.csr_array(graph.laplacian)):
+            with pytest.raises(ValueError, match="graph must be a NeighborGraph"):
+                calls[entry](dense, cfg.beta)
+            calls[entry](dense, 0.0)  # beta == 0 ignores h_g, as fit ignores its graph
+        calls[entry](graph, cfg.beta)
+
+    @pytest.mark.parametrize("entry", ["solve_core", "gradient_gntr"])
+    def test_graph_of_another_sample_count_rejected_as_fit_rejects_it(self, entry):
+        (xn, s2, g0, cfg), _ = self.sample_mode_problem()
+        n = xn.shape[0]
+        other = empty_graph(n + 1)
+        calls = {
+            "solve_core": lambda: solve_core(xn, s2, g0, cfg, h_g=other),
+            "gradient_gntr": lambda: gradient_gntr(g0, s2, xn, other, cfg.beta),
+        }
+        message = f"graph has {n + 1} samples, tensor has {n}"
+        with pytest.raises(ValueError, match=message):
+            calls[entry]()
+        x = blob_tensor((4, 4), 3, 10, seed=4)[0]
+        with pytest.raises(ValueError, match=message):
+            fit(x, (2, 2, 3), cfg, other)
 
     def test_norm_computed_once_per_graph_fit(self, monkeypatch):
         calls = []
