@@ -10,11 +10,11 @@ conventions matter.
 import numpy as np
 
 from tring import (
+    Subproblem,
     build_subchain,
     core_unfold2,
     fold_tr,
     init_random,
-    lipschitz_ntr,
     reconstruct,
     subchain_unfold2,
     unfold_tr,
@@ -48,8 +48,9 @@ for mode in range(3):
     g2 = core_unfold2(cores[mode])                       # i_n x (r_n r_{n+1})
     s2 = subchain_unfold2(build_subchain(cores, mode))   # rest x (r_n r_{n+1})
     residual = np.abs(fold_tr(g2 @ s2.T, mode, dims) - x_fast).max()
+    lipschitz = Subproblem(s2, unfold_tr(x_fast, mode)).lipschitz
     print(f"mode {mode}: unfold identity residual {residual:.3e}, "
-          f"step-size constant ||S^T S||_2 {lipschitz_ntr(s2):.3f}")
+          f"step-size constant ||S^T S||_2 {lipschitz:.3f}")
 
 # Cyclic unfolding = cycle the dimensions to the front, then flatten with
 # the first remaining dimension fastest. Nonnegative cores always give a

@@ -28,12 +28,9 @@ from .solver import (
     FitReport,
     NumericalError,
     SolverConfig,
+    Subproblem,
     alpha_next,
     fit,
-    gradient_gntr,
-    gradient_ntr,
-    lipschitz_gntr,
-    lipschitz_ntr,
     prox_step,
     search_point,
     solve_core,
@@ -59,10 +56,7 @@ __all__ = [
     "relative_error",
     "feature_matrix",
     "neighbor_graph",
-    "gradient_ntr",
-    "gradient_gntr",
-    "lipschitz_ntr",
-    "lipschitz_gntr",
+    "Subproblem",
     "alpha_next",
     "search_point",
     "prox_step",

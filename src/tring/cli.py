@@ -379,16 +379,19 @@ def build_parser():
     fitting = argparse.ArgumentParser(add_help=False)
     fitting.add_argument("--data", required=True, help="input tensor (.ten)")
     fitting.add_argument("--ranks", help="comma-separated rank chain r1,...,rd")
+    # The solver knobs default to SolverConfig's, except --beta: a command
+    # fits plain unless it is asked for the graph.
     fitting.add_argument("--beta", type=float, default=0.0,
                          help="graph regularization weight (0 = plain fit)")
     fitting.add_argument("--p", type=int, default=5,
                          help="neighbor count for the graph (read when --beta > 0)")
-    fitting.add_argument("--tmax", type=int, default=100,
+    fitting.add_argument("--tmax", type=int, default=SolverConfig.t_max,
                          help="inner iterations per core")
-    fitting.add_argument("--tol", type=float, default=1e-6,
+    fitting.add_argument("--tol", type=float, default=SolverConfig.tol,
                          help="relative objective-change stopping threshold")
-    fitting.add_argument("--max-sweeps", type=int, default=500, help="outer sweep cap")
-    fitting.add_argument("--seed", type=int, default=0,
+    fitting.add_argument("--max-sweeps", type=int, default=SolverConfig.max_sweeps,
+                         help="outer sweep cap")
+    fitting.add_argument("--seed", type=int, default=SolverConfig.seed,
                          help="random seed; repeated run r uses seed + r")
     fitting.add_argument("--out", default="tring-out", help="output directory")
     repeated = argparse.ArgumentParser(add_help=False, parents=[fitting])

@@ -188,6 +188,7 @@ def montage(tiles, rows, cols):
     """
     if not tiles:
         raise ValueError("no tiles to assemble")
+    rows, cols = as_count(rows, "rows"), as_count(cols, "cols")
     if rows * cols < len(tiles):
         raise ValueError(f"layout {rows}x{cols} smaller than {len(tiles)} tiles")
     shape = tiles[0].shape

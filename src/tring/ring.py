@@ -147,6 +147,7 @@ def build_subchain(cores, mode, workspace=None):
     d = len(cores)
     if d < 2:
         raise ValueError("subchain requires at least two cores")
+    mode = as_count(mode, "mode")
     if not 0 <= mode < d:
         raise ValueError(f"mode {mode} out of range for {d} cores")
     order = [(mode + j) % d for j in range(1, d)]

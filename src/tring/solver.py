@@ -11,23 +11,22 @@ and H is the sample-graph Laplacian.  The step size is the reciprocal of
 the subproblem's Lipschitz constant ||S.T S||_2 (+ beta*||H||_2 for the
 regularized sample-mode update).
 
-The subproblem is defined once, by the private ``_Subproblem``: its
-objective, gradient and Lipschitz constant are what :func:`solve_core`
-iterates on, what :func:`gradient_ntr`, :func:`gradient_gntr`,
-:func:`lipschitz_ntr` and :func:`lipschitz_gntr` return, and what
-:func:`fit` reports per sweep.  It forms the r^2 x r^2 Gram S.T S once,
-for the gradient and for the Lipschitz constant alike: ||S.T S||_2 is its
-top eigenvalue (``eigvalsh``) raised by the same small relative margin as
-the graph norm, so it never falls below the true value.  A subproblem
-holds only its Gram and its cross term X S; its
-objective leaves out the constant 0.5*||X||^2, which moves neither the
-minimizer, nor the gradient, nor the step.  :func:`fit` takes ||X||^2
-once and adds it to each objective it reports.
+The subproblem is defined once, by :class:`Subproblem`: its objective,
+gradient and Lipschitz constant are what :func:`solve_core` iterates on,
+what the acceptance criteria check, and what :func:`fit` reports per
+sweep.  It forms the r^2 x r^2 Gram S.T S once, for the gradient and for
+the Lipschitz constant alike: ||S.T S||_2 is its top eigenvalue
+(``eigvalsh``) raised by the same small relative margin as the graph norm,
+so it never falls below the true value.  A subproblem holds only its Gram
+and its cross term X S; its objective leaves out the constant
+0.5*||X||^2, which moves neither the minimizer, nor the gradient, nor the
+step.  :func:`fit` takes ||X||^2 once and adds it to each objective it
+reports.
 
 The set-up is what moves memory: on a tensor with many samples a
 subchain is tens of MB.  :func:`fit` builds every mode's subchain into
 one workspace, sized to the largest, instead of fresh memory per sweep,
-and ``_Subproblem`` forms the Gram and the cross term in one pass over
+and ``Subproblem`` forms the Gram and the cross term in one pass over
 row blocks of S that stay in cache.  A subchain of at most ``_BLOCK``
 rows is one block and gets the one-shot products bit for bit; longer ones
 differ from them only in rounding.
@@ -67,10 +66,7 @@ __all__ = [
     "FitReport",
     "DegenerateSubproblemError",
     "NumericalError",
-    "gradient_ntr",
-    "gradient_gntr",
-    "lipschitz_ntr",
-    "lipschitz_gntr",
+    "Subproblem",
     "alpha_next",
     "search_point",
     "prox_step",
@@ -162,53 +158,57 @@ class FitReport:
 _BLOCK = 4096
 
 
-def _sample_graph(graph, beta, n_samples=None):
+def _sample_graph(graph, beta, n_samples):
     """``graph``, checked, if it regularizes (``beta > 0``); else ``None``.
 
-    It must be a ``NeighborGraph`` with ``n_samples`` samples, where that is
-    given; anything else raises ``ValueError``.
+    It must be a ``NeighborGraph`` with ``n_samples`` samples; anything else
+    raises ``ValueError``.
     """
     if graph is None or not beta > 0:
         return None
     if not isinstance(graph, NeighborGraph):
         raise ValueError("graph must be a NeighborGraph")
-    if n_samples is not None and graph.n_samples != n_samples:
+    if graph.n_samples != n_samples:
         raise ValueError(f"graph has {graph.n_samples} samples, tensor has {n_samples}")
     return graph
 
 
-class _Subproblem:
+class Subproblem:
     """One core subproblem, the only definition of its objective, gradient and step.
 
     ``min_{G >= 0} 0.5*||x_unfold - G @ subchain2.T||_F^2`` plus
-    ``0.5*beta*tr(G.T H G)`` when a sample graph ``h_g`` is given and
-    ``beta > 0``; ``_sample_graph`` checks it against the rows of
+    ``0.5*beta*tr(G.T H G)`` when a sample ``graph`` is given and
+    ``beta > 0``; the graph must then be a ``NeighborGraph`` with one sample
+    per row of ``x_unfold``, or ``ValueError`` is raised, as :func:`fit`
+    raises it.  So is a ``subchain2`` with other than one row per column of
     ``x_unfold``.
-    The set-up forms only the Gram ``S.T @ S`` and the cross term ``X @ S``,
-    so :meth:`objective` is the expanded form without its constant,
-    ``0.5*<G S.T S, G> - <G, X S>``.  Without ``x_unfold`` only the Gram is
-    formed and ``xs`` is ``None``; that is how the public Lipschitz
-    functions read the very constant the solver steps with.
 
-    Both products come from one pass over row blocks of S: each block of
-    ``_BLOCK`` rows of S and the matching column block of X is read from
-    memory once and then reused from cache for both, where the one-shot
-    formulas read S twice.  A subchain of at most ``_BLOCK`` rows is one
-    block, and then the products are bitwise the one-shot ``S.T @ S`` and
-    ``X @ S``.  Longer ones add the blocks' products in row order, which can
-    change the last bits.
+    The set-up forms only the Gram ``sts = S.T @ S`` and the cross term
+    ``xs = X @ S``, so :meth:`objective` is the expanded form without its
+    constant, ``0.5*<G S.T S, G> - <G, X S>``.  Both products come from one
+    pass over row blocks of S: each block of ``_BLOCK`` rows of S and the
+    matching column block of X is read from memory once and then reused
+    from cache for both, where the one-shot formulas read S twice.  A
+    subchain of at most ``_BLOCK`` rows is one block, and then the products
+    are bitwise the one-shot ``S.T @ S`` and ``X @ S``.  Longer ones add the
+    blocks' products in row order, which can change the last bits.
     """
 
-    def __init__(self, subchain2, x_unfold=None, h_g=None, beta=0.0):
+    def __init__(self, subchain2, x_unfold, graph=None, beta=0.0):
+        subchain2 = as_tensor(subchain2)
+        x_unfold = as_tensor(x_unfold)
+        if subchain2.ndim != 2 or x_unfold.ndim != 2 or x_unfold.shape[1] != subchain2.shape[0]:
+            raise ValueError(
+                f"shape mismatch: subchain2 {subchain2.shape}, x_unfold {x_unfold.shape}"
+            )
         s = subchain2[:_BLOCK]
         self.sts = s.T @ s
-        self.xs = None if x_unfold is None else x_unfold[:, :_BLOCK] @ s
+        self.xs = x_unfold[:, :_BLOCK] @ s
         for lo in range(_BLOCK, subchain2.shape[0], _BLOCK):
             s = subchain2[lo : lo + _BLOCK]
             self.sts += s.T @ s
-            if self.xs is not None:
-                self.xs += x_unfold[:, lo : lo + _BLOCK] @ s
-        self.h_g = _sample_graph(h_g, beta, None if x_unfold is None else x_unfold.shape[0])
+            self.xs += x_unfold[:, lo : lo + _BLOCK] @ s
+        self.graph = _sample_graph(graph, beta, x_unfold.shape[0])
         self.beta = beta
 
     @property
@@ -222,63 +222,27 @@ class _Subproblem:
         if not np.all(np.isfinite(self.sts)):
             raise NumericalError("subchain Gram became non-finite")
         lipschitz = gram_norm(self.sts)
-        if self.h_g is not None:
-            lipschitz += self.beta * self.h_g.norm
+        if self.graph is not None:
+            lipschitz += self.beta * self.graph.norm
         if not math.isfinite(lipschitz):
             raise NumericalError(f"non-finite subproblem step size: {lipschitz}")
         return lipschitz
 
     def objective(self, g):
+        """The objective at ``g`` without its constant ``0.5*||X||^2``."""
         val = 0.5 * float(np.vdot(g @ self.sts, g)) - float(np.vdot(g, self.xs))
-        if self.h_g is not None:
-            val += 0.5 * self.beta * float(np.vdot(g, self.h_g @ g))
+        if self.graph is not None:
+            val += 0.5 * self.beta * float(np.vdot(g, self.graph @ g))
         return val
 
     def gradient(self, g):
+        """``g @ S.T S - X S`` (plus ``beta * H g``); ``g`` must be shaped like ``xs``."""
+        if np.shape(g) != self.xs.shape:
+            raise ValueError(f"shape mismatch: g {np.shape(g)}, expected {self.xs.shape}")
         grad = g @ self.sts - self.xs
-        if self.h_g is not None:
-            grad = grad + self.beta * (self.h_g @ g)
+        if self.graph is not None:
+            grad = grad + self.beta * (self.graph @ g)
         return grad
-
-
-def gradient_ntr(g2, subchain2, x_unfold):
-    """Gradient of 0.5*||x_unfold - g2 @ subchain2.T||_F^2 in g2."""
-    return gradient_gntr(g2, subchain2, x_unfold, None, 0.0)
-
-
-def gradient_gntr(g2, subchain2, x_unfold, h_g, beta):
-    """Gradient of the graph-regularized subproblem (sample mode only).
-
-    ``h_g`` is the sample graph, a ``NeighborGraph``, as :func:`fit`
-    takes it; ``None`` gives the plain gradient, as does ``beta == 0``.
-    """
-    g2 = as_tensor(g2)
-    subchain2 = as_tensor(subchain2)
-    x_unfold = as_tensor(x_unfold)
-    if (
-        g2.shape[1] != subchain2.shape[1]
-        or x_unfold.shape[0] != g2.shape[0]
-        or x_unfold.shape[1] != subchain2.shape[0]
-    ):
-        raise ValueError(
-            f"shape mismatch: g2 {g2.shape}, subchain2 {subchain2.shape}, "
-            f"x_unfold {x_unfold.shape}"
-        )
-    return _Subproblem(subchain2, x_unfold, h_g, beta).gradient(g2)
-
-
-def lipschitz_ntr(subchain2):
-    """Lipschitz constant ||S.T S||_2 of the plain subproblem gradient."""
-    return _Subproblem(as_tensor(subchain2)).lipschitz
-
-
-def lipschitz_gntr(subchain2, h_g, beta):
-    """Lipschitz constant of the graph-regularized subproblem gradient.
-
-    ``h_g`` is the sample graph, a ``NeighborGraph``, whose kept norm is
-    reused.  ``None`` gives the plain constant, as does ``beta == 0``.
-    """
-    return _Subproblem(as_tensor(subchain2), None, h_g, beta).lipschitz
 
 
 def alpha_next(alpha):
@@ -328,7 +292,7 @@ def solve_core(x_unfold, subchain2, g_init, cfg, h_g=None, callback=None):
         exceeds the initial one.
     """
     g_init = as_tensor(g_init)
-    sub = _Subproblem(as_tensor(subchain2), as_tensor(x_unfold), h_g, cfg.beta)
+    sub = Subproblem(subchain2, x_unfold, h_g, cfg.beta)
     lipschitz = sub.lipschitz
     if lipschitz == 0.0:
         raise DegenerateSubproblemError("all-zero subchain gives a zero step size")
@@ -413,8 +377,7 @@ def fit(x, ranks, cfg=None, graph=None):
 
     def objective(sub2, g):
         """The full objective at the sample-mode core ``g``, subchain ``sub2``."""
-        sub = _Subproblem(sub2, x_unfolds[d - 1], graph, cfg.beta)
-        return 0.5 * norm_x2 + sub.objective(g)
+        return 0.5 * norm_x2 + Subproblem(sub2, x_unfolds[d - 1], graph, cfg.beta).objective(g)
 
     sub2 = subchain_unfold2(build_subchain(cores, d - 1, workspace))
     prev_obj = initial_objective = objective(sub2, core_unfold2(cores[d - 1]))

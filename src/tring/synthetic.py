@@ -9,6 +9,7 @@ classification experiments).
 import numpy as np
 
 from .ring import init_random, reconstruct
+from .tensor_ops import as_count
 
 __all__ = ["ring_tensor", "blob_tensor"]
 
@@ -35,8 +36,10 @@ def blob_tensor(slice_dims, n_classes, per_class, noise=0.05, seed=0):
     Returns ``(tensor, labels)`` with tensor shape ``(*slice_dims,
     n_classes * per_class)``.
     """
-    slice_dims = tuple(int(s) for s in slice_dims)
-    if n_classes < 1 or per_class < 1:
+    slice_dims = tuple(as_count(s, "slice dimension") for s in slice_dims)
+    if any(s < 1 for s in slice_dims):
+        raise ValueError(f"slice dimensions must be >= 1, got {slice_dims}")
+    if as_count(n_classes, "n_classes") < 1 or as_count(per_class, "per_class") < 1:
         raise ValueError("need at least one class and one sample per class")
     rng = np.random.default_rng(seed)
     prototypes = rng.random((n_classes,) + slice_dims)

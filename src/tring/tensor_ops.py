@@ -55,6 +55,7 @@ def unfold_tr(x, mode):
     that one varying fastest.
     """
     x = as_tensor(x)
+    mode = as_count(mode, "mode")
     d = x.ndim
     if not 0 <= mode < d:
         raise ValueError(f"mode {mode} out of range for order-{d} tensor")
@@ -66,7 +67,8 @@ def unfold_tr(x, mode):
 def fold_tr(m, mode, shape):
     """Exact inverse of :func:`unfold_tr` for the given shape."""
     m = as_tensor(m)
-    shape = tuple(int(s) for s in shape)
+    shape = tuple(as_count(s, "dimension") for s in shape)
+    mode = as_count(mode, "mode")
     d = len(shape)
     if not 0 <= mode < d:
         raise ValueError(f"mode {mode} out of range for shape {shape}")

@@ -24,15 +24,7 @@ from tring.ring import (
     relative_error,
     subchain_unfold2,
 )
-from tring.solver import (
-    SolverConfig,
-    fit,
-    gradient_gntr,
-    gradient_ntr,
-    lipschitz_gntr,
-    lipschitz_ntr,
-    solve_core,
-)
+from tring.solver import SolverConfig, Subproblem, fit, solve_core
 from tring.synthetic import blob_tensor, ring_tensor
 from tring.tensor_ops import fold_tr, unfold_tr
 
@@ -151,7 +143,7 @@ def test_criterion_2_gradient_finite_difference_checks():
             return 0.5 * np.linalg.norm(xn - v @ s2.T) ** 2
 
         ref = fd_gradient(f_plain, g)
-        err = np.linalg.norm(gradient_ntr(g, s2, xn) - ref) / np.linalg.norm(ref)
+        err = np.linalg.norm(Subproblem(s2, xn).gradient(g) - ref) / np.linalg.norm(ref)
         worst_plain = max(worst_plain, err)
 
         graph = neighbor_graph(rng.random((3, rows)), 2)
@@ -161,7 +153,8 @@ def test_criterion_2_gradient_finite_difference_checks():
             return f_plain(v) + 0.5 * beta * float(np.vdot(v, h @ v))
 
         ref = fd_gradient(f_graph, g)
-        err = np.linalg.norm(gradient_gntr(g, s2, xn, graph, beta) - ref) / np.linalg.norm(ref)
+        grad = Subproblem(s2, xn, graph, beta).gradient(g)
+        err = np.linalg.norm(grad - ref) / np.linalg.norm(ref)
         worst_graph = max(worst_graph, err)
     elapsed = time.perf_counter() - start
     check(
@@ -177,20 +170,14 @@ def test_criterion_3_lipschitz_and_majorization():
     for trial in range(100):
         s2 = np.abs(rng.standard_normal((9, 4)))
         xn = np.abs(rng.standard_normal((6, 9)))
-        use_graph = trial % 2 == 1
-        if use_graph:
-            graph = neighbor_graph(rng.random((3, 6)), 2)
-            beta = 0.2
-            lip = lipschitz_gntr(s2, graph, beta)
+        if trial % 2 == 1:
+            sub = Subproblem(s2, xn, neighbor_graph(rng.random((3, 6)), 2), 0.2)
         else:
-            lip = lipschitz_ntr(s2)
+            sub = Subproblem(s2, xn)
         a = rng.standard_normal((6, 4))
         b = rng.standard_normal((6, 4))
-        if use_graph:
-            diff = gradient_gntr(a, s2, xn, graph, beta) - gradient_gntr(b, s2, xn, graph, beta)
-        else:
-            diff = gradient_ntr(a, s2, xn) - gradient_ntr(b, s2, xn)
-        if np.linalg.norm(diff) > lip * np.linalg.norm(a - b) * (1 + 1e-9):
+        diff = sub.gradient(a) - sub.gradient(b)
+        if np.linalg.norm(diff) > sub.lipschitz * np.linalg.norm(a - b) * (1 + 1e-9):
             violations += 1
 
     # Majorization audit at every accepted step of seeded inner runs.
@@ -204,7 +191,7 @@ def test_criterion_3_lipschitz_and_majorization():
         s2 = subchain_unfold2(build_subchain(cores, mode))
         xn = unfold_tr(x, mode)
         g0 = core_unfold2(cores[mode])
-        lip = lipschitz_ntr(s2) if h_g is None else lipschitz_gntr(s2, h_g, beta)
+        lip = Subproblem(s2, xn, h_g, beta).lipschitz
         h = None if h_g is None else h_g.laplacian
 
         def f(v):

@@ -10,7 +10,7 @@ from tring.cli import build_parser, default_ranks, main
 from tring.fileio import FileFormatError, read_tensor, sha256_file, write_labels, write_tensor
 from tring.graph import neighbor_graph
 from tring.ring import TRCores, relative_error
-from tring.solver import DegenerateSubproblemError, NumericalError, fit
+from tring.solver import DegenerateSubproblemError, NumericalError, SolverConfig, fit
 from tring.synthetic import blob_tensor, ring_tensor
 
 
@@ -385,6 +385,13 @@ class TestOptions:
                    if isinstance(a, argparse._SubParsersAction))
         options = {s for a in sub.choices[command]._actions for s in a.option_strings}
         assert options == expected
+
+    def test_solver_defaults_are_solver_configs_but_beta(self):
+        args = build_parser().parse_args(["fit", "--data", "d.ten"])
+        cfg = SolverConfig()
+        assert (args.tmax, args.tol, args.max_sweeps, args.seed) == (
+            cfg.t_max, cfg.tol, cfg.max_sweeps, cfg.seed)
+        assert args.beta == 0.0 < cfg.beta  # a command fits plain unless asked
 
     @pytest.mark.parametrize("argv", [
         ["fit", "--data", "d.ten", "--restarts", "5"],

@@ -16,8 +16,9 @@ from tring.ring import (
     relative_error,
     subchain_unfold2,
 )
+from tring.images import montage
 from tring.solver import SolverConfig, fit
-from tring.synthetic import ring_tensor
+from tring.synthetic import blob_tensor, ring_tensor
 from tring.tensor_ops import fold_tr, unfold_tr
 
 
@@ -115,6 +116,32 @@ class TestInitRandom:
         name = "dimension" if size == "dimension" else "rank"
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             calls[size]()
+
+
+_SIZES_AND_MODES = {
+    "blob_float_dimension": (lambda: blob_tensor((4.9, 4), 2, 3), "slice dimension must be"),
+    "blob_zero_dimension": (lambda: blob_tensor((0, 4), 2, 3), "slice dimensions must be >= 1"),
+    "blob_float_classes": (lambda: blob_tensor((4, 4), 2.5, 3), "n_classes must be"),
+    "fold_float_dimension": (
+        lambda: fold_tr(np.ones((2, 12)), 0, (2.9, 3, 4)), "dimension must be"
+    ),
+    "fold_float_mode": (lambda: fold_tr(np.ones((2, 12)), 0.0, (2, 3, 4)), "mode must be"),
+    "unfold_float_mode": (lambda: unfold_tr(np.ones((2, 3, 4)), 1.0), "mode must be"),
+    "subchain_float_mode": (
+        lambda: build_subchain(init_random((2, 3, 4), (2, 2, 2), seed=0), 1.0), "mode must be"
+    ),
+    "montage_float_rows": (
+        lambda: montage([np.zeros((2, 2), dtype=np.uint8)], 1.5, 2), "rows must be"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SIZES_AND_MODES))
+def test_sizes_and_modes_rejected_not_truncated(case):
+    # 4.9 is not read as 4, nor a float mode raised as a TypeError.
+    call, message = _SIZES_AND_MODES[case]
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 class TestSubchain:

@@ -24,13 +24,9 @@ from tring.ring import (
 from tring.solver import (
     DegenerateSubproblemError,
     SolverConfig,
-    _Subproblem,
+    Subproblem,
     alpha_next,
     fit,
-    gradient_gntr,
-    gradient_ntr,
-    lipschitz_gntr,
-    lipschitz_ntr,
     prox_step,
     search_point,
     solve_core,
@@ -92,18 +88,18 @@ class TestGradients:
     def test_zero_at_exact_fit(self):
         g, s2, _ = random_instance(0)
         xn = g @ s2.T
-        assert np.abs(gradient_ntr(g, s2, xn)).max() <= 1e-12 * np.abs(xn).max()
+        assert np.abs(Subproblem(s2, xn).gradient(g)).max() <= 1e-12 * np.abs(xn).max()
 
     def test_orthonormal_subchain_zero_data(self):
         g = np.abs(np.random.default_rng(1).standard_normal((5, 3)))
         s2, _ = np.linalg.qr(np.random.default_rng(2).standard_normal((8, 3)))
-        grad = gradient_ntr(g, s2, np.zeros((5, 8)))
+        grad = Subproblem(s2, np.zeros((5, 8))).gradient(g)
         assert np.allclose(grad, g, rtol=1e-12, atol=1e-13)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_finite_differences(self, seed):
         g, s2, xn = random_instance(seed)
-        grad = gradient_ntr(g, s2, xn)
+        grad = Subproblem(s2, xn).gradient(g)
         ref = fd_gradient(lambda v: objective_plain(v, s2, xn), g)
         assert np.linalg.norm(grad - ref) / np.linalg.norm(ref) <= 1e-5
 
@@ -112,7 +108,7 @@ class TestGradients:
         h = np.random.default_rng(10).random((5, 5))
         h = h + h.T
         assert np.array_equal(
-            gradient_gntr(g, s2, xn, h, 0.0), gradient_ntr(g, s2, xn)
+            Subproblem(s2, xn, h, 0.0).gradient(g), Subproblem(s2, xn).gradient(g)
         )
 
     def test_laplacian_annihilates_constant_rows_at_exact_fit(self):
@@ -121,7 +117,7 @@ class TestGradients:
         g = np.tile(np.abs(rng.standard_normal((1, 4))), (6, 1))  # constant rows
         xn = g @ s2.T
         graph = neighbor_graph(rng.random((3, 6)), 2)
-        grad = gradient_gntr(g, s2, xn, graph, 0.5)
+        grad = Subproblem(s2, xn, graph, 0.5).gradient(g)
         assert np.abs(grad).max() <= 1e-10
 
     @pytest.mark.parametrize("seed", range(8))
@@ -129,40 +125,50 @@ class TestGradients:
         g, s2, xn = random_instance(seed + 20, rows=6)
         graph = neighbor_graph(np.random.default_rng(seed).random((4, 6)), 2)
         h, beta = graph, 0.1
-        grad = gradient_gntr(g, s2, xn, h, beta)
+        grad = Subproblem(s2, xn, h, beta).gradient(g)
         ref = fd_gradient(lambda v: objective_graph(v, s2, xn, h, beta), g)
         assert np.linalg.norm(grad - ref) / np.linalg.norm(ref) <= 1e-5
 
     def test_shape_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            gradient_ntr(np.ones((3, 2)), np.ones((4, 3)), np.ones((3, 4)))
+        # X has 5 columns, S has 4 rows.
+        with pytest.raises(ValueError, match="shape mismatch"):
+            Subproblem(np.ones((4, 3)), np.ones((3, 5)))
+
+    @pytest.mark.parametrize("rows, cols", [(1, 4), (5, 3), (4, 4)])
+    def test_gradient_rejects_an_iterate_not_shaped_like_xs(self, rows, cols):
+        # A one-row iterate would broadcast against the (5, 4) cross term.
+        g, s2, xn = random_instance(3)
+        sub = Subproblem(s2, xn)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            sub.gradient(g[:rows, :cols])
 
 
 class TestLipschitz:
     def test_orthonormal_columns_give_one(self):
         s2, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((9, 4)))
-        assert lipschitz_ntr(s2) == pytest.approx(1.0, rel=1e-8)
+        assert Subproblem(s2, np.zeros((1, 9))).lipschitz == pytest.approx(1.0, rel=1e-8)
 
     def test_zero_beta_reduces_to_plain(self):
         s2 = np.random.default_rng(1).random((7, 3))
-        h = np.eye(5)
-        assert lipschitz_gntr(s2, h, 0.0) == lipschitz_ntr(s2)
+        h, xn = np.eye(5), np.zeros((5, 7))
+        assert Subproblem(s2, xn, h, 0.0).lipschitz == Subproblem(s2, xn).lipschitz
 
     def test_no_laplacian_gives_plain(self):
-        # As gradient_gntr documents for h_g=None, whatever beta is.
-        s2 = np.random.default_rng(2).random((7, 3))
-        assert lipschitz_gntr(s2, None, 0.4) == lipschitz_ntr(s2)
+        # No graph gives the plain constant, whatever beta is.
+        s2, xn = np.random.default_rng(2).random((7, 3)), np.zeros((5, 7))
+        assert Subproblem(s2, xn, None, 0.4).lipschitz == Subproblem(s2, xn).lipschitz
 
     @pytest.mark.parametrize("seed", range(5))
     def test_sampled_lipschitz_inequality(self, seed):
         rng = np.random.default_rng(seed)
         s2 = np.abs(rng.standard_normal((8, 4)))
         xn = np.abs(rng.standard_normal((5, 8)))
-        lip = lipschitz_ntr(s2)
+        sub = Subproblem(s2, xn)
+        lip = sub.lipschitz
         for _ in range(20):
             a = rng.standard_normal((5, 4))
             b = rng.standard_normal((5, 4))
-            lhs = np.linalg.norm(gradient_ntr(a, s2, xn) - gradient_ntr(b, s2, xn))
+            lhs = np.linalg.norm(sub.gradient(a) - sub.gradient(b))
             assert lhs <= lip * np.linalg.norm(a - b) * (1 + 1e-9)
 
     def test_graph_lipschitz_inequality(self):
@@ -170,14 +176,12 @@ class TestLipschitz:
         s2 = np.abs(rng.standard_normal((8, 4)))
         xn = np.abs(rng.standard_normal((6, 8)))
         graph = neighbor_graph(rng.random((3, 6)), 2)
-        h, beta = graph, 0.3
-        lip = lipschitz_gntr(s2, h, beta)
+        sub = Subproblem(s2, xn, graph, 0.3)
+        lip = sub.lipschitz
         for _ in range(20):
             a = rng.standard_normal((6, 4))
             b = rng.standard_normal((6, 4))
-            lhs = np.linalg.norm(
-                gradient_gntr(a, s2, xn, h, beta) - gradient_gntr(b, s2, xn, h, beta)
-            )
+            lhs = np.linalg.norm(sub.gradient(a) - sub.gradient(b))
             assert lhs <= lip * np.linalg.norm(a - b) * (1 + 1e-9)
 
     @pytest.mark.parametrize("case", ["rank_deficient", "all_zero", "one_column"])
@@ -189,30 +193,25 @@ class TestLipschitz:
             s2 = np.zeros((7, 4))
         else:
             s2 = np.abs(rng.standard_normal((8, 1)))
-        assert lipschitz_ntr(s2) >= np.linalg.eigvalsh(s2.T @ s2)[-1]
+        lip = Subproblem(s2, np.zeros((1, s2.shape[0]))).lipschitz
+        assert lip >= np.linalg.eigvalsh(s2.T @ s2)[-1]
 
     @pytest.mark.parametrize("beta", [0.0, 0.4])
     def test_solver_steps_at_the_public_constant(self, beta):
-        # Criteria 2 and 3 check gradient_ntr/gntr and lipschitz_ntr/gntr;
-        # every step solve_core takes must use exactly that gradient and
-        # that constant.
+        # Criteria 2 and 3 check Subproblem's gradient and constant; every
+        # step solve_core takes must use exactly that gradient and that
+        # constant.
         x, _ = blob_tensor((4, 4), 3, 10, seed=4)
         graph = neighbor_graph(x, 4)
         cores = init_random(x.shape, (2, 2, 3), seed=1)
         s2 = subchain_unfold2(build_subchain(cores, 2))
         xn = unfold_tr(x, 2)
-        if beta > 0:
-            lip = lipschitz_gntr(s2, graph, beta)
-        else:
-            lip = lipschitz_ntr(s2)
+        sub = Subproblem(s2, xn, graph, beta)
+        lip = sub.lipschitz
         steps = []
 
         def audit(g_new, y, grad_y):
-            if beta > 0:
-                public = gradient_gntr(y, s2, xn, graph, beta)
-            else:
-                public = gradient_ntr(y, s2, xn)
-            steps.append(np.array_equal(grad_y, public)
+            steps.append(np.array_equal(grad_y, sub.gradient(y))
                          and np.array_equal(g_new, prox_step(y, grad_y, lip)))
 
         solve_core(xn, s2, core_unfold2(cores[2]),
@@ -245,7 +244,8 @@ class TestLipschitz:
             graphs = [laplacian_graph(n * np.eye(n) - np.ones((n, n))) for n in (3, 9, 30)]
         for graph in graphs:
             top = np.linalg.eigvalsh(graph.laplacian)[-1]
-            lip = lipschitz_gntr(np.zeros((1, 1)), graph, 1.0)
+            zero_x = np.zeros((graph.n_samples, 1))
+            lip = Subproblem(np.zeros((1, 1)), zero_x, graph, 1.0).lipschitz
             assert top <= lip <= top * (1 + 1e-8) + 1e-12
 
 
@@ -329,7 +329,7 @@ class TestSolveCore:
         s2 = np.abs(rng.standard_normal((8, 4)))
         xn = np.abs(rng.standard_normal((6, 8)))
         g0 = np.abs(rng.standard_normal((6, 4)))
-        lip = lipschitz_ntr(s2)
+        lip = Subproblem(s2, xn).lipschitz
         checked = []
 
         def audit(g_new, y, grad_y):
@@ -571,7 +571,7 @@ print(hashlib.sha256(b"".join(c.tobytes() for c in cores)).hexdigest())
 
 
 class TestBlockedSetup:
-    """``_Subproblem`` forms S.T S and X S from row blocks of S."""
+    """``Subproblem`` forms S.T S and X S from row blocks of S."""
 
     # With _BLOCK = 8: fewer rows than a block, exactly one block, one row
     # over, and a whole number of blocks.
@@ -582,14 +582,11 @@ class TestBlockedSetup:
         rng = np.random.default_rng(rows)
         s2 = rng.random((rows, 6))
         x_unfold = np.asarray(rng.random((4, rows)), order=order)
-        sub = _Subproblem(s2, x_unfold)
-        sts, xs = sub.sts, sub.xs
-        for got, want in zip((sts, xs), (s2.T @ s2, x_unfold @ s2)):
+        sub = Subproblem(s2, x_unfold)
+        for got, want in zip((sub.sts, sub.xs), (s2.T @ s2, x_unfold @ s2)):
             np.testing.assert_allclose(got, want, rtol=1e-13)
             if rows <= 8:
                 assert np.array_equal(got, want)
-        gram_only = _Subproblem(s2)
-        assert np.array_equal(gram_only.sts, sts) and gram_only.xs is None
 
     @pytest.mark.parametrize("beta", [0.0, 0.4])
     def test_multi_block_steps_at_the_public_constant(self, monkeypatch, beta):
@@ -604,12 +601,12 @@ class TestBlockedSetup:
         xn = unfold_tr(x, 2)
         assert s2.shape[0] == 16
         h = graph if beta > 0 else None
-        lip = lipschitz_gntr(s2, h, beta) if beta > 0 else lipschitz_ntr(s2)
+        sub = Subproblem(s2, xn, h, beta)
+        lip = sub.lipschitz
         steps = []
 
         def audit(g_new, y, grad_y):
-            public = gradient_gntr(y, s2, xn, h, beta)
-            steps.append(np.array_equal(grad_y, public)
+            steps.append(np.array_equal(grad_y, sub.gradient(y))
                          and np.array_equal(g_new, prox_step(y, grad_y, lip)))
 
         solve_core(xn, s2, core_unfold2(cores[2]), SolverConfig(t_max=20, beta=beta),
@@ -686,13 +683,12 @@ class TestLaplacianOperator:
         dense_out = solve_core(*args, h_g=graph)
         assert np.linalg.norm(sparse_out - dense_out) <= 1e-12 * np.linalg.norm(dense_out)
 
-    @pytest.mark.parametrize("entry", ["solve_core", "gradient_gntr", "lipschitz_gntr"])
+    @pytest.mark.parametrize("entry", ["solve_core", "Subproblem"])
     def test_only_a_neighbor_graph_is_accepted(self, entry):
         (xn, s2, g0, cfg), graph = self.sample_mode_problem()
         calls = {
             "solve_core": lambda h, beta: solve_core(xn, s2, g0, SolverConfig(beta=beta), h_g=h),
-            "gradient_gntr": lambda h, beta: gradient_gntr(g0, s2, xn, h, beta),
-            "lipschitz_gntr": lambda h, beta: lipschitz_gntr(s2, h, beta),
+            "Subproblem": lambda h, beta: Subproblem(s2, xn, h, beta),
         }
         for dense in (graph.laplacian, sparse.csr_array(graph.laplacian)):
             with pytest.raises(ValueError, match="graph must be a NeighborGraph"):
@@ -700,14 +696,14 @@ class TestLaplacianOperator:
             calls[entry](dense, 0.0)  # beta == 0 ignores h_g, as fit ignores its graph
         calls[entry](graph, cfg.beta)
 
-    @pytest.mark.parametrize("entry", ["solve_core", "gradient_gntr"])
+    @pytest.mark.parametrize("entry", ["solve_core", "Subproblem"])
     def test_graph_of_another_sample_count_rejected_as_fit_rejects_it(self, entry):
         (xn, s2, g0, cfg), _ = self.sample_mode_problem()
         n = xn.shape[0]
         other = empty_graph(n + 1)
         calls = {
             "solve_core": lambda: solve_core(xn, s2, g0, cfg, h_g=other),
-            "gradient_gntr": lambda: gradient_gntr(g0, s2, xn, other, cfg.beta),
+            "Subproblem": lambda: Subproblem(s2, xn, other, cfg.beta),
         }
         message = f"graph has {n + 1} samples, tensor has {n}"
         with pytest.raises(ValueError, match=message):
@@ -773,6 +769,19 @@ class TestLaplacianOperator:
             np.trace(g.T @ graph.laplacian @ g)
         )
         assert report.objective_per_sweep[-1] == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.2])
+    def test_final_objective_is_the_sample_mode_subproblem_s(self, beta):
+        # The reported objective is 0.5*||X||^2 plus the public subproblem's
+        # objective at the returned sample-mode core, bit for bit.
+        x, _ = blob_tensor((4, 4), 2, 8, seed=3)
+        graph = neighbor_graph(x, 4)
+        cfg = SolverConfig(t_max=15, max_sweeps=10, tol=1e-12, beta=beta, seed=1)
+        cores, report = fit(x, (2, 2, 2), cfg, graph)
+        s2 = subchain_unfold2(build_subchain(cores, 2))
+        sub = Subproblem(s2, unfold_tr(x, 2), graph, beta)
+        want = 0.5 * float(np.vdot(x, x)) + sub.objective(core_unfold2(cores[2]))
+        assert report.objective_per_sweep[-1] == want
 
     def test_graph_without_edges_fits_like_plain(self):
         x, _ = blob_tensor((3, 3), 2, 5, seed=5)
