@@ -683,12 +683,14 @@ class TestLaplacianOperator:
         dense_out = solve_core(*args, h_g=graph)
         assert np.linalg.norm(sparse_out - dense_out) <= 1e-12 * np.linalg.norm(dense_out)
 
-    @pytest.mark.parametrize("entry", ["solve_core", "Subproblem"])
+    @pytest.mark.parametrize("entry", ["solve_core", "gradient_gntr", "lipschitz_gntr"])
     def test_only_a_neighbor_graph_is_accepted(self, entry):
+        # The GNTR gradient and Lipschitz constant, each taken through Subproblem.
         (xn, s2, g0, cfg), graph = self.sample_mode_problem()
         calls = {
             "solve_core": lambda h, beta: solve_core(xn, s2, g0, SolverConfig(beta=beta), h_g=h),
-            "Subproblem": lambda h, beta: Subproblem(s2, xn, h, beta),
+            "gradient_gntr": lambda h, beta: Subproblem(s2, xn, h, beta).gradient(g0),
+            "lipschitz_gntr": lambda h, beta: Subproblem(s2, xn, h, beta).lipschitz,
         }
         for dense in (graph.laplacian, sparse.csr_array(graph.laplacian)):
             with pytest.raises(ValueError, match="graph must be a NeighborGraph"):
