@@ -13,7 +13,7 @@ import numpy as np
 
 from tring import SolverConfig, blob_tensor, fit, sparseness
 from tring.cli import basis_tensors
-from tring.images import montage, to_uint8, write_pgm
+from tring.images import montage, to_uint8, write_pnm
 
 out = Path("demo-out")
 out.mkdir(exist_ok=True)
@@ -32,7 +32,7 @@ for i, b in enumerate(bases):
           f"sparseness {sparseness(b):.3f}")
 
 canvas = montage([to_uint8(b) for b in bases], rows=2, cols=2)
-write_pgm(out / "basis_montage.pgm", canvas)
+write_pnm(out / "basis_montage.pgm", canvas)
 print(f"wrote {out / 'basis_montage.pgm'} ({canvas.shape[0]}x{canvas.shape[1]} px)")
 
 assert np.all(np.concatenate([b.ravel() for b in bases]) >= 0)

@@ -24,7 +24,6 @@ from .ring import (
     subchain_unfold2,
 )
 from .solver import (
-    DegenerateSubproblemError,
     FitReport,
     NumericalError,
     SolverConfig,
@@ -43,7 +42,6 @@ __all__ = [
     "NeighborGraph",
     "SolverConfig",
     "FitReport",
-    "DegenerateSubproblemError",
     "NumericalError",
     "unfold_tr",
     "fold_tr",

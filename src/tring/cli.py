@@ -44,10 +44,10 @@ from .fileio import (
     write_tensor,
 )
 from .graph import neighbor_graph
-from .images import ingest_images, montage, to_uint8, write_pgm, write_ppm
+from .images import ingest_images, montage, to_uint8, write_pnm
 from .metrics import accuracy, kmeans, knn_classify, nmi
 from .ring import build_subchain, feature_matrix, subchain_unfold2
-from .solver import DegenerateSubproblemError, NumericalError, SolverConfig, fit
+from .solver import NumericalError, SolverConfig, fit
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -349,7 +349,7 @@ def cmd_basis(args):
     canvas = montage(tiles, rows_n, cols_n)
     out = _outdir(args)
     name = "basis.ppm" if color else "basis.pgm"
-    (write_ppm if color else write_pgm)(out / name, canvas)
+    write_pnm(out / name, canvas)
     _write_fit_manifest(out, args, ranks, layout=[rows_n, cols_n])
     print(f"basis: {len(tiles)} tiles -> {out / name} "
           f"({canvas.shape[0]}x{canvas.shape[1]} pixels)")
@@ -449,7 +449,7 @@ def main(argv=None):
     except (FileFormatError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (NumericalError, DegenerateSubproblemError) as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK

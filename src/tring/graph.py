@@ -8,11 +8,12 @@ optimization.
 
 There is one graph type, :class:`NeighborGraph`, and it is the Laplacian
 the solver applies: an immutable CSR copy of D - W with its spectral norm
-taken once, plus the adjacency (as CSR: a mutual p-NN graph has at most
-p*n edges) and the degrees.  ``neighbor_graph``, the one way to
-build a graph from data, computes distances in row blocks of about 2**20
-entries and never holds an n x n array; only reading a graph's dense
-``w`` or ``laplacian`` view builds one.  Its distance kernel and
+(``tensor_ops.spectral_norm``) taken once, plus the adjacency (as CSR: a
+mutual p-NN graph has at most p*n edges) and the degrees.
+``neighbor_graph``, the one way to build a graph from data, computes
+distances in row blocks of about 2**20 entries and never holds an n x n
+array; only reading a graph's dense ``w`` or ``laplacian`` view builds
+one.  Its distance kernel and
 p-nearest selection are the ones k-means and k-NN in
 :mod:`tring.metrics` use.
 """
@@ -21,14 +22,12 @@ from functools import cached_property
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import eigsh
 
-from .tensor_ops import as_count, as_tensor, gram_norm, unfold_tr, with_margin
+from .tensor_ops import as_count, as_tensor, spectral_norm, unfold_tr
 
 __all__ = [
     "NeighborGraph",
     "neighbor_graph",
-    "laplacian_norm",
 ]
 
 # Distances computed per row block; bounds the graph build's working memory.
@@ -128,31 +127,12 @@ def neighbor_graph(x, p):
     return NeighborGraph(w, degree, sparse.diags_array(degree, format="csr") - w)
 
 
-def laplacian_norm(h):
-    """Spectral norm of a symmetric positive semidefinite matrix ``h``.
-
-    That norm is the top eigenvalue, found by Lanczos (ARPACK) from a
-    seeded start vector and raised by the relative margin
-    ``tensor_ops.NORM_MARGIN`` so that it never falls below the true
-    value.  A matrix with no nonzero entry (a graph without edges) gives
-    0; a 1x1 matrix, too small for ARPACK, is solved densely.
-    """
-    h = sparse.csr_array(h)
-    n = h.shape[0]
-    if h.count_nonzero() == 0:
-        return 0.0
-    if n < 2:
-        return gram_norm(h.toarray())
-    v0 = np.random.default_rng(0).standard_normal(n)
-    return with_margin(float(eigsh(h, k=1, which="LA", v0=v0, return_eigenvectors=False)[0]))
-
-
 class NeighborGraph:
     """A sample graph: its Laplacian D - W, which the solver applies, plus W.
 
     ``matrix`` is the graph's own float64 CSR copy of the Laplacian, with
     read-only arrays, and ``graph @ g`` is a dense ndarray.  ``norm`` is
-    ``laplacian_norm`` of the matrix, taken on first use and kept, so every
+    ``spectral_norm`` of the matrix, taken on first use and kept, so every
     fit on one graph shares it.  ``adjacency`` (W as read-only CSR) and
     ``degree`` make O(n*p) memory in all; the dense read-only n x n views
     ``w`` and ``laplacian`` are built on each access and not kept.  No
@@ -181,7 +161,7 @@ class NeighborGraph:
 
     @cached_property
     def norm(self):
-        return laplacian_norm(self.matrix)
+        return spectral_norm(self.matrix)
 
     @property
     def n_samples(self):

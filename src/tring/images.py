@@ -15,8 +15,7 @@ from .tensor_ops import as_count
 
 __all__ = [
     "read_pnm",
-    "write_pgm",
-    "write_ppm",
+    "write_pnm",
     "area_resize",
     "ingest_images",
     "to_uint8",
@@ -74,28 +73,20 @@ def read_pnm(path):
     return img.reshape(height, width)
 
 
-def _write_pnm(path, img, magic):
+def write_pnm(path, img):
+    """Write a uint8 image as binary PGM (P5) if (h, w), or PPM (P6) if (h, w, 3)."""
     img = np.asarray(img)
     if img.dtype != np.uint8:
         raise ValueError("expected uint8 pixel data")
+    if img.ndim == 2:
+        magic = "P5"
+    elif img.ndim == 3 and img.shape[2] == 3:
+        magic = "P6"
+    else:
+        raise ValueError(f"PNM wants a (h, w) or (h, w, 3) array, got shape {img.shape}")
     h, w = img.shape[:2]
     header = f"{magic}\n{w} {h}\n255\n".encode("ascii")
     atomic_write_bytes(path, header + img.tobytes(order="C"))
-
-
-def write_pgm(path, img):
-    """Write a (h, w) uint8 array as binary PGM."""
-    if np.asarray(img).ndim != 2:
-        raise ValueError("PGM wants a 2-D grayscale array")
-    _write_pnm(path, img, "P5")
-
-
-def write_ppm(path, img):
-    """Write a (h, w, 3) uint8 array as binary PPM."""
-    img = np.asarray(img)
-    if img.ndim != 3 or img.shape[2] != 3:
-        raise ValueError("PPM wants a (h, w, 3) array")
-    _write_pnm(path, img, "P6")
 
 
 @functools.lru_cache(maxsize=32)
@@ -195,6 +186,8 @@ def montage(tiles, rows, cols):
     for t in tiles:
         if t.shape != shape:
             raise ValueError("all tiles must share one shape")
+        if t.dtype != np.uint8:
+            raise ValueError(f"tiles must be uint8, got {t.dtype}")
     h, w = shape[:2]
     canvas = np.zeros((rows * h, cols * w) + shape[2:], dtype=np.uint8)
     for i, t in enumerate(tiles):

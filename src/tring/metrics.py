@@ -24,9 +24,14 @@ __all__ = [
 
 
 def _labels(a):
+    """``a`` as int64 labels; a float label must hold an int64 value exactly."""
     a = np.asarray(a)
     if a.ndim != 1 or a.size == 0:
         raise ValueError("labels must be a nonempty 1-D sequence")
+    if a.dtype.kind == "f":
+        bad = (a != np.trunc(a)) | ~(np.abs(a) < 2.0**63)
+        if bad.any():
+            raise ValueError(f"labels must be integer-valued, got {a[bad][0]}")
     return a.astype(np.int64)
 
 
@@ -40,6 +45,8 @@ def sparseness(h):
     n = v.size
     if n < 2:
         raise ValueError("sparseness needs at least 2 entries")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("sparseness needs finite entries (no NaN or Inf)")
     l2 = np.linalg.norm(v)
     if l2 == 0.0:
         raise ValueError("sparseness undefined for an all-zero array")

@@ -236,12 +236,19 @@ def reconstruct(cores):
 
 
 def relative_error(x, cores):
-    """Frobenius-relative reconstruction error ||x - ring(cores)|| / ||x||."""
+    """Frobenius-relative reconstruction error ||x - ring(cores)|| / ||x||.
+
+    ``x`` must have the ring's shape; one that would broadcast against it
+    raises ``ValueError``.
+    """
     x = as_tensor(x)
     norm_x = float(np.linalg.norm(x.ravel()))
     if norm_x == 0.0:
         raise ValueError("relative error undefined for an all-zero tensor")
-    return float(np.linalg.norm((x - reconstruct(cores)).ravel())) / norm_x
+    ring = reconstruct(cores)
+    if x.shape != ring.shape:
+        raise ValueError(f"tensor shape {x.shape} does not match the ring's shape {ring.shape}")
+    return float(np.linalg.norm((x - ring).ravel())) / norm_x
 
 
 def feature_matrix(cores):

@@ -15,13 +15,13 @@ The subproblem is defined once, by :class:`Subproblem`: its objective,
 gradient and Lipschitz constant are what :func:`solve_core` iterates on,
 what the acceptance criteria check, and what :func:`fit` reports per
 sweep.  It forms the r^2 x r^2 Gram S.T S once, for the gradient and for
-the Lipschitz constant alike: ||S.T S||_2 is its top eigenvalue
-(``eigvalsh``) raised by the same small relative margin as the graph norm,
-so it never falls below the true value.  A subproblem holds only its Gram
-and its cross term X S; its objective leaves out the constant
-0.5*||X||^2, which moves neither the minimizer, nor the gradient, nor the
-step.  :func:`fit` takes ||X||^2 once and adds it to each objective it
-reports.
+the Lipschitz constant alike: ||S.T S||_2 and ||H||_2 are both
+``tensor_ops.spectral_norm``, a top eigenvalue raised by a small relative
+margin so that it never falls below the true value.  A subproblem holds
+only its Gram and its cross term X S; its objective leaves out the
+constant 0.5*||X||^2, which moves neither the minimizer, nor the
+gradient, nor the step.  :func:`fit` takes ||X||^2 once and adds it to
+each objective it reports.
 
 The set-up is what moves memory: on a tensor with many samples a
 subchain is tens of MB.  :func:`fit` builds every mode's subchain into
@@ -59,12 +59,11 @@ from .ring import (
     init_random,
     subchain_unfold2,
 )
-from .tensor_ops import as_count, as_tensor, gram_norm, unfold_tr
+from .tensor_ops import as_count, as_tensor, spectral_norm, unfold_tr
 
 __all__ = [
     "SolverConfig",
     "FitReport",
-    "DegenerateSubproblemError",
     "NumericalError",
     "Subproblem",
     "alpha_next",
@@ -75,12 +74,9 @@ __all__ = [
 ]
 
 
-class DegenerateSubproblemError(RuntimeError):
-    """Raised when a core subproblem has a zero Lipschitz constant."""
-
-
 class NumericalError(RuntimeError):
-    """Raised when the sweep objective stops being finite."""
+    """Raised when a fit cannot step: a non-finite Gram, step size or
+    objective, or a zero step size from an all-zero subchain."""
 
 
 @dataclass
@@ -213,7 +209,7 @@ class Subproblem:
 
     @property
     def lipschitz(self):
-        """``gram_norm(S.T S)`` (top eigenvalue plus margin), plus ``beta*||H||_2``.
+        """``spectral_norm(S.T S)`` (top eigenvalue plus margin), plus ``beta*||H||_2``.
 
         Taken on each read, not at set-up, so a gradient alone never runs
         an eigensolver.  Raises ``NumericalError`` on a non-finite Gram or
@@ -221,7 +217,7 @@ class Subproblem:
         """
         if not np.all(np.isfinite(self.sts)):
             raise NumericalError("subchain Gram became non-finite")
-        lipschitz = gram_norm(self.sts)
+        lipschitz = spectral_norm(self.sts)
         if self.graph is not None:
             lipschitz += self.beta * self.graph.norm
         if not math.isfinite(lipschitz):
@@ -295,7 +291,7 @@ def solve_core(x_unfold, subchain2, g_init, cfg, h_g=None, callback=None):
     sub = Subproblem(subchain2, x_unfold, h_g, cfg.beta)
     lipschitz = sub.lipschitz
     if lipschitz == 0.0:
-        raise DegenerateSubproblemError("all-zero subchain gives a zero step size")
+        raise NumericalError("all-zero subchain gives a zero step size")
 
     g_curr = g_init
     y = g_init

@@ -7,20 +7,22 @@ dimension varying fastest; it must agree with the subchain enumeration in
 :mod:`tring.ring` for the matricized ring identity to hold exactly, so this
 order is frozen and covered by golden tests.
 
-Spectral norms are taken of symmetric PSD matrices only, by ``gram_norm``
-(and ``graph.laplacian_norm`` for a Laplacian): the Lipschitz constants
-need no other.
+Every spectral norm the solver takes, of a subchain Gram or of a graph
+Laplacian, is :func:`spectral_norm` of a symmetric PSD matrix: the
+Lipschitz constants need no other.
 """
 
 import operator
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.linalg import eigsh
 
 __all__ = [
     "as_tensor",
     "unfold_tr",
     "fold_tr",
-    "gram_norm",
+    "spectral_norm",
 ]
 
 # Relative margin added to a computed top eigenvalue: LAPACK and Lanczos can
@@ -80,16 +82,22 @@ def fold_tr(m, mode, shape):
     return np.transpose(y, inv_axes)
 
 
-def gram_norm(gram):
-    """Spectral norm of a symmetric positive semidefinite matrix (a Gram).
+def spectral_norm(m):
+    """Spectral norm of a symmetric positive semidefinite matrix, dense or sparse.
 
-    That norm is the top eigenvalue, taken by ``eigvalsh`` and raised by a
+    That norm is the top eigenvalue, clipped at 0 and raised by a
     relative margin of ``NORM_MARGIN`` so that it never falls below the
-    true value.  The matrix must be finite.
+    true value.  A sparse matrix with no nonzero entry (a graph without
+    edges) gives 0.  A dense matrix, or a 1x1 sparse one (too small for
+    ARPACK), goes through ``eigvalsh``; any other sparse one through
+    Lanczos (ARPACK ``eigsh``) from a seeded start vector.  The matrix
+    must be finite.
     """
-    return with_margin(float(np.linalg.eigvalsh(gram)[-1]))
-
-
-def with_margin(top):
-    """A computed top eigenvalue, clipped at 0 and raised by ``NORM_MARGIN``."""
-    return max(top, 0.0) * (1.0 + NORM_MARGIN)
+    if sparse.issparse(m) and m.count_nonzero() == 0:
+        return 0.0
+    if sparse.issparse(m) and m.shape[0] > 1:
+        v0 = np.random.default_rng(0).standard_normal(m.shape[0])
+        top = eigsh(m, k=1, which="LA", v0=v0, return_eigenvectors=False)[0]
+    else:
+        top = np.linalg.eigvalsh(m.toarray() if sparse.issparse(m) else m)[-1]
+    return max(float(top), 0.0) * (1.0 + NORM_MARGIN)

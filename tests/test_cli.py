@@ -10,7 +10,7 @@ from tring.cli import build_parser, default_ranks, main
 from tring.fileio import FileFormatError, read_tensor, sha256_file, write_labels, write_tensor
 from tring.graph import neighbor_graph
 from tring.ring import TRCores, relative_error
-from tring.solver import DegenerateSubproblemError, NumericalError, SolverConfig, fit
+from tring.solver import NumericalError, SolverConfig, fit
 from tring.synthetic import blob_tensor, ring_tensor
 
 
@@ -471,7 +471,6 @@ class TestExitCodes:
         (FileFormatError, 3),
         (OSError, 3),
         (NumericalError, 4),
-        (DegenerateSubproblemError, 4),
     ])
     def test_exception_maps_to_exit_code(self, exc, expected, blob_files, tmp_path, monkeypatch):
         def failing_fit(*args, **kwargs):
@@ -482,6 +481,17 @@ class TestExitCodes:
         code = main(["fit", "--data", str(data), "--ranks", "2,2,2",
                      "--out", str(tmp_path / "o")])
         assert code == expected
+
+    def test_all_zero_subchain_is_numerical_error(self, tmp_path, capsys):
+        # Rank-1 steps toward all-zero data shrink the first core by about
+        # 1e-10 each, so it underflows to zero and the next core's subchain
+        # is all zero: no step size exists.
+        data = tmp_path / "zeros.ten"
+        write_tensor(data, np.zeros((3, 3, 4)))
+        code = main(["fit", "--data", str(data), "--ranks", "1,1,1", "--beta", "0",
+                     "--out", str(tmp_path / "o")])
+        assert code == 4
+        assert "all-zero subchain gives a zero step size" in capsys.readouterr().err
 
     def test_unmapped_exception_propagates(self, blob_files, tmp_path, monkeypatch):
         def failing_fit(*args, **kwargs):

@@ -9,7 +9,7 @@ from scipy import sparse
 import tring.graph
 from tring.graph import NeighborGraph, neighbor_graph
 from tring.solver import SolverConfig, fit
-from tring.tensor_ops import unfold_tr
+from tring.tensor_ops import spectral_norm, unfold_tr
 
 
 def distance_oracle(x):
@@ -213,7 +213,7 @@ class TestImmutableOperator:
         norm = graph.norm
         csr.data *= 100.0
         assert np.array_equal(graph @ np.eye(2), lap)
-        assert graph.norm == norm == tring.graph.laplacian_norm(lap)
+        assert graph.norm == norm == spectral_norm(sparse.csr_array(lap))
 
     def test_matrix_read_only_and_not_reassignable(self):
         hand = two_node_graph(np.array([[1.0, -1.0], [-1.0, 1.0]]))

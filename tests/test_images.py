@@ -13,8 +13,7 @@ from tring.images import (
     montage,
     read_pnm,
     to_uint8,
-    write_pgm,
-    write_ppm,
+    write_pnm,
 )
 
 
@@ -132,14 +131,33 @@ class TestWritePnm:
     def test_pgm_round_trip(self, tmp_path):
         img = np.random.default_rng(0).integers(0, 256, size=(4, 5)).astype(np.uint8)
         p = tmp_path / "r.pgm"
-        write_pgm(p, img)
+        write_pnm(p, img)
         assert np.array_equal(read_pnm(p), img / 255.0)
 
     def test_ppm_round_trip(self, tmp_path):
         img = np.random.default_rng(1).integers(0, 256, size=(3, 2, 3)).astype(np.uint8)
         p = tmp_path / "r.ppm"
-        write_ppm(p, img)
+        write_pnm(p, img)
         assert np.array_equal(read_pnm(p), img / 255.0)
+
+    @pytest.mark.parametrize("shape, magic", [((2, 1), b"P5"), ((2, 1, 3), b"P6")])
+    def test_magic_from_shape(self, tmp_path, shape, magic):
+        img = np.arange(np.prod(shape), dtype=np.uint8).reshape(shape)
+        p = tmp_path / "m.pnm"
+        write_pnm(p, img)
+        assert p.read_bytes() == magic + b"\n1 2\n255\n" + img.tobytes()
+
+    @pytest.mark.parametrize("img, message", [
+        (np.zeros((2, 2, 4), dtype=np.uint8), r"\(h, w\) or \(h, w, 3\)"),
+        (np.zeros((2, 2, 1), dtype=np.uint8), r"\(h, w\) or \(h, w, 3\)"),
+        (np.zeros(4, dtype=np.uint8), r"\(h, w\) or \(h, w, 3\)"),
+        (np.zeros((2, 2)), "uint8"),
+    ])
+    def test_other_arrays_rejected(self, tmp_path, img, message):
+        p = tmp_path / "bad.pnm"
+        with pytest.raises(ValueError, match=message):
+            write_pnm(p, img)
+        assert not p.exists()
 
 
 class TestOverlapWeights:
@@ -293,6 +311,12 @@ class TestMontage:
     def test_color_tiles(self):
         tiles = [np.full((2, 2, 3), 7, dtype=np.uint8)] * 2
         assert montage(tiles, 1, 2).shape == (2, 4, 3)
+
+    @pytest.mark.parametrize("tile", [np.full((2, 2), 300.7), np.full((2, 2), 44, dtype=np.int64)])
+    def test_non_uint8_tiles_rejected_not_wrapped(self, tile):
+        # A float tile of 300.7 used to wrap to 44 in the uint8 canvas.
+        with pytest.raises(ValueError, match="tiles must be uint8"):
+            montage([np.zeros((2, 2), dtype=np.uint8), tile], 1, 2)
 
 
 class TestToUint8:

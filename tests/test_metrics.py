@@ -440,3 +440,33 @@ class TestCounts:
     def test_numpy_integer_count_accepted(self, count):
         a, b = _COUNTS[count](np.int64(2)), _COUNTS[count](2)
         assert np.array_equal(getattr(a, "w", a), getattr(b, "w", b))
+
+
+_MANGLED_INPUT = {
+    "accuracy fractional labels": (lambda: accuracy([0.5, 1.7, 1.2], [0, 1, 1]), "integer-valued"),
+    "nmi fractional labels": (lambda: nmi([0, 1, 1], [0.0, 1.0, 0.5]), "integer-valued"),
+    "entropy NaN label": (lambda: entropy([0.0, np.nan]), "integer-valued"),
+    "entropy label beyond int64": (lambda: entropy([0.0, 1e19]), "integer-valued"),
+    "knn fractional labels": (
+        lambda: knn_classify(np.eye(3), [0.2, 1.9, 1.1], np.eye(3), 1), "integer-valued"
+    ),
+    "sparseness NaN": (lambda: sparseness([np.nan, 1.0]), "finite"),
+    "sparseness Inf": (lambda: sparseness([np.inf, 1.0]), "finite"),
+}
+
+
+class TestMangledInput:
+    @pytest.mark.parametrize("case", sorted(_MANGLED_INPUT))
+    def test_rejected_not_truncated_or_propagated(self, case):
+        # At truncation accuracy([0.5, 1.7, 1.2], [0, 1, 1]) read 1.0.
+        call, message = _MANGLED_INPUT[case]
+        with pytest.raises(ValueError, match=message):
+            call()
+
+    def test_integer_valued_labels_of_any_numeric_dtype_accepted(self):
+        truth = [0, 1, 1, 2]
+        for pred in ([0.0, 1.0, 1.0, 2.0], np.array([0, 1, 1, 2], dtype=np.uint8),
+                     np.array([0, 1, 1, 2], dtype=np.float32), [False, True, True, True]):
+            assert accuracy(pred, truth) == accuracy_oracle(np.asarray(pred, dtype=int), truth)
+        train = np.eye(3)
+        assert np.array_equal(knn_classify(train, [0.0, 2.0, 1.0], train, 1), [0, 2, 1])

@@ -1,6 +1,7 @@
 """Ring model: subchains, unfoldings, and reconstruction vs trace oracles."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -354,6 +355,14 @@ class TestRelativeError:
         cores = init_random((2, 2), (1, 1), seed=20)
         with pytest.raises(ValueError):
             relative_error(np.zeros((2, 2)), cores)
+
+    @pytest.mark.parametrize("shape", [(1, 3), (2, 3, 1), (3, 2)])
+    def test_tensor_not_shaped_like_the_ring_rejected(self, shape):
+        # A (1, 3) tensor used to broadcast against the (2, 3) ring.
+        cores = init_random((2, 3), (1, 1), seed=0)
+        message = re.escape(f"tensor shape {shape} does not match the ring's shape (2, 3)")
+        with pytest.raises(ValueError, match=message):
+            relative_error(np.ones(shape), cores)
 
 
 def test_feature_matrix_is_last_core_unfolding():

@@ -22,7 +22,7 @@ from tring.ring import (
     subchain_unfold2,
 )
 from tring.solver import (
-    DegenerateSubproblemError,
+    NumericalError,
     SolverConfig,
     Subproblem,
     alpha_next,
@@ -359,7 +359,7 @@ class TestSolveCore:
             assert mid <= chord + 1e-9 * max(1.0, abs(chord))
 
     def test_zero_subchain_is_degenerate(self):
-        with pytest.raises(DegenerateSubproblemError):
+        with pytest.raises(NumericalError, match="all-zero subchain gives a zero step size"):
             solve_core(
                 np.ones((3, 4)),
                 np.zeros((4, 2)),
@@ -716,13 +716,13 @@ class TestLaplacianOperator:
 
     def test_norm_computed_once_per_graph_fit(self, monkeypatch):
         calls = []
-        real = tring.graph.laplacian_norm
+        real = tring.graph.spectral_norm
 
         def counting(h):
             calls.append(h.shape)
             return real(h)
 
-        monkeypatch.setattr(tring.graph, "laplacian_norm", counting)
+        monkeypatch.setattr(tring.graph, "spectral_norm", counting)
         x, _ = blob_tensor((4, 4), 2, 8, seed=3)
         cfg = SolverConfig(t_max=5, max_sweeps=6, tol=1e-15, beta=0.2, seed=1)
         _, report = fit(x, (2, 2, 2), cfg, neighbor_graph(x, 4))
@@ -731,13 +731,13 @@ class TestLaplacianOperator:
 
     def test_norm_computed_once_per_graph_across_fits(self, monkeypatch):
         calls = []
-        real = tring.graph.laplacian_norm
+        real = tring.graph.spectral_norm
 
         def counting(h):
             calls.append(h.shape)
             return real(h)
 
-        monkeypatch.setattr(tring.graph, "laplacian_norm", counting)
+        monkeypatch.setattr(tring.graph, "spectral_norm", counting)
         x, _ = blob_tensor((4, 4), 2, 8, seed=3)
         graph = neighbor_graph(x, 4)
         for seed in (1, 2):

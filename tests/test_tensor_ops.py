@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from tring.tensor_ops import (
+    NORM_MARGIN,
     fold_tr,
-    gram_norm,
+    spectral_norm,
     unfold_tr,
 )
 
@@ -97,36 +99,57 @@ class TestUnfoldings:
 
 
 class TestSpectralNorm:
-    """``gram_norm``: the spectral norm of a symmetric PSD matrix, the
-    route every Lipschitz constant of the solver takes."""
+    """``spectral_norm``: the spectral norm of a symmetric PSD matrix, dense
+    or sparse, the route every Lipschitz constant of the solver takes."""
 
     def test_identity(self):
-        assert gram_norm(np.eye(3)) == pytest.approx(1.0, rel=1e-9)
+        assert spectral_norm(np.eye(3)) == pytest.approx(1.0, rel=1e-9)
 
     def test_diagonal(self):
-        assert gram_norm(np.diag([9.0, 1.0])) == pytest.approx(9.0, rel=1e-9)
+        assert spectral_norm(np.diag([9.0, 1.0])) == pytest.approx(9.0, rel=1e-9)
 
     def test_zero_matrix(self):
-        assert gram_norm(np.zeros((4, 4))) == 0.0
+        assert spectral_norm(np.zeros((4, 4))) == 0.0
 
     def test_matches_jacobi_gram_oracle(self):
         a = np.random.default_rng(13).standard_normal((6, 4))
         gram = a.T @ a
-        assert gram_norm(gram) == pytest.approx(jacobi_eigenvalues(gram)[-1], rel=1e-8)
+        assert spectral_norm(gram) == pytest.approx(jacobi_eigenvalues(gram)[-1], rel=1e-8)
 
     def test_rank_one_with_start_orthogonal_trap(self):
         # Eigenvector (1, -1) is orthogonal to the all-ones vector.  The top
         # eigenvalue is exactly 2, and the margin keeps the result from
         # falling an ulp below it.
         gram = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        assert 2.0 <= gram_norm(gram) == pytest.approx(2.0, rel=1e-9)
+        assert 2.0 <= spectral_norm(gram) == pytest.approx(2.0, rel=1e-9)
 
     def test_lower_bound_witness(self):
         rng = np.random.default_rng(14)
         a = rng.standard_normal((5, 7))
         gram = a.T @ a
-        top = gram_norm(gram)
+        top = spectral_norm(gram)
         for _ in range(20):
             v = rng.standard_normal(7)
             v /= np.linalg.norm(v)
             assert v @ gram @ v <= top + 1e-9
+
+    def test_dense_is_top_eigenvalue_plus_margin(self):
+        a = np.random.default_rng(15).standard_normal((6, 4))
+        gram = a.T @ a
+        assert spectral_norm(gram) == np.linalg.eigvalsh(gram)[-1] * (1.0 + NORM_MARGIN)
+
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_sparse_without_entries_is_zero(self, n):
+        assert spectral_norm(sparse.csr_array((n, n))) == 0.0
+
+    def test_one_by_one_sparse_goes_dense(self):
+        assert spectral_norm(sparse.csr_array([[3.0]])) == spectral_norm(np.array([[3.0]]))
+
+    def test_sparse_laplacian_by_lanczos(self):
+        # Path graph on 30 nodes: top Laplacian eigenvalue 2 + 2 cos(pi/30).
+        n = 30
+        w = sparse.diags_array([np.ones(n - 1), np.ones(n - 1)], offsets=[-1, 1])
+        lap = sparse.csr_array(sparse.diags_array(w.sum(axis=1)) - w)
+        top = 2.0 + 2.0 * np.cos(np.pi / n)
+        assert top <= spectral_norm(lap) == pytest.approx(top, rel=1e-9)
+        assert spectral_norm(lap) == pytest.approx(spectral_norm(lap.toarray()), rel=1e-12)
