@@ -11,11 +11,12 @@ the solver applies: an immutable CSR copy of D - W with its spectral norm
 (``tensor_ops.spectral_norm``) taken once, plus the adjacency (as CSR: a
 mutual p-NN graph has at most p*n edges) and the degrees.
 ``neighbor_graph``, the one way to build a graph from data, computes
-distances in row blocks of about 2**20 entries and never holds an n x n
-array; only reading a graph's dense ``w`` or ``laplacian`` view builds
-one.  Its distance kernel and
-p-nearest selection are the ones k-means and k-NN in
-:mod:`tring.metrics` use.
+each pair's distance once, from the upper block triangle of the distance
+matrix in blocks of about 2**20 entries, and keeps only each sample's p
+nearest so far: O(n*p) memory plus one block, never an n x n array.  Only
+reading a graph's dense ``w`` or ``laplacian`` view builds one.  Its
+distance kernel and its (distance, index) selection rule are the ones
+k-means and k-NN in :mod:`tring.metrics` use.
 """
 
 from functools import cached_property
@@ -73,22 +74,43 @@ def _row_blocks(rows, cols):
     return [(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
 
 
+def _entries(mask):
+    """Row and column indices of the true entries of a 2-D ``mask``.
+
+    ``np.nonzero``'s order, from one flat scan, which is many times faster
+    than ``np.nonzero`` on a 2-D mask with few true entries.
+    """
+    return np.divmod(np.flatnonzero(mask), mask.shape[1])
+
+
+def _first(rows, cols, dist, p):
+    """The first p candidates of each row by (distance, column).
+
+    ``rows``, ``cols`` and ``dist`` list candidate entries, at least p for
+    every row named.  Returns the kept columns and distances as two arrays
+    with p per row, one row per distinct row index in ascending order.
+    This is the one selection rule of the graph and of k-NN: equal to the
+    first p of a stable argsort of each row, so ties go to the lower column.
+    """
+    order = np.lexsort((cols, dist, rows))
+    rows = rows[order]
+    rank = np.arange(rows.size) - np.searchsorted(rows, rows)
+    order = order[rank < p]
+    return cols[order].reshape(-1, p), dist[order].reshape(-1, p)
+
+
 def _nearest(dist, p):
     """Column indices of the p smallest entries of each row of ``dist``.
 
-    Ordered by (distance, column), so equal to the first p columns of a
-    stable argsort of each row: ties go to the lower index.  To keep that
-    rule exact, every entry tied with a row's p-th smallest value stays a
-    candidate, however many there are.
+    Ordered by (distance, column) as in :func:`_first`.  Every entry tied
+    with a row's p-th smallest value stays a candidate, however many there
+    are.
     """
     kth = np.partition(dist, p - 1, axis=1)[:, p - 1 : p]
-    rows, cols = np.nonzero(dist <= kth)
-    if rows.size < p * dist.shape[0]:
+    if np.isnan(kth).any():
         raise ValueError("NaN distance: data non-finite or too large for float64")
-    order = np.lexsort((cols, dist[rows, cols], rows))
-    rows, cols = rows[order], cols[order]
-    rank = np.arange(rows.size) - np.searchsorted(rows, rows)
-    return cols[rank < p].reshape(-1, p)
+    rows, cols = _entries(dist <= kth)
+    return _first(rows, cols, dist[rows, cols], p)[0]
 
 
 def neighbor_graph(x, p):
@@ -98,8 +120,19 @@ def neighbor_graph(x, p):
     the p nearest neighbors of i AND i is among the p nearest neighbors of
     j, under Frobenius distance.  Self is excluded from neighbor sets;
     distance ties break toward the lower sample index so the graph is
-    reproducible.  Distances are taken in row blocks, never as an n x n
-    array.
+    reproducible.
+
+    Each pair's distance is computed once, and serves both samples.  The
+    rows come in ``_row_blocks``.  A first pass takes each block against
+    itself, the diagonal blocks of the distance matrix: the p-th smallest
+    distance of a row there bounds its p-th nearest over all samples.  A
+    second pass takes each block against the later samples only, the upper
+    block triangle, and keeps an entry for its row if it is within the
+    row's bound and for its column if it is within the column's; ties with
+    a bound are kept.  Each row holds only its p nearest so far by
+    (distance, column), and its bound falls to the p-th of them.  Memory is
+    O(n*p) for the kept neighbors plus one block of about ``_BLOCK``
+    distances; no n x n array is formed.
     """
     x = as_tensor(x)
     if x.ndim == 0 or x.shape[-1] < 2:
@@ -112,15 +145,44 @@ def neighbor_graph(x, p):
     p = as_count(p, "neighbor count p")
     if not 1 <= p < n:
         raise ValueError(f"neighbor count p={p} out of range for {n} samples")
-    nbrs = np.empty((n, p), dtype=np.int64)
-    for lo, hi in _row_blocks(n, n):
-        dist = _squared_distances(flat[lo:hi], flat, sq[lo:hi], sq)
-        np.sqrt(dist, out=dist)
-        dist[np.arange(hi - lo), np.arange(lo, hi)] = np.inf  # no sample is its own neighbor
-        nbrs[lo:hi] = _nearest(dist, p)
+    # Each row's p nearest so far by (distance, column); column n marks an
+    # empty slot, and its infinite distance leaves the row unbounded.
+    near = np.full((n, p), n, dtype=np.int64)
+    near_dist = np.full((n, p), np.inf)
+
+    def keep(rows, cols, dist):
+        touched = np.unique(rows)
+        near[touched], near_dist[touched] = _first(
+            np.concatenate([np.repeat(touched, p), rows]),
+            np.concatenate([near[touched].ravel(), cols]),
+            np.concatenate([near_dist[touched].ravel(), dist]), p)
+
+    def distances(lo, hi, start, stop):
+        dist = _squared_distances(flat[lo:hi], flat[start:stop], sq[lo:hi], sq[start:stop])
+        return np.sqrt(dist, out=dist)
+
+    blocks = _row_blocks(n, n)
+    for lo, hi in blocks:
+        dist = distances(lo, hi, lo, hi)
+        np.fill_diagonal(dist, np.inf)  # no sample is its own neighbor
+        bound = np.inf
+        if hi - lo >= p:
+            bound = np.partition(dist, p - 1, axis=1)[:, p - 1 : p]
+            bound[np.isnan(bound)] = np.inf
+        rows, cols = _entries(dist <= bound)
+        keep(lo + rows, lo + cols, dist[rows, cols])
+    for lo, hi in blocks[:-1]:
+        dist = distances(lo, hi, hi, n)
+        bound = near_dist[:, p - 1]
+        rows, cols = _entries(dist <= bound[lo:hi, None])
+        t_rows, t_cols = _entries(dist <= bound[hi:])
+        keep(np.concatenate([lo + rows, hi + t_cols]), np.concatenate([hi + cols, lo + t_rows]),
+             np.concatenate([dist[rows, cols], dist[t_rows, t_cols]]))
+    if (near == n).any():
+        raise ValueError("NaN distance: data non-finite or too large for float64")
     # Sorted rows make the CSR canonical, so the product's rows come out sorted.
-    nbrs.sort(axis=1)
-    directed = sparse.csr_array((np.ones(n * p), nbrs.ravel(), np.arange(0, n * p + 1, p)),
+    near.sort(axis=1)
+    directed = sparse.csr_array((np.ones(n * p), near.ravel(), np.arange(0, n * p + 1, p)),
                                 shape=(n, n))
     w = directed.multiply(directed.T)
     degree = np.diff(w.indptr).astype(np.float64)

@@ -160,8 +160,13 @@ def ingest_images(dir_path, height, width):
 
 
 def to_uint8(img):
-    """Min-max scale an image to [0, 255]; negative entries render white."""
+    """Min-max scale an image to [0, 255]; negative entries render white.
+
+    A NaN or Inf entry raises ``ValueError``: it has no place on the scale.
+    """
     img = np.asarray(img, dtype=np.float64)
+    if not np.all(np.isfinite(img)):
+        raise ValueError("image must be finite (no NaN or Inf)")
     neg = img < 0
     vals = np.where(neg, 0.0, img)
     lo, hi = vals.min(), vals.max()

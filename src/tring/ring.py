@@ -238,10 +238,12 @@ def reconstruct(cores):
 def relative_error(x, cores):
     """Frobenius-relative reconstruction error ||x - ring(cores)|| / ||x||.
 
-    ``x`` must have the ring's shape; one that would broadcast against it
-    raises ``ValueError``.
+    ``x`` must be finite and have the ring's shape; a NaN or Inf entry, or
+    a shape that would broadcast against the ring, raises ``ValueError``.
     """
     x = as_tensor(x)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("tensor must be finite (no NaN or Inf)")
     norm_x = float(np.linalg.norm(x.ravel()))
     if norm_x == 0.0:
         raise ValueError("relative error undefined for an all-zero tensor")

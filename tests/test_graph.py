@@ -1,5 +1,9 @@
 """Neighbor graph construction and Laplacian identities."""
 
+import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -54,6 +58,33 @@ def tied_samples(n, seed):
     """Samples on a 3x3x3 integer lattice: distances are exact, and most
     rows have many samples tied at their p-th distance."""
     return np.random.default_rng(seed).integers(0, 3, size=(3, n)).astype(np.float64)
+
+
+def grouped_samples(n, seed):
+    """Noisy copies of 4 prototypes, each prototype's samples contiguous,
+    so most of a row's nearest samples lie in its own row block."""
+    rng = np.random.default_rng(seed)
+    protos = rng.random((6, 4))
+    return protos[:, np.arange(n) * 4 // n] + 0.3 * rng.random((6, n))
+
+
+def oracle_case(kind, n):
+    if kind == "grouped":
+        return grouped_samples(n, 0)
+    if kind == "shuffled":
+        return grouped_samples(n, 0)[:, np.random.default_rng(1).permutation(n)]
+    return tied_samples(n, 2)
+
+
+# Builds a colour-sized graph and prints a digest of its adjacency.
+_THREADED_GRAPH = """
+import hashlib
+from tring.graph import neighbor_graph
+from tring.synthetic import blob_tensor
+x, _ = blob_tensor((16, 16, 3), 20, 150, noise=1.3, seed=0)
+w = neighbor_graph(x, 5).adjacency
+print(hashlib.sha256(w.indptr.tobytes() + w.indices.tobytes()).hexdigest())
+"""
 
 
 def quadratic_oracle(w, g):
@@ -247,6 +278,39 @@ class TestBlockedBuild:
         g = neighbor_graph(x, 5)
         assert np.array_equal(g.w, expected)
         assert np.array_equal(g.degree, expected.sum(axis=1))
+
+    @pytest.mark.parametrize("kind", ["grouped", "shuffled", "lattice"])
+    @pytest.mark.parametrize("p", [1, 5, 199])
+    @pytest.mark.parametrize("block", [None, 300, 1400])
+    def test_upper_triangle_build_matches_full_row_oracle(self, monkeypatch, kind, p, block):
+        # 200 samples are one block by default.  block=300 gives blocks of
+        # one row (one-row products, and no bound from a diagonal block);
+        # block=1400 gives 28 blocks of 7 rows and a last one of 4, fewer
+        # than p + 1 for p >= 5.  With p = n - 1 no diagonal block bounds.
+        n = 200
+        if block is not None:
+            monkeypatch.setattr(tring.graph, "_BLOCK", block)
+            blocks = tring.graph._row_blocks(n, n)
+            assert blocks[-1] == ((199, 200) if block == 300 else (196, 200))
+        x = oracle_case(kind, n)
+        expected = mutual_knn_oracle(kernel_distances(x), p)
+        g = neighbor_graph(x, p)
+        assert np.array_equal(g.w, expected)
+        assert np.array_equal(g.degree, expected.sum(axis=1))
+        assert np.array_equal(g.laplacian, np.diag(expected.sum(axis=1)) - expected)
+
+    def test_blas_thread_count_keeps_the_graph_bitwise(self):
+        # Each upper block is a GEMM of its own shape, which OpenBLAS splits
+        # across threads its own way; the adjacency must not depend on it.
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(sys.path))
+            out = subprocess.run([sys.executable, "-c", _THREADED_GRAPH], env=env,
+                                 capture_output=True, text=True, check=True)
+            digests.append(out.stdout.strip())
+        assert len(digests[0]) == len(hashlib.sha256().hexdigest())
+        assert digests[0] == digests[1]
 
     def test_operator_stores_the_dense_laplacian_csr_entries_in_order(self):
         # Sample 12 sits far away, so the graph has an isolated node.

@@ -331,3 +331,9 @@ class TestToUint8:
         img = np.array([[-1.0, 0.0, 2.0]])
         out = to_uint8(img)
         assert out[0, 0] == 255 and out[0, 1] == 0 and out[0, 2] == 255
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_image_rejected(self, bad):
+        # NaN used to give a silently black tile, Inf a RuntimeWarning.
+        with pytest.raises(ValueError, match="image must be finite"):
+            to_uint8(np.array([[bad, 1.0, 0.5]]))

@@ -364,6 +364,13 @@ class TestRelativeError:
         with pytest.raises(ValueError, match=message):
             relative_error(np.ones(shape), cores)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_tensor_rejected(self, bad):
+        # A NaN entry used to give a relative error of nan.
+        cores = init_random((2, 3), (1, 1), seed=0)
+        with pytest.raises(ValueError, match="tensor must be finite"):
+            relative_error(np.array([[bad, 1.0, 1.0], [1.0, 1.0, 1.0]]), cores)
+
 
 def test_feature_matrix_is_last_core_unfolding():
     cores = init_random((3, 4, 6), (2, 3, 2), seed=21)
