@@ -16,7 +16,6 @@ from tring import (
     fold_tr,
     init_random,
     reconstruct,
-    subchain_unfold2,
     unfold_tr,
 )
 
@@ -46,7 +45,7 @@ print("max |trace route - matricized route|:", np.abs(x_slow - x_fast).max())
 # one core at a time as a nonnegative least-squares problem.
 for mode in range(3):
     g2 = core_unfold2(cores[mode])                       # i_n x (r_n r_{n+1})
-    s2 = subchain_unfold2(build_subchain(cores, mode))   # rest x (r_n r_{n+1})
+    s2 = build_subchain(cores, mode)                     # rest x (r_n r_{n+1})
     residual = np.abs(fold_tr(g2 @ s2.T, mode, dims) - x_fast).max()
     lipschitz = Subproblem(s2, unfold_tr(x_fast, mode)).lipschitz
     print(f"mode {mode}: unfold identity residual {residual:.3e}, "

@@ -21,7 +21,6 @@ from .ring import (
     init_random,
     reconstruct,
     relative_error,
-    subchain_unfold2,
 )
 from .solver import (
     FitReport,
@@ -47,7 +46,6 @@ __all__ = [
     "fold_tr",
     "init_random",
     "build_subchain",
-    "subchain_unfold2",
     "core_unfold2",
     "core_fold2",
     "reconstruct",

@@ -46,7 +46,7 @@ from .fileio import (
 from .graph import neighbor_graph
 from .images import ingest_images, montage, to_uint8, write_pnm
 from .metrics import accuracy, kmeans, knn_classify, nmi
-from .ring import build_subchain, feature_matrix, subchain_unfold2
+from .ring import build_subchain, feature_matrix
 from .solver import NumericalError, SolverConfig, fit
 
 EXIT_OK = 0
@@ -327,7 +327,7 @@ def basis_tensors(cores):
     to the non-sample dimensions.
     """
     d = len(cores)
-    sub2 = subchain_unfold2(build_subchain(cores, d - 1))
+    sub2 = build_subchain(cores, d - 1)
     slice_dims = tuple(c.shape[1] for c in cores)[:-1]
     return [
         sub2[:, f].reshape(slice_dims, order="F") for f in range(sub2.shape[1])

@@ -97,8 +97,11 @@ def write_labels(path, labels):
 
 
 def read_labels(path):
-    """Read one integer label per line; blank lines are rejected mid-file."""
-    lines = Path(path).read_text().splitlines()
+    """Read one integer label per line, UTF-8; blank lines are rejected mid-file."""
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path}: not a text labels file ({exc.reason})") from exc
     labels = []
     for i, line in enumerate(lines):
         line = line.strip()

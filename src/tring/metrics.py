@@ -111,7 +111,12 @@ def nmi(a, b):
     return float(min(1.0, mi / max(entropy(a), entropy(b))))
 
 
-def _lloyd(x, k, rng, max_iter=300):
+# Lloyd iterations per k-means run; a run that has not settled by then
+# keeps its last assignment.
+_LLOYD_ITERATIONS = 300
+
+
+def _lloyd(x, k, rng):
     """One k-means run.  Returns (labels, wcss, per-iteration objectives)."""
     n, f = x.shape
     centers = x[rng.choice(n, size=k, replace=False)].copy()
@@ -120,7 +125,7 @@ def _lloyd(x, k, rng, max_iter=300):
     sq = _sq_norms(x)
     labels = None
     history = []
-    for _ in range(max_iter):
+    for _ in range(_LLOYD_ITERATIONS):
         d2 = _squared_distances(x, centers, sq, _sq_norms(centers))
         new_labels = d2.argmin(axis=1)
         cost = d2[np.arange(n), new_labels]

@@ -8,12 +8,14 @@ trace of the product of the cores' lateral slices at those indices.
 
 The matricized identity used by the solver reads, for every mode ``n``::
 
-    unfold_tr(X, n) == core_unfold2(core_n) @ subchain_unfold2(sub_n).T
+    unfold_tr(X, n) == core_unfold2(core_n) @ build_subchain(cores, n).T
 
-where ``sub_n`` merges all cores except ``n``.  It only holds because the
-subchain's middle-index enumeration (cyclic, first merged dimension
-fastest) and the shared ``(r_n slow, r_{n+1} fast)`` column pairing are
-fixed consistently with :mod:`tring.tensor_ops`.
+where ``build_subchain(cores, n)`` is the mode-2 unfolding of the
+subchain that merges all cores except ``n``: the subchain enters the
+algorithm through that matrix alone, so it is the only form built.  The
+identity only holds because the subchain's row enumeration (cyclic, first
+merged dimension fastest) and the shared ``(r_n slow, r_{n+1} fast)``
+column pairing are fixed consistently with :mod:`tring.tensor_ops`.
 
 :func:`build_subchain` returns fresh memory, or writes into a caller's
 workspace: the solver's fit builds each mode's subchain into one buffer
@@ -30,7 +32,6 @@ __all__ = [
     "TRCores",
     "init_random",
     "build_subchain",
-    "subchain_unfold2",
     "core_unfold2",
     "core_fold2",
     "reconstruct",
@@ -46,15 +47,14 @@ class TRCores:
     ----------
     cores : sequence of ndarray
         Core ``n`` must have shape ``(r_n, i_n, r_{n+1})`` with
-        ``r_{d} == r_0`` closing the ring.
-    nonneg : bool
-        When set, every core entry must be >= 0 (validated).
-    copy : bool
-        Copy the input arrays (default) or adopt them as-is.
+        ``r_{d} == r_0`` closing the ring.  Each is copied to float64.
+
+    ``nonneg`` reads whether every entry is >= 0, taken once at
+    construction; a NaN entry reads False.
     """
 
-    def __init__(self, cores, nonneg=False, copy=True):
-        cores = [np.array(c, dtype=np.float64, copy=copy) for c in cores]
+    def __init__(self, cores):
+        cores = [np.array(c, dtype=np.float64) for c in cores]
         if not cores:
             raise ValueError("need at least one core")
         for n, c in enumerate(cores):
@@ -69,12 +69,8 @@ class TRCores:
                     f"{cores[n].shape[2]} != core {nxt} leading rank "
                     f"{cores[nxt].shape[0]}"
                 )
-        if nonneg:
-            for n, c in enumerate(cores):
-                if np.any(c < 0):
-                    raise ValueError(f"core {n} has negative entries")
         self.cores = cores
-        self.nonneg = bool(nonneg)
+        self.nonneg = all(np.all(c >= 0) for c in cores)
 
     @property
     def order(self):
@@ -119,21 +115,19 @@ def init_random(dims, ranks, seed):
         np.abs(rng.standard_normal((ranks[n], dims[n], ranks[(n + 1) % d])))
         for n in range(d)
     ]
-    return TRCores(cores, nonneg=True, copy=False)
+    return TRCores(cores)
 
 
 def build_subchain(cores, mode, workspace=None):
-    """Merge all cores except ``mode`` into one third-order tensor.
+    """Mode-2 unfolding of the subchain merging all cores except ``mode``.
 
     Contracts cores ``mode+1, ..., d-1, 0, ..., mode-1`` in cyclic order
     over their shared rank dimensions.  The result has shape
-    ``(r_{mode+1}, prod of remaining dims, r_mode)`` with the middle index
-    enumerating the merged dimensions in that cyclic order, the first one
-    varying fastest.
-
-    The chain is accumulated C-contiguous as ``(middle, r_cur, r_head)``
-    and returned as a transposed view of that buffer, so the solver's
-    :func:`subchain_unfold2` of it is a view too.
+    ``(prod of remaining dims, r_mode * r_{mode+1})``: rows enumerate the
+    merged dimensions in that cyclic order, the first one varying fastest,
+    and columns pair ``(r_mode slow, r_{mode+1} fast)``.  It is the
+    C-contiguous ``(rows, r_mode, r_{mode+1})`` chain the merges build,
+    read as a matrix.
 
     ``workspace`` is a 1-D float64 array with at least as many entries as
     the subchain (the other dims times ``r_mode * r_{mode+1}``), or ``None``
@@ -160,7 +154,7 @@ def build_subchain(cores, mode, workspace=None):
         for idx in order[1:-1]:
             acc = _merge(acc, as_tensor(cores[idx]))
         acc = _merge(acc, as_tensor(cores[order[-1]]), workspace)
-    return acc.transpose(2, 0, 1)
+    return acc.reshape(len(acc), -1)
 
 
 def _chain_buffer(shape, workspace):
@@ -185,18 +179,6 @@ def _merge(acc, core, workspace=None):
     out = _chain_buffer((size, middle, r_next * r_head), workspace)
     np.matmul(acc.reshape(middle, r * r_head), kron.reshape(size, r * r_head, -1), out=out)
     return out.reshape(size * middle, r_next, r_head)
-
-
-def subchain_unfold2(sub):
-    """Mode-2 unfolding of a subchain, columns paired (r_n slow, r_{n+1} fast).
-
-    A view, not a copy, for a subchain from :func:`build_subchain`.
-    """
-    sub = as_tensor(sub)
-    if sub.ndim != 3:
-        raise ValueError("subchain must be third order")
-    r_head, middle, r_tail = sub.shape
-    return sub.transpose(1, 2, 0).reshape(middle, r_tail * r_head)
 
 
 def core_unfold2(core):
@@ -231,7 +213,7 @@ def reconstruct(cores):
     if d == 1:
         return np.trace(cores[0], axis1=0, axis2=2)
     g2 = core_unfold2(cores[0])
-    s2 = subchain_unfold2(build_subchain(cores, 0))
+    s2 = build_subchain(cores, 0)
     return fold_tr(g2 @ s2.T, 0, dims)
 
 

@@ -6,9 +6,10 @@ least-squares subproblem
 
     min_{G >= 0}  0.5 * || X_[n] - G @ S.T ||_F^2   (+ 0.5*beta*tr(G.T H G) at n = d-1)
 
-where S is the mode-2 unfolding of the subchain merging every other core
-and H is the sample-graph Laplacian.  The step size is the reciprocal of
-the subproblem's Lipschitz constant ||S.T S||_2 (+ beta*||H||_2 for the
+where S is the mode-2 unfolding of the subchain merging every other core,
+the one form :func:`~tring.ring.build_subchain` returns, and H is the
+sample-graph Laplacian.  The step size is the reciprocal of the
+subproblem's Lipschitz constant ||S.T S||_2 (+ beta*||H||_2 for the
 regularized sample-mode update).
 
 The subproblem is defined once, by :class:`Subproblem`: its objective,
@@ -51,14 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import NeighborGraph
-from .ring import (
-    TRCores,
-    build_subchain,
-    core_fold2,
-    core_unfold2,
-    init_random,
-    subchain_unfold2,
-)
+from .ring import TRCores, build_subchain, core_fold2, core_unfold2, init_random
 from .tensor_ops import as_count, as_tensor, spectral_norm, unfold_tr
 
 __all__ = [
@@ -224,8 +218,14 @@ class Subproblem:
             raise NumericalError(f"non-finite subproblem step size: {lipschitz}")
         return lipschitz
 
+    def _check(self, g):
+        """Raise ``ValueError`` unless the iterate ``g`` is shaped like ``xs``."""
+        if np.shape(g) != self.xs.shape:
+            raise ValueError(f"shape mismatch: g {np.shape(g)}, expected {self.xs.shape}")
+
     def objective(self, g):
-        """The objective at ``g`` without its constant ``0.5*||X||^2``."""
+        """The objective at ``g``, shaped like ``xs``, without its constant ``0.5*||X||^2``."""
+        self._check(g)
         val = 0.5 * float(np.vdot(g @ self.sts, g)) - float(np.vdot(g, self.xs))
         if self.graph is not None:
             val += 0.5 * self.beta * float(np.vdot(g, self.graph @ g))
@@ -233,8 +233,7 @@ class Subproblem:
 
     def gradient(self, g):
         """``g @ S.T S - X S`` (plus ``beta * H g``); ``g`` must be shaped like ``xs``."""
-        if np.shape(g) != self.xs.shape:
-            raise ValueError(f"shape mismatch: g {np.shape(g)}, expected {self.xs.shape}")
+        self._check(g)
         grad = g @ self.sts - self.xs
         if self.graph is not None:
             grad = grad + self.beta * (self.graph @ g)
@@ -375,7 +374,7 @@ def fit(x, ranks, cfg=None, graph=None):
         """The full objective at the sample-mode core ``g``, subchain ``sub2``."""
         return 0.5 * norm_x2 + Subproblem(sub2, x_unfolds[d - 1], graph, cfg.beta).objective(g)
 
-    sub2 = subchain_unfold2(build_subchain(cores, d - 1, workspace))
+    sub2 = build_subchain(cores, d - 1, workspace)
     prev_obj = initial_objective = objective(sub2, core_unfold2(cores[d - 1]))
     # A fit that starts at an exact decomposition reads an initial objective
     # of rounding size, or even below zero where the expanded form cancels;
@@ -385,7 +384,7 @@ def fit(x, ranks, cfg=None, graph=None):
     terminated_by = "max_sweeps"
     for _ in range(cfg.max_sweeps):
         for n in range(d):
-            sub2 = subchain_unfold2(build_subchain(cores, n, workspace))
+            sub2 = build_subchain(cores, n, workspace)
             g0 = core_unfold2(cores[n])
             g = solve_core(x_unfolds[n], sub2, g0, cfg, h_g=graph if n == d - 1 else None)
             cores[n] = core_fold2(g, ranks[n], dims[n], ranks[(n + 1) % d])
@@ -412,4 +411,4 @@ def fit(x, ranks, cfg=None, graph=None):
         wall_seconds=time.perf_counter() - t0,
         initial_objective=initial_objective,
     )
-    return TRCores(cores, nonneg=True, copy=False), report
+    return TRCores(cores), report

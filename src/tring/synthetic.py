@@ -6,6 +6,8 @@ stacks whose sample slices cluster by construction (for clustering and
 classification experiments).
 """
 
+import math
+
 import numpy as np
 
 from .ring import init_random, reconstruct
@@ -41,6 +43,8 @@ def blob_tensor(slice_dims, n_classes, per_class, noise=0.05, seed=0):
         raise ValueError(f"slice dimensions must be >= 1, got {slice_dims}")
     if as_count(n_classes, "n_classes") < 1 or as_count(per_class, "per_class") < 1:
         raise ValueError("need at least one class and one sample per class")
+    if not (math.isfinite(noise) and noise >= 0):
+        raise ValueError(f"noise must be finite and >= 0, got {noise}")
     rng = np.random.default_rng(seed)
     prototypes = rng.random((n_classes,) + slice_dims)
     n = n_classes * per_class

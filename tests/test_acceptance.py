@@ -22,7 +22,6 @@ from tring.ring import (
     feature_matrix,
     init_random,
     relative_error,
-    subchain_unfold2,
 )
 from tring.solver import SolverConfig, Subproblem, fit, solve_core
 from tring.synthetic import blob_tensor, ring_tensor
@@ -116,9 +115,7 @@ def test_criterion_1_tensor_algebra_oracle_equivalence():
         ref = trace_oracle(cores)
         scale = np.abs(ref).max()
         for mode in range(d):
-            xn = core_unfold2(cores[mode]) @ subchain_unfold2(
-                build_subchain(cores, mode)
-            ).T
+            xn = core_unfold2(cores[mode]) @ build_subchain(cores, mode).T
             err = np.abs(fold_tr(xn, mode, dims)- ref).max() / scale
             worst = max(worst, err)
     elapsed = time.perf_counter() - start
@@ -188,7 +185,7 @@ def test_criterion_3_lipschitz_and_majorization():
     total_steps = 0
     for h_g, beta in ((None, 0.0), (graph, 0.1)):
         mode = 3
-        s2 = subchain_unfold2(build_subchain(cores, mode))
+        s2 = build_subchain(cores, mode)
         xn = unfold_tr(x, mode)
         g0 = core_unfold2(cores[mode])
         lip = Subproblem(s2, xn, h_g, beta).lipschitz

@@ -418,6 +418,13 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")])
         assert code == 3
 
+    def test_undecodable_labels_file_is_file_error(self, blob_files, tmp_path, capsys):
+        data, _ = blob_files
+        code = main(["cluster", "--data", str(data), "--labels", str(data),
+                     "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert str(data) in capsys.readouterr().err
+
     def test_declared_size_beyond_int64_is_file_error(self, tmp_path):
         bad = tmp_path / "huge.ten"
         bad.write_bytes(b"TEN1" + (2).to_bytes(4, "little") + (2**32).to_bytes(8, "little") * 2)

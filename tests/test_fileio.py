@@ -1,5 +1,7 @@
 """Tensor container and label file round trips, strict validation."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,13 @@ class TestLabelsFile:
         path = tmp_path / "labels.txt"
         path.write_text("")
         with pytest.raises(FileFormatError):
+            read_labels(path)
+
+    def test_undecodable_file_is_a_format_error_naming_the_path(self, tmp_path):
+        # A binary file handed over as labels, e.g. the data tensor itself.
+        path = tmp_path / "labels.ten"
+        write_tensor(path, np.full((2, 2), -1.0))
+        with pytest.raises(FileFormatError, match=re.escape(f"{path}: not a text labels file")):
             read_labels(path)
 
 

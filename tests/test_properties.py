@@ -15,7 +15,6 @@ from tring.ring import (
     core_unfold2,
     init_random,
     reconstruct,
-    subchain_unfold2,
 )
 from tring.solver import SolverConfig, fit, solve_core
 from tring.tensor_ops import unfold_tr
@@ -77,7 +76,7 @@ def test_no_inner_iterate_raises_the_core_objective(problem):
     cores = init_random(x.shape, ranks, cfg.seed)
     for n in range(x.ndim):
         x_unfold = unfold_tr(x, n)
-        sub2 = subchain_unfold2(build_subchain(cores, n))
+        sub2 = build_subchain(cores, n)
         h = graph.laplacian if n == x.ndim - 1 else None
 
         def objective(g):
@@ -108,7 +107,7 @@ def test_zero_beta_ignores_the_graph_bitwise(problem):
 @EXAMPLES
 @given(problems())
 def test_matricized_identity_every_mode(problem):
-    # unfold_tr(X, n) == core_unfold2(G_n) @ subchain_unfold2(S_n).T for the
+    # unfold_tr(X, n) == core_unfold2(G_n) @ build_subchain(cores, n).T for the
     # ring's own tensor, with S_n built fresh and, as fit builds it, into
     # one workspace that every mode reuses.
     x, ranks, _, cfg = problem
@@ -119,4 +118,4 @@ def test_matricized_identity_every_mode(problem):
         want = unfold_tr(full, n)
         g2 = core_unfold2(cores[n])
         for sub in (build_subchain(cores, n), build_subchain(cores, n, workspace)):
-            np.testing.assert_allclose(g2 @ subchain_unfold2(sub).T, want, rtol=1e-12)
+            np.testing.assert_allclose(g2 @ sub.T, want, rtol=1e-12)

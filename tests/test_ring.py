@@ -15,7 +15,6 @@ from tring.ring import (
     init_random,
     reconstruct,
     relative_error,
-    subchain_unfold2,
 )
 from tring.images import montage
 from tring.solver import SolverConfig, fit
@@ -37,8 +36,10 @@ def trace_oracle(cores):
 
 
 def subchain_oracle(cores, mode):
-    """Slice-product definition: middle index decodes little-endian over the
-    cyclic dimension order starting after ``mode``."""
+    """Slice-product definition, as the mode-2 unfolding: the row index
+    decodes little-endian over the cyclic dimension order starting after
+    ``mode``, and column ``a * r_{mode+1} + b`` holds entry ``(b, a)`` of the
+    slice product (``r_mode`` slow, ``r_{mode+1}`` fast)."""
     cores = list(cores)
     d = len(cores)
     rest = [(mode + j) % d for j in range(1, d)]
@@ -56,7 +57,7 @@ def subchain_oracle(cores, mode):
         for j in rest[1:]:
             m = m @ cores[j][:, idx[j], :]
         out[:, flat, :] = m
-    return out
+    return out.transpose(1, 2, 0).reshape(out.shape[1], -1)
 
 
 class TestTRCores:
@@ -67,9 +68,18 @@ class TestTRCores:
             TRCores([np.ones((2, 3, 4)), np.ones((3, 2, 2))])
 
     def test_nonneg_validation(self):
-        c = [np.ones((1, 2, 1)), -np.ones((1, 3, 1))]
-        with pytest.raises(ValueError):
-            TRCores(c, nonneg=True)
+        # A reading, not a check: a negative or NaN entry reads False.
+        c = [np.ones((1, 2, 1)), np.ones((1, 3, 1))]
+        assert TRCores(c).nonneg is True
+        for bad in (-1.0, np.nan):
+            c[1][0, 1, 0] = bad
+            assert TRCores(c).nonneg is False
+
+    def test_cores_copied_to_float64(self):
+        src = [np.ones((1, 2, 1), dtype=np.float32), np.ones((1, 3, 1))]
+        cores = TRCores(src)
+        assert all(c.dtype == np.float64 for c in cores)
+        assert not any(np.shares_memory(c, s) for c, s in zip(cores, src))
 
     def test_properties(self):
         cores = init_random((3, 4, 5), (2, 3, 2), seed=0)
@@ -145,12 +155,20 @@ def test_sizes_and_modes_rejected_not_truncated(case):
         call()
 
 
+@pytest.mark.parametrize("noise", [-5.0, -1e-300, np.nan, np.inf])
+def test_blob_noise_must_be_finite_and_nonnegative(noise):
+    # A negative amplitude gives negative data; NaN or Inf gives data that
+    # only fit would reject, later.
+    with pytest.raises(ValueError, match="noise must be finite and >= 0"):
+        blob_tensor((2, 2), 2, 2, noise=noise)
+
+
 class TestSubchain:
     def test_two_cores_subchain_is_the_other_core(self):
         cores = init_random((3, 4), (2, 3), seed=1)
         sub = build_subchain(cores, 0)
-        assert np.array_equal(sub, cores[1])
-        assert sub.shape == (3, 4, 2)
+        assert np.array_equal(sub.reshape(4, 2, 3), cores[1].transpose(1, 2, 0))
+        assert sub.shape == (4, 6)
 
     def test_rank_one_is_vectorized_outer_product(self):
         cores = init_random((3, 4, 2), (1, 1, 1), seed=2)
@@ -162,7 +180,7 @@ class TestSubchain:
             fiber = vecs[rest[0]]
             for j in rest[1:]:
                 fiber = np.kron(vecs[j], fiber)  # earlier dims stay fastest
-            assert np.allclose(sub[0, :, 0], fiber, rtol=1e-13)
+            assert np.allclose(sub[:, 0], fiber, rtol=1e-13)
 
     @pytest.mark.parametrize("mode", range(3))
     def test_matches_slice_product_oracle(self, mode):
@@ -187,11 +205,12 @@ class TestSubchain:
         ],
     )
     def test_unfold2_is_a_view_matching_oracle(self, dims, ranks):
+        # The unfolding is the merged chain's own buffer read as a matrix.
         cores = init_random(dims, ranks, seed=12)
         for mode in range(len(dims)):
             sub = build_subchain(cores, mode)
-            m = subchain_unfold2(sub)
-            assert np.shares_memory(m, sub)
+            assert sub.base is not None and sub.flags.c_contiguous
+            assert not any(np.shares_memory(sub, c) for c in cores)
             np.testing.assert_allclose(sub, subchain_oracle(cores, mode), rtol=1e-12)
 
     @pytest.mark.parametrize(
@@ -218,15 +237,15 @@ class TestSubchain:
             assert not any(np.shares_memory(fresh, c) for c in cores)
             assert not np.shares_memory(fresh, workspace)
             assert np.array_equal(into, fresh)
-            assert np.array_equal(subchain_unfold2(into), subchain_unfold2(fresh))
 
     def test_contract_back_reproduces_reconstruction(self):
         cores = init_random((3, 2, 4), (2, 2, 3), seed=4)
         ref = reconstruct(cores)
         for mode in range(3):
-            sub = build_subchain(cores, mode)
+            core = cores[mode]
+            sub = build_subchain(cores, mode).reshape(-1, core.shape[0], core.shape[2])
             # contract core against subchain over both shared rank modes
-            xn = np.einsum("aib,bma->im", cores[mode], sub)
+            xn = np.einsum("aib,mab->im", core, sub)
             assert np.allclose(fold_tr(xn, mode, ref.shape), ref, rtol=1e-12)
 
 
@@ -248,20 +267,18 @@ class TestUnfold2:
         assert m.shape == (4, 1)
         assert np.array_equal(m[:, 0], core[0, :, 0])
 
-    def test_subchain_unfold2_rank_one(self):
+    def test_subchain_rank_one(self):
         cores = init_random((3, 4, 2), (1, 1, 1), seed=7)
-        sub = build_subchain(cores, 0)
-        m = subchain_unfold2(sub)
+        m = build_subchain(cores, 0)
         assert m.shape == (8, 1)
-        assert np.array_equal(m[:, 0], sub[0, :, 0])
+        assert np.array_equal(m[:, 0], np.kron(cores[2].ravel(), cores[1].ravel()))
 
-    def test_subchain_unfold2_two_cores_matches_classical_unfolding(self):
+    def test_subchain_two_cores_matches_classical_unfolding(self):
         # With two cores the subchain is the other core, and the lexical
         # column pairing coincides with its classical mode-1 unfolding.
         cores = init_random((3, 4), (2, 3), seed=8)
-        sub = build_subchain(cores, 0)
         classical = np.moveaxis(cores[1], 1, 0).reshape(4, -1, order="F")
-        assert np.array_equal(subchain_unfold2(sub), classical)
+        assert np.array_equal(build_subchain(cores, 0), classical)
 
 
 class TestReconstruct:
@@ -289,9 +306,7 @@ class TestReconstruct:
         ref = trace_oracle(cores)
         scale = np.abs(ref).max()
         for mode in range(d):
-            xn = core_unfold2(cores[mode]) @ subchain_unfold2(
-                build_subchain(cores, mode)
-            ).T
+            xn = core_unfold2(cores[mode]) @ build_subchain(cores, mode).T
             err = np.abs(fold_tr(xn, mode, dims) - ref).max() / scale
             assert err <= 1e-10
         assert np.abs(reconstruct(cores) - ref).max() / scale <= 1e-10
@@ -321,9 +336,7 @@ class TestReconstruct:
         x = reconstruct(cores)
         for mode in range(3):
             lhs = unfold_tr(x, mode)
-            rhs = core_unfold2(cores[mode]) @ subchain_unfold2(
-                build_subchain(cores, mode)
-            ).T
+            rhs = core_unfold2(cores[mode]) @ build_subchain(cores, mode).T
             assert np.allclose(lhs, rhs, rtol=1e-10, atol=1e-12)
 
 

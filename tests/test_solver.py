@@ -19,7 +19,6 @@ from tring.ring import (
     init_random,
     reconstruct,
     relative_error,
-    subchain_unfold2,
 )
 from tring.solver import (
     NumericalError,
@@ -142,6 +141,19 @@ class TestGradients:
         with pytest.raises(ValueError, match="shape mismatch"):
             sub.gradient(g[:rows, :cols])
 
+    @pytest.mark.parametrize("rows, cols", [(1, 4), (5, 3), (4, 4)])
+    def test_objective_rejects_an_iterate_not_shaped_like_xs(self, rows, cols):
+        g, s2, xn = random_instance(3)
+        sub = Subproblem(s2, xn)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            sub.objective(g[:rows, :cols])
+
+    def test_solve_core_rejects_a_start_not_shaped_like_xs(self):
+        # The start is scored before any gradient, so the objective's check
+        # is the one that names the mismatch.
+        with pytest.raises(ValueError, match="shape mismatch"):
+            solve_core(np.ones((2, 3)), np.ones((3, 1)), np.ones((1, 1)), SolverConfig(t_max=1))
+
 
 class TestLipschitz:
     def test_orthonormal_columns_give_one(self):
@@ -204,7 +216,7 @@ class TestLipschitz:
         x, _ = blob_tensor((4, 4), 3, 10, seed=4)
         graph = neighbor_graph(x, 4)
         cores = init_random(x.shape, (2, 2, 3), seed=1)
-        s2 = subchain_unfold2(build_subchain(cores, 2))
+        s2 = build_subchain(cores, 2)
         xn = unfold_tr(x, 2)
         sub = Subproblem(s2, xn, graph, beta)
         lip = sub.lipschitz
@@ -423,7 +435,7 @@ class TestFit:
         vals = []
         for mode in range(3):
             g2 = core_unfold2(cores[mode])
-            s2 = subchain_unfold2(build_subchain(cores, mode))
+            s2 = build_subchain(cores, mode)
             vals.append(0.5 * np.linalg.norm(unfold_tr(x, mode) - g2 @ s2.T) ** 2)
         assert np.allclose(vals, vals[0], rtol=1e-12)
 
@@ -488,7 +500,7 @@ class TestFit:
         # unfold_tr returns F-ordered arrays; a caller may pass C-ordered ones.
         x, _ = blob_tensor((4, 5), 3, 6, seed=9)
         cores = init_random(x.shape, (2, 3, 2), seed=2)
-        s2 = subchain_unfold2(build_subchain(cores, mode))
+        s2 = build_subchain(cores, mode)
         g0 = core_unfold2(cores[mode])
         xf = np.asfortranarray(unfold_tr(x, mode))
         xc = np.ascontiguousarray(xf)
@@ -520,7 +532,7 @@ class TestFit:
         # full-column-rank subchain unfoldings.
         cores = init_random((6, 6, 6), (2, 2, 2), seed=8)
         for mode in range(3):
-            s2 = subchain_unfold2(build_subchain(cores, mode))
+            s2 = build_subchain(cores, mode)
             assert np.linalg.matrix_rank(s2) == s2.shape[1]
 
 
@@ -597,7 +609,7 @@ class TestBlockedSetup:
         x, _ = blob_tensor((4, 4), 3, 10, seed=4)
         graph = neighbor_graph(x, 4)
         cores = init_random(x.shape, (2, 2, 3), seed=1)
-        s2 = subchain_unfold2(build_subchain(cores, 2))
+        s2 = build_subchain(cores, 2)
         xn = unfold_tr(x, 2)
         assert s2.shape[0] == 16
         h = graph if beta > 0 else None
@@ -668,7 +680,7 @@ class TestLaplacianOperator:
         x, _ = blob_tensor((4, 4), 3, 10, seed=4)
         graph = neighbor_graph(x, 4)
         cores = init_random(x.shape, (2, 2, 3), seed=1)
-        s2 = subchain_unfold2(build_subchain(cores, 2))
+        s2 = build_subchain(cores, 2)
         cfg = SolverConfig(t_max=100, beta=beta)
         return (unfold_tr(x, 2), s2, core_unfold2(cores[2]), cfg), graph
 
@@ -780,7 +792,7 @@ class TestLaplacianOperator:
         graph = neighbor_graph(x, 4)
         cfg = SolverConfig(t_max=15, max_sweeps=10, tol=1e-12, beta=beta, seed=1)
         cores, report = fit(x, (2, 2, 2), cfg, graph)
-        s2 = subchain_unfold2(build_subchain(cores, 2))
+        s2 = build_subchain(cores, 2)
         sub = Subproblem(s2, unfold_tr(x, 2), graph, beta)
         want = 0.5 * float(np.vdot(x, x)) + sub.objective(core_unfold2(cores[2]))
         assert report.objective_per_sweep[-1] == want
