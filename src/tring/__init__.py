@@ -27,7 +27,6 @@ from .solver import (
     NumericalError,
     SolverConfig,
     Subproblem,
-    alpha_next,
     fit,
     prox_step,
     search_point,
@@ -53,7 +52,6 @@ __all__ = [
     "feature_matrix",
     "neighbor_graph",
     "Subproblem",
-    "alpha_next",
     "search_point",
     "prox_step",
     "solve_core",

@@ -20,6 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .tensor_ops import as_labels
+
 __all__ = [
     "FileFormatError",
     "write_tensor",
@@ -90,16 +92,15 @@ def read_tensor(path):
 
 
 def write_labels(path, labels):
-    """Write one integer label per line."""
-    labels = np.asarray(labels)
-    text = "".join(f"{int(v)}\n" for v in labels)
+    """Write one integer label per line; a label such as 0.5 raises ``ValueError``."""
+    text = "".join(f"{v}\n" for v in as_labels(labels).tolist())
     atomic_write_bytes(path, text.encode("ascii"))
 
 
 def read_labels(path):
-    """Read one integer label per line, UTF-8; blank lines are rejected mid-file."""
+    """Read one integer label per line, UTF-8 (a byte-order mark is skipped); no blank lines."""
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
     except UnicodeDecodeError as exc:
         raise FileFormatError(f"{path}: not a text labels file ({exc.reason})") from exc
     labels = []

@@ -10,7 +10,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .graph import _nearest, _row_blocks, _sq_norms, _squared_distances
-from .tensor_ops import as_count
+from .tensor_ops import as_count, as_labels
 
 __all__ = [
     "sparseness",
@@ -21,18 +21,6 @@ __all__ = [
     "kmeans",
     "knn_classify",
 ]
-
-
-def _labels(a):
-    """``a`` as int64 labels; a float label must hold an int64 value exactly."""
-    a = np.asarray(a)
-    if a.ndim != 1 or a.size == 0:
-        raise ValueError("labels must be a nonempty 1-D sequence")
-    if a.dtype.kind == "f":
-        bad = (a != np.trunc(a)) | ~(np.abs(a) < 2.0**63)
-        if bad.any():
-            raise ValueError(f"labels must be integer-valued, got {a[bad][0]}")
-    return a.astype(np.int64)
 
 
 def sparseness(h):
@@ -69,8 +57,8 @@ def accuracy(pred, truth):
     The mapping is the exact optimal assignment on the confusion matrix,
     so any relabeling of either side leaves the score unchanged.
     """
-    pred = _labels(pred)
-    truth = _labels(truth)
+    pred = as_labels(pred)
+    truth = as_labels(truth)
     if pred.size != truth.size:
         raise ValueError(f"length mismatch: {pred.size} vs {truth.size}")
     c = _confusion(pred, truth)
@@ -80,7 +68,7 @@ def accuracy(pred, truth):
 
 def entropy(labels):
     """Shannon entropy of a labeling, in bits."""
-    labels = _labels(labels)
+    labels = as_labels(labels)
     _, counts = np.unique(labels, return_counts=True)
     p = counts / labels.size
     return float(-(p * np.log2(p)).sum())
@@ -88,8 +76,8 @@ def entropy(labels):
 
 def mutual_information(a, b):
     """Mutual information between two labelings, in bits (0*log 0 = 0)."""
-    a = _labels(a)
-    b = _labels(b)
+    a = as_labels(a)
+    b = as_labels(b)
     if a.size != b.size:
         raise ValueError(f"length mismatch: {a.size} vs {b.size}")
     joint = _confusion(a, b) / a.size
@@ -213,7 +201,7 @@ def knn_classify(train, train_labels, test, k):
     """
     train = np.atleast_2d(np.asarray(train, dtype=np.float64))
     test = np.atleast_2d(np.asarray(test, dtype=np.float64))
-    train_labels = _labels(train_labels)
+    train_labels = as_labels(train_labels)
     if train.shape[0] != train_labels.size:
         raise ValueError("one label per training row required")
     if train.shape[1] != test.shape[1]:

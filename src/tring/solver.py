@@ -14,9 +14,10 @@ regularized sample-mode update).
 
 The subproblem is defined once, by :class:`Subproblem`: its objective,
 gradient and Lipschitz constant are what :func:`solve_core` iterates on,
-what the acceptance criteria check, and what :func:`fit` reports per
-sweep.  It forms the r^2 x r^2 Gram S.T S once, for the gradient and for
-the Lipschitz constant alike: ||S.T S||_2 and ||H||_2 are both
+what the acceptance criteria check, and, handed to the callback of the
+sample-mode :func:`solve_core`, what :func:`fit` reports per sweep.  It
+forms the r^2 x r^2 Gram S.T S once, for the gradient and for the
+Lipschitz constant alike: ||S.T S||_2 and ||H||_2 are both
 ``tensor_ops.spectral_norm``, a top eigenvalue raised by a small relative
 margin so that it never falls below the true value.  A subproblem holds
 only its Gram and its cross term X S; its objective leaves out the
@@ -60,7 +61,6 @@ __all__ = [
     "FitReport",
     "NumericalError",
     "Subproblem",
-    "alpha_next",
     "search_point",
     "prox_step",
     "solve_core",
@@ -240,11 +240,6 @@ class Subproblem:
         return grad
 
 
-def alpha_next(alpha):
-    """Momentum coefficient recurrence (1 + sqrt(4*alpha^2 + 1)) / 2."""
-    return 0.5 * (1.0 + math.sqrt(4.0 * alpha * alpha + 1.0))
-
-
 def search_point(g_curr, g_prev, alpha_curr, alpha_nxt):
     """Extrapolated search point from the two latest iterates."""
     coeff = (alpha_curr - 1.0) / alpha_nxt
@@ -277,8 +272,9 @@ def solve_core(x_unfold, subchain2, g_init, cfg, h_g=None, callback=None):
         The graph keeps its ``||H||_2``, so the norm is not recomputed
         per call.
     callback : callable, optional
-        ``callback(g_new, y, grad_y)`` after each accepted iterate, for
-        diagnostics and audits.
+        ``callback(g_new, y, grad_y, f_new)`` once per iteration, at its
+        accepted iterate; ``f_new`` is ``Subproblem.objective(g_new)``,
+        without ``0.5*||X||^2``, the value the restart test compares.
 
     Returns
     -------
@@ -309,8 +305,8 @@ def solve_core(x_unfold, subchain2, g_init, cfg, h_g=None, callback=None):
             g_next = prox_step(y, grad, lipschitz)
             f_next = sub.objective(g_next)
         if callback is not None:
-            callback(g_next, y, grad)
-        a_nxt = alpha_next(alpha)
+            callback(g_next, y, grad, f_next)
+        a_nxt = 0.5 * (1.0 + math.sqrt(4.0 * alpha * alpha + 1.0))
         y = search_point(g_next, g_curr, alpha, a_nxt)
         g_curr = g_next
         f_curr = f_next
@@ -339,8 +335,9 @@ def fit(x, ranks, cfg=None, graph=None):
     -------
     (TRCores, FitReport)
         Nonnegative cores and the per-sweep progress record.  The reported
-        objective is measured at the sample mode; every mode's value is
-        identical because the unfoldings only permute entries.
+        objective is measured at the sample mode, solved last, as its last
+        ``f_new``; every mode's value is identical because the unfoldings
+        only permute entries.
     """
     x = as_tensor(x)
     if cfg is None:
@@ -370,27 +367,29 @@ def fit(x, ranks, cfg=None, graph=None):
         max(math.prod(dims) // dims[n] * ranks[n] * ranks[(n + 1) % d] for n in range(d))
     )
 
-    def objective(sub2, g):
-        """The full objective at the sample-mode core ``g``, subchain ``sub2``."""
-        return 0.5 * norm_x2 + Subproblem(sub2, x_unfolds[d - 1], graph, cfg.beta).objective(g)
-
-    sub2 = build_subchain(cores, d - 1, workspace)
-    prev_obj = initial_objective = objective(sub2, core_unfold2(cores[d - 1]))
+    sub = Subproblem(build_subchain(cores, d - 1, workspace), x_unfolds[d - 1], graph, cfg.beta)
+    prev_obj = initial_objective = 0.5 * norm_x2 + sub.objective(core_unfold2(cores[d - 1]))
     # A fit that starts at an exact decomposition reads an initial objective
     # of rounding size, or even below zero where the expanded form cancels;
     # changes are then measured against the rounding of ||X||^2 instead.
     scale = max(initial_objective, np.finfo(np.float64).eps * norm_x2)
     objectives, rel_changes, seconds = [], [], []
     terminated_by = "max_sweeps"
+    f_last = None
+
+    def keep_objective(g_new, y, grad_y, f_new):
+        nonlocal f_last
+        f_last = f_new
+
     for _ in range(cfg.max_sweeps):
         for n in range(d):
             sub2 = build_subchain(cores, n, workspace)
             g0 = core_unfold2(cores[n])
-            g = solve_core(x_unfolds[n], sub2, g0, cfg, h_g=graph if n == d - 1 else None)
+            sample = n == d - 1
+            g = solve_core(x_unfolds[n], sub2, g0, cfg, h_g=graph if sample else None,
+                           callback=keep_objective if sample else None)
             cores[n] = core_fold2(g, ranks[n], dims[n], ranks[(n + 1) % d])
-        # Cores 0..d-2 are untouched since the last inner solve, so its
-        # subchain is still the current one.
-        obj = objective(sub2, g)
+        obj = 0.5 * norm_x2 + f_last
         if not np.isfinite(obj):
             raise NumericalError(f"objective became non-finite: {obj}")
         rel = abs(prev_obj - obj) / scale

@@ -48,6 +48,18 @@ def as_count(value, name):
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def as_labels(a):
+    """Nonempty 1-D ``a`` as int64 labels; a float label must hold an int64 value exactly."""
+    a = np.asarray(a)
+    if a.ndim != 1 or a.size == 0:
+        raise ValueError("labels must be a nonempty 1-D sequence")
+    if a.dtype.kind == "f":
+        bad = (a != np.trunc(a)) | ~(np.abs(a) < 2.0**63)
+        if bad.any():
+            raise ValueError(f"labels must be integer-valued, got {a[bad][0]}")
+    return a.astype(np.int64)
+
+
 def unfold_tr(x, mode):
     """Cyclic mode-``mode`` matricization.
 

@@ -199,7 +199,7 @@ def test_criterion_3_lipschitz_and_majorization():
 
         steps = []
 
-        def audit(g_new, y, grad_y):
+        def audit(g_new, y, grad_y, f_new):
             phi = (
                 f(y)
                 + float(np.vdot(grad_y, g_new - y))

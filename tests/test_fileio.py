@@ -101,6 +101,27 @@ class TestLabelsFile:
         assert path.read_text() == "0\n3\n1\n1\n2\n"
         assert np.array_equal(read_labels(path), labels)
 
+    @pytest.mark.parametrize(
+        "labels", [[0.5, 1.7, -2.9], [0.0, 1.5], [np.nan], [], [[0, 1]]],
+        ids=["fractions", "half", "nan", "empty", "2-D"],
+    )
+    def test_write_refuses_what_it_would_truncate(self, tmp_path, labels):
+        path = tmp_path / "labels.txt"
+        with pytest.raises(ValueError, match="labels must be"):
+            write_labels(path, labels)
+        assert not path.exists()
+
+    def test_write_takes_integer_valued_floats_exactly(self, tmp_path):
+        path = tmp_path / "labels.txt"
+        write_labels(path, np.array([2.0, -0.0, 7.0]))
+        assert path.read_text() == "2\n0\n7\n"
+
+    def test_byte_order_mark_accepted(self, tmp_path):
+        # Some editors start a UTF-8 file with U+FEFF; it is not part of a label.
+        path = tmp_path / "labels.txt"
+        path.write_bytes(b"\xef\xbb\xbf0\n1\n")
+        assert np.array_equal(read_labels(path), [0, 1])
+
     def test_non_integer_line_rejected(self, tmp_path):
         path = tmp_path / "labels.txt"
         path.write_text("0\nfoo\n1\n")

@@ -88,7 +88,7 @@ def test_no_inner_iterate_raises_the_core_objective(problem):
         g0 = core_unfold2(cores[n])
         values = [objective(g0)]
         solve_core(x_unfold, sub2, g0, cfg, h_g=None if h is None else graph,
-                   callback=lambda g, y, grad: values.append(objective(g)))
+                   callback=lambda g, y, grad, f: values.append(objective(g)))
         assert len(values) == cfg.t_max + 1
         assert np.all(np.diff(values) <= 1e-12 * norm_x2)
 
