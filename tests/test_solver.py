@@ -286,9 +286,43 @@ class TestMomentumPieces:
             a_nxt = 0.5 * (1.0 + np.sqrt(4.0 * alpha * alpha + 1.0))
             assert np.array_equal(y, g + (alpha - 1.0) / a_nxt * (g - g_prev))
             alpha, g_prev = a_nxt, g
-            alphas.append(alpha)
-        assert alphas[1] == pytest.approx((1 + np.sqrt(5)) / 2, rel=1e-12)
-        assert np.all(np.diff(alphas) > 0)
+
+    @staticmethod
+    def momentum_pairs(monkeypatch, instance, t_max):
+        # The (a_k, a_{k+1}) pair solve_core hands each search point.
+        pairs = []
+
+        def recording_search_point(g, g_prev, alpha, a_nxt):
+            pairs.append((alpha, a_nxt))
+            return search_point(g, g_prev, alpha, a_nxt)
+
+        monkeypatch.setattr(tring.solver, "search_point", recording_search_point)
+        g0, s2, xn = instance
+        solve_core(xn, s2, g0, SolverConfig(t_max=t_max, beta=0.0))
+        assert len(pairs) == t_max
+        return pairs
+
+    def test_alpha_golden_start(self, monkeypatch):
+        pairs = self.momentum_pairs(monkeypatch, random_instance(3), 12)
+        assert pairs[0][0] == 1.0
+        assert pairs[0][1] == pytest.approx((1 + np.sqrt(5)) / 2, rel=1e-12)
+
+    def test_alpha_large_argument(self, monkeypatch):
+        # Geometrically shrinking subchain columns make the problem
+        # ill-conditioned enough that momentum never overshoots, so a_k
+        # grows past 100 without a restart.
+        g0, s2, xn = random_instance(0)
+        s2 = s2 * np.geomspace(1.0, 1e-2, s2.shape[1])
+        pairs = self.momentum_pairs(monkeypatch, (g0, s2, xn), 250)
+        assert max(a for a, _ in pairs) > 100.0
+        for a, a_nxt in pairs:
+            assert a_nxt == pytest.approx((1 + np.sqrt(4 * a * a + 1)) / 2, rel=1e-12)
+
+    def test_alpha_strictly_increasing(self, monkeypatch):
+        pairs = self.momentum_pairs(monkeypatch, random_instance(3), 50)
+        for (a, a_nxt), (a_after, _) in zip(pairs, pairs[1:]):
+            assert a_nxt > a
+            assert a_after in (a_nxt, 1.0)  # carried over, or reset by a restart
 
     def test_search_point_zero_momentum(self):
         g = np.random.default_rng(0).random((3, 2))
