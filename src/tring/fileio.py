@@ -97,8 +97,16 @@ def write_labels(path, labels):
     atomic_write_bytes(path, text.encode("ascii"))
 
 
+def _int64(text):
+    """``int(text)`` for an optional sign then ASCII digits within int64, else ``ValueError``."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()) or not -(2**63) <= int(text) < 2**63:
+        raise ValueError(text)  # int() alone also reads "1_0" as 10, and other scripts' digits
+    return int(text)
+
+
 def read_labels(path):
-    """Read one integer label per line, UTF-8 (a byte-order mark is skipped); no blank lines."""
+    """Read one ``_int64`` label per line, UTF-8 (a byte-order mark is skipped); no blank lines."""
     try:
         lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
     except UnicodeDecodeError as exc:
@@ -109,7 +117,7 @@ def read_labels(path):
         if not line:
             raise FileFormatError(f"{path}: blank line {i + 1}")
         try:
-            labels.append(int(line))
+            labels.append(_int64(line))
         except ValueError as exc:
             raise FileFormatError(f"{path}: bad label on line {i + 1}: {line!r}") from exc
     if not labels:

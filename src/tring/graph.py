@@ -53,6 +53,24 @@ def _sq_norms(rows):
     return np.einsum("ij,ij->i", rows, rows)
 
 
+def _bounded_sq_norms(rows, what):
+    """``_sq_norms(rows)`` if the n rows pass the distance kernel's one input rule.
+
+    The rule, ``|row|^2 <= finfo.max / (4 n)``, fails NaN and Inf too.  A
+    squared distance between rows, or a row and a mean of rows, is then at
+    most ``2|a|^2 + 2|b|^2 <= 4 max|row|^2``, so a sum of up to n of them is
+    finite: k-means' cost, wcss and centre sums, k-NN's distance sums.  A
+    per-row bound would not do: rows at +-a with |a|^2 near max / 4 have
+    finite distances, but their k = 1 cost overflows.
+    """
+    sq = _sq_norms(rows)
+    limit = np.finfo(np.float64).max / (4 * max(len(sq), 1))
+    if not np.all(sq <= limit):
+        raise ValueError(f"{what} must be finite with squared row norms at most {limit:.3g} "
+                         "(float64 max / 4n): larger are too large for float64 distances")
+    return sq
+
+
 def _squared_distances(a, b, sq_a, sq_b):
     """Squared Euclidean distances between the rows of ``a`` and of ``b``.
 
@@ -107,8 +125,6 @@ def _nearest(dist, p):
     are.
     """
     kth = np.partition(dist, p - 1, axis=1)[:, p - 1 : p]
-    if np.isnan(kth).any():
-        raise ValueError("NaN distance: data non-finite or too large for float64")
     rows, cols = _entries(dist <= kth)
     return _first(rows, cols, dist[rows, cols], p)[0]
 
@@ -137,16 +153,15 @@ def neighbor_graph(x, p):
     x = as_tensor(x)
     if x.ndim == 0 or x.shape[-1] < 2:
         raise ValueError("a sample graph needs at least 2 samples")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("sample data must be finite (no NaN or Inf)")
     flat = unfold_tr(x, x.ndim - 1)
-    sq = _sq_norms(flat)
     n = flat.shape[0]
     p = as_count(p, "neighbor count p")
     if not 1 <= p < n:
         raise ValueError(f"neighbor count p={p} out of range for {n} samples")
+    sq = _bounded_sq_norms(flat, "sample data")
     # Each row's p nearest so far by (distance, column); column n marks an
-    # empty slot, and its infinite distance leaves the row unbounded.
+    # empty slot, whose inf leaves the row unbounded.  The two passes meet
+    # every row with all n - 1 >= p others at finite distance: none stays empty.
     near = np.full((n, p), n, dtype=np.int64)
     near_dist = np.full((n, p), np.inf)
 
@@ -165,10 +180,7 @@ def neighbor_graph(x, p):
     for lo, hi in blocks:
         dist = distances(lo, hi, lo, hi)
         np.fill_diagonal(dist, np.inf)  # no sample is its own neighbor
-        bound = np.inf
-        if hi - lo >= p:
-            bound = np.partition(dist, p - 1, axis=1)[:, p - 1 : p]
-            bound[np.isnan(bound)] = np.inf
+        bound = np.partition(dist, p - 1, axis=1)[:, p - 1 : p] if hi - lo >= p else np.inf
         rows, cols = _entries(dist <= bound)
         keep(lo + rows, lo + cols, dist[rows, cols])
     for lo, hi in blocks[:-1]:
@@ -178,8 +190,6 @@ def neighbor_graph(x, p):
         t_rows, t_cols = _entries(dist <= bound[hi:])
         keep(np.concatenate([lo + rows, hi + t_cols]), np.concatenate([hi + cols, lo + t_rows]),
              np.concatenate([dist[rows, cols], dist[t_rows, t_cols]]))
-    if (near == n).any():
-        raise ValueError("NaN distance: data non-finite or too large for float64")
     # Sorted rows make the CSR canonical, so the product's rows come out sorted.
     near.sort(axis=1)
     directed = sparse.csr_array((np.ones(n * p), near.ravel(), np.arange(0, n * p + 1, p)),

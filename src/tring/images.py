@@ -49,11 +49,17 @@ def read_pnm(path):
             raise FileFormatError(f"{path}: truncated header")
         return data[start:pos]
 
+    def number():
+        field = token()  # ASCII digits: int() alone also reads b"1_0" as 10, and b"+1"
+        if not field.isdigit():
+            raise ValueError(field)
+        return int(field)
+
     magic = token()
     if magic not in (b"P5", b"P6"):
         raise FileFormatError(f"{path}: unsupported format {magic!r} (need P5/P6)")
     try:
-        width, height, maxval = int(token()), int(token()), int(token())
+        width, height, maxval = number(), number(), number()
     except ValueError as exc:
         raise FileFormatError(f"{path}: malformed header") from exc
     if width < 1 or height < 1 or not 0 < maxval < 65536:

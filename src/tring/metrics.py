@@ -9,7 +9,7 @@ k-means and k-NN take distances from the kernel in :mod:`tring.graph`.
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .graph import _nearest, _row_blocks, _sq_norms, _squared_distances
+from .graph import _bounded_sq_norms, _nearest, _row_blocks, _sq_norms, _squared_distances
 from .tensor_ops import as_count, as_labels
 
 __all__ = [
@@ -104,13 +104,12 @@ def nmi(a, b):
 _LLOYD_ITERATIONS = 300
 
 
-def _lloyd(x, k, rng):
-    """One k-means run.  Returns (labels, wcss, per-iteration objectives)."""
+def _lloyd(x, sq, k, rng):
+    """One k-means run on rows ``x`` of squared norms ``sq``: labels, wcss, per-step costs."""
     n, f = x.shape
     centers = x[rng.choice(n, size=k, replace=False)].copy()
     # Bin c * f + j of a weighted bincount sums x[:, j] over cluster c in row order.
     bins = np.arange(f)
-    sq = _sq_norms(x)
     labels = None
     history = []
     for _ in range(_LLOYD_ITERATIONS):
@@ -173,21 +172,16 @@ def kmeans(features, k, restarts=200, seed=0):
         x = x[:, None]
     if x.ndim != 2:
         raise ValueError("features must be a 2-D matrix")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("features must be finite")
     n = x.shape[0]
     k = as_count(k, "k")
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for {n} samples")
     if as_count(restarts, "restarts") < 1:
         raise ValueError("restarts must be >= 1")
-    best_labels, best_wcss = None, np.inf
-    for r in range(restarts):
-        rng = np.random.default_rng((seed, r))
-        labels, wcss, _ = _lloyd(x, k, rng)
-        if wcss < best_wcss:
-            best_labels, best_wcss = labels, wcss
-    return best_labels
+    sq = _bounded_sq_norms(x, "features")
+    # min keeps the first of equal wcss; _bounded_sq_norms keeps every wcss finite.
+    runs = (_lloyd(x, sq, k, np.random.default_rng((seed, r))) for r in range(restarts))
+    return min(runs, key=lambda run: run[1])[0]
 
 
 def knn_classify(train, train_labels, test, k):
@@ -206,14 +200,13 @@ def knn_classify(train, train_labels, test, k):
         raise ValueError("one label per training row required")
     if train.shape[1] != test.shape[1]:
         raise ValueError("train and test feature widths differ")
-    if not (np.all(np.isfinite(train)) and np.all(np.isfinite(test))):
-        raise ValueError("features must be finite")
     k = as_count(k, "k")
     if not 1 <= k <= train.shape[0]:
         raise ValueError(f"k={k} out of range for {train.shape[0]} training rows")
     classes, train_class = np.unique(train_labels, return_inverse=True)
     n_cls = classes.size
-    sq_test, sq_train = _sq_norms(test), _sq_norms(train)
+    sq_train = _bounded_sq_norms(train, "train features")
+    sq_test = _bounded_sq_norms(test, "test features")
     out = np.empty(test.shape[0], dtype=np.int64)
     for lo, hi in _row_blocks(test.shape[0], train.shape[0]):
         dist = np.sqrt(_squared_distances(test[lo:hi], train, sq_test[lo:hi], sq_train))

@@ -40,20 +40,20 @@ __all__ = [
 ]
 
 
-class TRCores:
-    """Ordered cyclic chain of third-order cores.
+class TRCores(tuple):
+    """Ordered cyclic chain of third-order cores: a tuple that checks its ring.
 
-    Parameters
-    ----------
-    cores : sequence of ndarray
-        Core ``n`` must have shape ``(r_n, i_n, r_{n+1})`` with
-        ``r_{d} == r_0`` closing the ring.  Each is copied to float64.
-
-    ``nonneg`` reads whether every entry is >= 0, taken once at
-    construction; a NaN entry reads False.
+    Core ``n`` must have shape ``(r_n, i_n, r_{n+1})``, with ``r_d == r_0``
+    closing the ring, and is copied to float64.  ``nonneg`` reads whether
+    every entry is >= 0, taken once at construction; a NaN entry reads
+    False.  ``==`` and ``hash`` are by identity, not element-wise over arrays.
     """
 
-    def __init__(self, cores):
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
+
+    def __new__(cls, cores):
         cores = [np.array(c, dtype=np.float64) for c in cores]
         if not cores:
             raise ValueError("need at least one core")
@@ -64,34 +64,19 @@ class TRCores:
         for n in range(d):
             nxt = (n + 1) % d
             if cores[n].shape[2] != cores[nxt].shape[0]:
-                raise ValueError(
-                    f"rank chain broken: core {n} trailing rank "
-                    f"{cores[n].shape[2]} != core {nxt} leading rank "
-                    f"{cores[nxt].shape[0]}"
-                )
-        self.cores = cores
+                raise ValueError(f"rank chain broken: core {n} trailing rank {cores[n].shape[2]} "
+                                 f"!= core {nxt} leading rank {cores[nxt].shape[0]}")
+        self = super().__new__(cls, cores)
         self.nonneg = all(np.all(c >= 0) for c in cores)
-
-    @property
-    def order(self):
-        return len(self.cores)
+        return self
 
     @property
     def dims(self):
-        return tuple(c.shape[1] for c in self.cores)
+        return tuple(c.shape[1] for c in self)
 
     @property
     def ranks(self):
-        return tuple(c.shape[0] for c in self.cores)
-
-    def __len__(self):
-        return len(self.cores)
-
-    def __getitem__(self, n):
-        return self.cores[n]
-
-    def __iter__(self):
-        return iter(self.cores)
+        return tuple(c.shape[0] for c in self)
 
     def __repr__(self):
         return f"TRCores(dims={self.dims}, ranks={self.ranks}, nonneg={self.nonneg})"
@@ -208,13 +193,10 @@ def reconstruct(cores):
     a test oracle.
     """
     cores = list(cores)
-    d = len(cores)
-    dims = tuple(c.shape[1] for c in cores)
-    if d == 1:
+    if len(cores) == 1:
         return np.trace(cores[0], axis1=0, axis2=2)
-    g2 = core_unfold2(cores[0])
-    s2 = build_subchain(cores, 0)
-    return fold_tr(g2 @ s2.T, 0, dims)
+    dims = tuple(c.shape[1] for c in cores)
+    return fold_tr(core_unfold2(cores[0]) @ build_subchain(cores, 0).T, 0, dims)
 
 
 def relative_error(x, cores):
@@ -241,5 +223,4 @@ def feature_matrix(cores):
     With samples stored along the final tensor dimension, the last core's
     unfolding has one row per sample and ``r_d * r_1`` feature columns.
     """
-    cores = list(cores)
-    return core_unfold2(cores[-1])
+    return core_unfold2(list(cores)[-1])

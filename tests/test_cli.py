@@ -425,6 +425,16 @@ class TestExitCodes:
         assert code == 3
         assert str(data) in capsys.readouterr().err
 
+    def test_label_beyond_int64_is_file_error(self, blob_files, tmp_path, capsys):
+        # It used to escape from read_labels as OverflowError, a traceback.
+        data, _ = blob_files
+        huge = tmp_path / "huge.txt"
+        huge.write_text("99999999999999999999\n" * 12)
+        code = main(["cluster", "--data", str(data), "--labels", str(huge),
+                     "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "bad label on line 1" in capsys.readouterr().err
+
     def test_declared_size_beyond_int64_is_file_error(self, tmp_path):
         bad = tmp_path / "huge.ten"
         bad.write_bytes(b"TEN1" + (2).to_bytes(4, "little") + (2**32).to_bytes(8, "little") * 2)

@@ -128,6 +128,22 @@ class TestLabelsFile:
         with pytest.raises(FileFormatError):
             read_labels(path)
 
+    @pytest.mark.parametrize("line", ["1_0", "\u0663", "\uff11", "+-1", "0x1", "1.0",
+                                      "99999999999999999999", "9223372036854775808",
+                                      "-9223372036854775809"])
+    def test_label_outside_the_grammar_named(self, tmp_path, line):
+        # int() alone reads "1_0" as 10, Arabic-Indic three as 3 and a
+        # fullwidth one as 1; a label beyond int64 escaped as OverflowError.
+        path = tmp_path / "labels.txt"
+        path.write_text(f"0\n{line}\n", encoding="utf-8")
+        with pytest.raises(FileFormatError, match=re.escape(f"bad label on line 2: {line!r}")):
+            read_labels(path)
+
+    def test_signed_ascii_labels_within_int64_read(self, tmp_path):
+        path = tmp_path / "labels.txt"
+        path.write_text(" 7 \n+3\n-2\n007\n9223372036854775807\n-9223372036854775808\n")
+        assert read_labels(path).tolist() == [7, 3, -2, 7, 2**63 - 1, -(2**63)]
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "labels.txt"
         path.write_text("")

@@ -103,6 +103,10 @@ class TestReadPnm:
             pytest.param(b"P5\n2 1\n# maxval\n", "truncated header", id="comment-for-maxval"),
             pytest.param(b"P5\nx\n", "malformed header", id="malformed-before-missing"),
             pytest.param(b"P5\n2 1 2#5\n\x00\x01", "malformed header", id="hash-inside-token"),
+            # int() alone reads b"1_0" as 10 and b"+2" as 2.
+            pytest.param(b"P5\n1_0 1\n255\n" + bytes(10), "malformed header", id="underscore"),
+            pytest.param(b"P5\n+2 1\n255\n\x00\x01", "malformed header", id="signed"),
+            pytest.param(b"P5\n2 1\n2\xd9\xa3\n\x00\x01", "malformed header", id="non-ascii-digit"),
             pytest.param(b"P5#c\n2 1 255\n\x00\x01", "unsupported format", id="hash-after-magic"),
             pytest.param(b"P5\n0 1\n255\n", "bad dimensions or maxval", id="zero-width"),
             pytest.param(b"P5\n1 1\n65536\n\x00\x00", "bad dimensions or maxval", id="maxval"),

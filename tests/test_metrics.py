@@ -3,6 +3,7 @@ exhaustive-search oracles."""
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -277,7 +278,7 @@ class TestKmeans:
     def test_objective_never_increases_within_a_run(self):
         x = np.random.default_rng(5).random((30, 2))
         for r in range(10):
-            _, _, history = _lloyd(x, 4, np.random.default_rng((6, r)))
+            _, _, history = _lloyd(x, tring.graph._sq_norms(x), 4, np.random.default_rng((6, r)))
             assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
 
     @pytest.mark.parametrize(
@@ -294,7 +295,7 @@ class TestKmeans:
         x = rng.random(shape) if sites is None else rng.integers(0, sites, shape).astype(np.float64)
         reseeds, best, best_wcss = 0, None, np.inf
         for r in range(8):
-            labels, wcss, history = _lloyd(x, k, np.random.default_rng((seed, r)))
+            labels, wcss, history = _lloyd(x, tring.graph._sq_norms(x), k, np.random.default_rng((seed, r)))
             want = lloyd_oracle(x, k, np.random.default_rng((seed, r)))
             np.testing.assert_array_equal(labels, want[0])
             np.testing.assert_array_equal([wcss] + history, [want[1]] + want[2])
@@ -310,7 +311,7 @@ class TestKmeans:
         # leave that cluster empty with a 0/0 centre until max_iter.
         x = np.random.default_rng(1).integers(0, 3, (80, 2)).astype(np.float64)
         for r in range(20):
-            labels, wcss, history = _lloyd(x, 12, np.random.default_rng((1, r)))
+            labels, wcss, history = _lloyd(x, tring.graph._sq_norms(x), 12, np.random.default_rng((1, r)))
             assert np.array_equal(np.unique(labels), np.arange(12))
             centers = np.array([x[labels == c].mean(axis=0) for c in range(12)])
             assert np.all(np.isfinite(centers))
@@ -320,10 +321,10 @@ class TestKmeans:
     def test_one_feature_matches_oracle_up_to_rounding(self):
         # With one feature numpy's mean pairs its terms, while the centre
         # sums add rows in order, so only the last bits may differ.
-        x = np.random.default_rng(7).random(300)
+        x = np.random.default_rng(7).random((300, 1))
         for r in range(5):
-            labels, wcss, _ = _lloyd(x[:, None], 6, np.random.default_rng((7, r)))
-            want = lloyd_oracle(x[:, None], 6, np.random.default_rng((7, r)))
+            labels, wcss, _ = _lloyd(x, tring.graph._sq_norms(x), 6, np.random.default_rng((7, r)))
+            want = lloyd_oracle(x, 6, np.random.default_rng((7, r)))
             assert np.array_equal(labels, want[0])
             assert wcss == pytest.approx(want[1], rel=1e-12)
 
@@ -418,6 +419,45 @@ class TestKnnTies:
         test = rng.integers(0, 3, size=(60, 3)) + rng.choice([0.0, 0.5], size=(60, 3))
         pred = knn_classify(train, labels, test, k)
         assert np.array_equal(pred, knn_oracle(train, labels, test, k))
+
+
+_HUGE = np.sqrt(np.finfo(np.float64).max / 8)
+_OVERFLOWING = {
+    # Distances of 1e155-scale rows overflow in the kernel's matmul.
+    "graph": lambda: tring.graph.neighbor_graph(np.random.default_rng(0).random((3, 20)) * 1e155, 2),
+    "kmeans": lambda: kmeans(np.random.default_rng(0).random((20, 3)) * 1e155, 3, restarts=3),
+    "knn train": lambda: knn_classify(np.random.default_rng(0).random((20, 3)) * 1e155,
+                                      np.arange(20) % 2, np.ones((4, 3)), 3),
+    "knn test": lambda: knn_classify(np.ones((20, 3)), np.arange(20) % 2,
+                                     np.random.default_rng(0).random((4, 3)) * 1e155, 3),
+    # Every row's squared norm is M/8 and every distance finite, but the
+    # k = 1 cost sums to 20 M/8: no restart's wcss would beat inf.
+    "kmeans k=1 cost": lambda: kmeans(np.array([[_HUGE], [-_HUGE]] * 10), 1, restarts=2),
+}
+
+
+class TestKernelInputRule:
+    @pytest.mark.parametrize("case", sorted(_OVERFLOWING))
+    def test_overflowing_rows_rejected_before_any_distance(self, case):
+        # Once k-means returned None here, and under warnings-as-errors
+        # each call raised RuntimeWarning from the kernel's matmul.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite.*too large for float64"):
+                _OVERFLOWING[case]()
+
+    def test_large_rows_within_the_bound_still_cluster(self):
+        x = np.random.default_rng(0).random((20, 3)) * 1e150
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            labels = kmeans(x, 3, restarts=3)
+        assert np.array_equal(np.unique(labels), np.arange(3))
+
+    def test_no_test_rows_give_no_predictions(self):
+        # A zero-row set takes the bound without dividing by zero.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert knn_classify(np.eye(3), [0, 1, 2], np.empty((0, 3)), 1).size == 0
 
 
 _POINTS = np.array([[0.0], [0.1], [5.0], [5.1], [9.0]])

@@ -1,6 +1,7 @@
 """Ring model: subchains, unfoldings, and reconstruction vs trace oracles."""
 
 import itertools
+import pickle
 import re
 
 import numpy as np
@@ -83,11 +84,31 @@ class TestTRCores:
 
     def test_properties(self):
         cores = init_random((3, 4, 5), (2, 3, 2), seed=0)
-        assert cores.order == 3
         assert cores.dims == (3, 4, 5)
         assert cores.ranks == (2, 3, 2)
         assert len(cores) == 3
         assert cores[1].shape == (3, 4, 2)
+
+    def test_checked_chain_cannot_be_reassigned(self):
+        cores = init_random((3, 4), (2, 2), seed=0)
+        with pytest.raises(TypeError):
+            cores[0] = np.ones((2, 3, 2, 1))
+        assert len(cores) == 2 and isinstance(cores, tuple)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_pickle_round_trip_keeps_type_cores_and_nonneg(self, sign):
+        cores = TRCores([sign * np.ones((1, 2, 2)), np.ones((2, 3, 1))])
+        back = pickle.loads(pickle.dumps(cores))
+        assert type(back) is TRCores
+        assert back.nonneg is cores.nonneg is (sign > 0)
+        assert len(back) == 2 and all(np.array_equal(a, b) for a, b in zip(back, cores))
+
+    def test_equality_and_hash_by_identity(self):
+        # Element-wise tuple comparison would ask an array for its truth value.
+        cores = init_random((3, 4), (2, 2), seed=0)
+        twin = TRCores(list(cores))
+        assert (cores == twin) is False and (cores != twin) is True
+        assert cores == cores and {cores: 1}[cores] == 1
 
 
 class TestInitRandom:
