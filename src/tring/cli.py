@@ -36,6 +36,7 @@ import numpy as np
 from . import __version__
 from .fileio import (
     FileFormatError,
+    _int64,
     atomic_write_bytes,
     read_labels,
     read_tensor,
@@ -61,11 +62,16 @@ SWEEP_DEFAULTS = {
 }
 
 
-def _parse_list(text, kind=int):
+def integer(text):
+    """An integer option or list item: ``fileio._int64`` of ``text``, whitespace stripped."""
+    return _int64(text.strip())
+
+
+def _parse_list(text, kind=integer):
     try:
         return tuple(kind(v) for v in text.split(","))
     except ValueError as exc:
-        what = "integers" if kind is int else "numbers"
+        what = "integers" if kind is integer else "numbers"
         raise ValueError(f"expected comma-separated {what}, got {text!r}") from exc
 
 
@@ -73,7 +79,10 @@ def _parse_layout(text):
     parts = text.lower().split("x")
     if len(parts) != 2:
         raise ValueError(f"layout must look like ROWSxCOLS, got {text!r}")
-    rows, cols = int(parts[0]), int(parts[1])
+    try:
+        rows, cols = integer(parts[0]), integer(parts[1])
+    except ValueError as exc:
+        raise ValueError(f"layout must look like ROWSxCOLS, got {text!r}") from exc
     if rows < 1 or cols < 1:
         raise ValueError("layout sides must be positive")
     return rows, cols
@@ -297,7 +306,7 @@ def cmd_sweep(args):
     if param == "p" and not args.beta > 0:
         raise ValueError("sweeping p needs --beta > 0")
     values = (SWEEP_DEFAULTS[param] if args.sweep_values is None
-              else _parse_list(args.sweep_values, float if param == "beta" else int))
+              else _parse_list(args.sweep_values, float if param == "beta" else integer))
     graphs = {}
     plans = [_fits(x, ranks, argparse.Namespace(**{**vars(args), param: value}),
                    args.repeats, graphs) for value in values]
@@ -383,23 +392,23 @@ def build_parser():
     # fits plain unless it is asked for the graph.
     fitting.add_argument("--beta", type=float, default=0.0,
                          help="graph regularization weight (0 = plain fit)")
-    fitting.add_argument("--p", type=int, default=5,
+    fitting.add_argument("--p", type=integer, default=5,
                          help="neighbor count for the graph (read when --beta > 0)")
-    fitting.add_argument("--tmax", type=int, default=SolverConfig.t_max,
+    fitting.add_argument("--tmax", type=integer, default=SolverConfig.t_max,
                          help="inner iterations per core")
     fitting.add_argument("--tol", type=float, default=SolverConfig.tol,
                          help="relative objective-change stopping threshold")
-    fitting.add_argument("--max-sweeps", type=int, default=SolverConfig.max_sweeps,
+    fitting.add_argument("--max-sweeps", type=integer, default=SolverConfig.max_sweeps,
                          help="outer sweep cap")
-    fitting.add_argument("--seed", type=int, default=SolverConfig.seed,
+    fitting.add_argument("--seed", type=integer, default=SolverConfig.seed,
                          help="random seed; repeated run r uses seed + r")
     fitting.add_argument("--out", default="tring-out", help="output directory")
     repeated = argparse.ArgumentParser(add_help=False, parents=[fitting])
     repeated.add_argument("--labels", help="labels file, one integer per line")
-    repeated.add_argument("--repeats", type=int, default=10,
+    repeated.add_argument("--repeats", type=integer, default=10,
                           help="independent experiment repetitions")
     clustering = argparse.ArgumentParser(add_help=False, parents=[repeated])
-    clustering.add_argument("--restarts", type=int, default=200, help="k-means restarts")
+    clustering.add_argument("--restarts", type=integer, default=200, help="k-means restarts")
 
     p = sub.add_parser("fit", parents=[fitting],
                        help="decompose a tensor and save the cores")
@@ -432,8 +441,8 @@ def build_parser():
     p = sub.add_parser("ingest", help="convert a PGM/PPM corpus to tensor format")
     p.add_argument("--images", required=True,
                    help="directory with one subdirectory per class")
-    p.add_argument("--height", type=int, required=True)
-    p.add_argument("--width", type=int, required=True)
+    p.add_argument("--height", type=integer, required=True)
+    p.add_argument("--width", type=integer, required=True)
     p.add_argument("--out", default="tring-out", help="output directory")
     p.set_defaults(func=cmd_ingest)
     return parser

@@ -614,6 +614,48 @@ class TestExitCodes:
         assert "seed must be an integer >= 0" in capsys.readouterr().err
         assert not built and not fit_calls
 
+    # int() alone reads "1_0" as 10 and the full-width "３" as 3; every
+    # integer option takes only an optional sign and ASCII digits.  Each
+    # command line is otherwise one that runs.
+    @pytest.mark.parametrize("command, option, value", [
+        ("fit", "--ranks", "2,1_0,2"),
+        ("classify", "--k-list", "１,3"),
+        ("sweep", "--sweep-values", "５,10"),
+        ("basis", "--layout", "1_0x2"),
+        ("cluster", "--p", "３"),
+        ("fit", "--tmax", "1_0"),
+        ("fit", "--max-sweeps", "２"),
+        ("fit", "--seed", "1_0"),
+        ("classify", "--repeats", "1_0"),
+        ("cluster", "--restarts", "２"),
+        ("ingest", "--height", "1_0"),
+        ("ingest", "--width", "２"),
+    ])
+    def test_integer_spelling_int_alone_accepts_fails_before_any_work(
+            self, command, option, value, blob_files, tmp_path, capsys, fit_calls, monkeypatch):
+        built = []
+        monkeypatch.setattr("tring.cli.neighbor_graph", lambda x, p: built.append(p))
+        monkeypatch.setattr("tring.cli.ingest_images", lambda *a: built.append(a))
+        data, labels = blob_files
+        fitting = ["--data", str(data), "--ranks", "2,2,2", "--tmax", "5", "--max-sweeps", "2"]
+        scored = fitting + ["--labels", str(labels), "--beta", "0.2", "--p", "3", "--repeats", "1"]
+        base = {
+            "fit": fitting,
+            "basis": fitting + ["--layout", "2x2"],
+            "classify": scored + ["--k-list", "1"],
+            "cluster": scored + ["--restarts", "2"],
+            "sweep": scored + ["--restarts", "2", "--sweep-param", "tmax"],
+            "ingest": ["--images", str(tmp_path), "--height", "2", "--width", "2"],
+        }[command]
+        try:
+            code = main([command, *base, option, value, "--out", str(tmp_path / "o")])
+        except SystemExit as exc:  # argparse's own rejection of a type= option
+            code = exc.code
+        assert code == 2
+        assert value in capsys.readouterr().err
+        assert not built and not fit_calls
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_command_exits_via_argparse(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])

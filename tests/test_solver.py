@@ -2,9 +2,11 @@
 gradient, and the descent/majorization guarantees."""
 
 import hashlib
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -552,7 +554,7 @@ class TestFit:
 
     @pytest.mark.parametrize("mode", range(3))
     def test_solve_core_independent_of_unfolding_memory_order(self, mode):
-        # unfold_tr returns F-ordered arrays; a caller may pass C-ordered ones.
+        # unfold_tr returns F-ordered arrays; fit passes C-ordered views for odd modes.
         x, _ = blob_tensor((4, 5), 3, 6, seed=9)
         cores = init_random(x.shape, (2, 3, 2), seed=2)
         s2 = build_subchain(cores, mode)
@@ -731,6 +733,69 @@ class TestBlockedSetup:
         assert len(digests[0]) == len(hashlib.sha256().hexdigest())
         assert digests[0] == digests[1]
 
+
+def _buffers(x, mats):
+    """How many distinct buffers other than ``x``'s hold ``mats``."""
+    owners = []
+    for m in mats:
+        if not np.shares_memory(m, x) and not any(np.shares_memory(m, o) for o in owners):
+            owners.append(m)
+    return len(owners)
+
+
+class TestSharedUnfoldings:
+    """``fit`` holds ceil(d/2) copies of x: each odd mode reads its
+    neighbour's copy in C order."""
+
+    @pytest.mark.parametrize("dims", [(5, 7), (3, 4, 5), (2, 3, 4, 5), (2, 3, 1, 4, 5)])
+    def test_every_mode_is_unfold_tr_bit_for_bit(self, dims):
+        x = np.random.default_rng(len(dims)).random(dims)
+        mats = tring.solver._unfoldings(x)
+        assert len(mats) == x.ndim
+        for n, m in enumerate(mats):
+            want = unfold_tr(x, n)
+            assert m.shape == want.shape
+            assert np.ascontiguousarray(m).tobytes() == np.ascontiguousarray(want).tobytes()
+        assert _buffers(x, mats) <= math.ceil(x.ndim / 2)
+        if x.ndim == 2:
+            assert all(np.shares_memory(m, x) for m in mats)
+
+    def test_fit_holds_at_most_half_the_copies_of_x(self):
+        # Traced as the benchmark traces its fits.  All i_n >= r_n*r_{n+1},
+        # so no subchain is larger than x; d copies would read about 5x.
+        # The slack covers the rest of the set-up (a subchain one merge
+        # short of the last, the cores and iterates): under 0.25x here.
+        dims, ranks = (10, 10, 4, 500), (2, 2, 2, 2)
+        x = np.random.default_rng(0).random(dims)
+        d = x.ndim
+        subchain = max(math.prod(dims) // dims[n] * ranks[n] * ranks[(n + 1) % d]
+                       for n in range(d)) * x.itemsize
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fit(x, ranks, SolverConfig(t_max=3, max_sweeps=2, beta=0.0))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= math.ceil(d / 2) * x.nbytes + subchain + x.nbytes // 4
+
+    @pytest.mark.parametrize("slice_dims", [(6, 5), (4, 3, 3)])
+    def test_views_move_only_rounding(self, monkeypatch, slice_dims):
+        # Against d F-ordered copies of x: the C-ordered views take other
+        # BLAS paths in the set-up, which may move the last bits, not the fit.
+        x, _ = blob_tensor(slice_dims, 3, 20, seed=6)
+        graph = neighbor_graph(x, 4)
+        ranks = (2,) * len(slice_dims) + (3,)
+        cfg = SolverConfig(t_max=30, beta=0.1, seed=3)
+        shared = fit(x, ranks, cfg, graph)[1]
+        monkeypatch.setattr(tring.solver, "_unfoldings",
+                            lambda y: [unfold_tr(y, n) for n in range(y.ndim)])
+        copied = fit(x, ranks, cfg, graph)[1]
+        assert shared.terminated_by == copied.terminated_by == "tol"
+        assert shared.sweeps_run == copied.sweeps_run
+        np.testing.assert_allclose(
+            shared.objective_per_sweep, copied.objective_per_sweep, rtol=1e-8
+        )
 
 class TestLaplacianOperator:
     """The sample graph as the Laplacian operator every solver entry point applies."""
