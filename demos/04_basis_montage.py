@@ -11,8 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from tring import SolverConfig, blob_tensor, fit, sparseness
-from tring.cli import basis_tensors
+from tring import SolverConfig, basis_tensors, blob_tensor, fit, sparseness
 from tring.images import montage, to_uint8, write_pnm
 
 out = Path("demo-out")

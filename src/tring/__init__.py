@@ -11,27 +11,18 @@ experiments on top of it.
 __version__ = "0.1.0"
 
 from .graph import NeighborGraph, neighbor_graph
-from .metrics import accuracy, entropy, kmeans, knn_classify, mutual_information, nmi, sparseness
+from .metrics import accuracy, kmeans, knn_classify, nmi, sparseness
 from .ring import (
     TRCores,
+    basis_tensors,
     build_subchain,
-    core_fold2,
     core_unfold2,
     feature_matrix,
     init_random,
     reconstruct,
     relative_error,
 )
-from .solver import (
-    FitReport,
-    NumericalError,
-    SolverConfig,
-    Subproblem,
-    fit,
-    prox_step,
-    search_point,
-    solve_core,
-)
+from .solver import FitReport, NumericalError, SolverConfig, Subproblem, fit, solve_core
 from .synthetic import blob_tensor, ring_tensor
 from .tensor_ops import fold_tr, unfold_tr
 
@@ -46,20 +37,16 @@ __all__ = [
     "init_random",
     "build_subchain",
     "core_unfold2",
-    "core_fold2",
     "reconstruct",
     "relative_error",
     "feature_matrix",
+    "basis_tensors",
     "neighbor_graph",
     "Subproblem",
-    "search_point",
-    "prox_step",
     "solve_core",
     "fit",
     "sparseness",
     "accuracy",
-    "mutual_information",
-    "entropy",
     "nmi",
     "kmeans",
     "knn_classify",

@@ -47,7 +47,7 @@ from .fileio import (
 from .graph import neighbor_graph
 from .images import ingest_images, montage, to_uint8, write_pnm
 from .metrics import accuracy, kmeans, knn_classify, nmi
-from .ring import build_subchain, feature_matrix
+from .ring import basis_tensors, feature_matrix
 from .solver import NumericalError, SolverConfig, fit
 
 EXIT_OK = 0
@@ -280,17 +280,17 @@ def cmd_classify(args):
     for k in k_list:  # knn_classify's own check, made before the first fit runs
         if not 1 <= k <= train_idx.size:
             raise ValueError(f"k={k} out of range for {train_idx.size} training rows")
-    acc = {k: [] for k in k_list}
+    acc = [[] for _ in k_list]  # one list per entry, so a repeated k keeps runs 1..R
     for _, cores, _ in fits:
         feats = feature_matrix(cores)
-        for k in k_list:
+        for k, runs in zip(k_list, acc):
             pred = knn_classify(feats[train_idx], labels[train_idx],
                                 feats[test_idx], k)
-            acc[k].append(float(np.mean(pred == labels[test_idx])))
+            runs.append(float(np.mean(pred == labels[test_idx])))
     out = _outdir(args)
     rows = []
-    for k in k_list:
-        vals = np.asarray(acc[k])
+    for k, runs in zip(k_list, acc):
+        vals = np.asarray(runs)
         rows.extend((k, r + 1, vals[r]) for r in range(len(vals)))
         rows.append((k, "mean", vals.mean()))
         rows.append((k, "std", vals.std()))
@@ -325,22 +325,6 @@ def cmd_sweep(args):
                rows)
     _write_fit_manifest(out, args, ranks, sweep_param=param, sweep_values=list(values),
                         restarts=args.restarts, repeats=args.repeats)
-
-
-def basis_tensors(cores):
-    """Per-feature basis stack: the ring with the last core replaced by a
-    unit indicator on each feature column in turn.
-
-    Contracting that indicator against the remaining cores just reads the
-    columns of the subchain unfolding, so basis f is column f folded back
-    to the non-sample dimensions.
-    """
-    d = len(cores)
-    sub2 = build_subchain(cores, d - 1)
-    slice_dims = tuple(c.shape[1] for c in cores)[:-1]
-    return [
-        sub2[:, f].reshape(slice_dims, order="F") for f in range(sub2.shape[1])
-    ]
 
 
 def cmd_basis(args):

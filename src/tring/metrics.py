@@ -28,17 +28,20 @@ def sparseness(h):
 
     1 for a one-hot array, 0 for a constant one:
     (sqrt(n) - ||v||_1 / ||v||_2) / (sqrt(n) - 1) over the flattened entries.
+    The ratio does not depend on scale, so both norms are taken of |v| over
+    its maximum: no square overflows or underflows at either end of float64.
     """
-    v = np.asarray(h, dtype=np.float64).ravel()
+    v = np.abs(np.asarray(h, dtype=np.float64).ravel())
     n = v.size
     if n < 2:
         raise ValueError("sparseness needs at least 2 entries")
     if not np.all(np.isfinite(v)):
         raise ValueError("sparseness needs finite entries (no NaN or Inf)")
-    l2 = np.linalg.norm(v)
-    if l2 == 0.0:
+    top = v.max()
+    if top == 0.0:
         raise ValueError("sparseness undefined for an all-zero array")
-    l1 = np.abs(v).sum()
+    v /= top
+    l1, l2 = v.sum(), np.linalg.norm(v)
     root = np.sqrt(n)
     return float((root - l1 / l2) / (root - 1.0))
 

@@ -25,6 +25,7 @@ of its own.  The values are the same bit for bit.
 import math
 
 import numpy as np
+import scipy.linalg
 
 from .tensor_ops import as_count, as_tensor, fold_tr
 
@@ -37,6 +38,7 @@ __all__ = [
     "reconstruct",
     "relative_error",
     "feature_matrix",
+    "basis_tensors",
 ]
 
 
@@ -204,17 +206,20 @@ def relative_error(x, cores):
 
     ``x`` must be finite and have the ring's shape; a NaN or Inf entry, or
     a shape that would broadcast against the ring, raises ``ValueError``.
+    Both norms are BLAS ``nrm2``, which scales as it sums, so data near
+    the ends of the float64 range neither overflows nor underflows.
     """
     x = as_tensor(x)
+    cores = list(cores)
     if not np.all(np.isfinite(x)):
         raise ValueError("tensor must be finite (no NaN or Inf)")
-    norm_x = float(np.linalg.norm(x.ravel()))
+    dims = tuple(np.shape(c)[1] for c in cores)
+    if x.shape != dims:
+        raise ValueError(f"tensor shape {x.shape} does not match the ring's shape {dims}")
+    norm_x = scipy.linalg.norm(x.ravel(), check_finite=False)
     if norm_x == 0.0:
         raise ValueError("relative error undefined for an all-zero tensor")
-    ring = reconstruct(cores)
-    if x.shape != ring.shape:
-        raise ValueError(f"tensor shape {x.shape} does not match the ring's shape {ring.shape}")
-    return float(np.linalg.norm((x - ring).ravel())) / norm_x
+    return float(scipy.linalg.norm((x - reconstruct(cores)).ravel(), check_finite=False) / norm_x)
 
 
 def feature_matrix(cores):
@@ -224,3 +229,19 @@ def feature_matrix(cores):
     unfolding has one row per sample and ``r_d * r_1`` feature columns.
     """
     return core_unfold2(list(cores)[-1])
+
+
+def basis_tensors(cores):
+    """Per-feature basis stack: the ring with the last core replaced by a
+    unit indicator on each feature column in turn.
+
+    Contracting that indicator against the remaining cores just reads the
+    columns of the subchain unfolding, so basis f is column f folded back
+    to the non-sample dimensions.
+    """
+    d = len(cores)
+    sub2 = build_subchain(cores, d - 1)
+    slice_dims = tuple(c.shape[1] for c in cores)[:-1]
+    return [
+        sub2[:, f].reshape(slice_dims, order="F") for f in range(sub2.shape[1])
+    ]

@@ -27,14 +27,13 @@ each objective it reports.
 
 The set-up is what moves memory: on a tensor with many samples a
 subchain is tens of MB, and so is each unfolding of X.  :func:`fit`
-holds ceil(d/2) transposed copies of X, one per even mode, and each odd
-mode reads its unfolding as a C-ordered view of the next mode's copy
-(:func:`_unfoldings`).  It builds every mode's subchain into one
-workspace, sized to the largest, instead of fresh memory per sweep, and
-``Subproblem`` forms the Gram and the cross term in one pass over row
-blocks of S that stay in cache.  A subchain of at most ``_BLOCK`` rows is
-one block and gets the one-shot products bit for bit; longer ones, and
-the C-ordered unfoldings, differ from them only in rounding.
+takes the unfoldings from ``tensor_ops._unfoldings``, ceil(d/2) copies
+of X.  It builds every mode's subchain into one workspace, sized to the
+largest, instead of fresh memory per sweep, and ``Subproblem`` forms the
+Gram and the cross term in one pass over row blocks of S that stay in
+cache.  A subchain of at most ``_BLOCK`` rows is one block and gets the
+one-shot products bit for bit; longer ones, and the C-ordered
+unfoldings, differ from them only in rounding.
 
 H is fixed and sparse, and the sample graph is the operator that applies
 it: every entry point that takes H takes a
@@ -57,7 +56,7 @@ import numpy as np
 
 from .graph import NeighborGraph
 from .ring import TRCores, build_subchain, core_fold2, core_unfold2, init_random
-from .tensor_ops import as_count, as_tensor, spectral_norm, unfold_tr
+from .tensor_ops import _unfoldings, as_count, as_tensor, spectral_norm
 
 __all__ = [
     "SolverConfig",
@@ -315,24 +314,6 @@ def solve_core(x_unfold, subchain2, g_init, cfg, h_g=None, callback=None):
         f_curr = f_next
         alpha = a_nxt
     return g_curr
-
-
-def _unfoldings(x):
-    """Every mode's cyclic unfolding of ``x``, in ``ceil(d/2)`` copies of ``x``.
-
-    ``unfold_tr(x, m)`` is F-ordered, with ``m`` varying fastest; read in C
-    order, the same memory is ``unfold_tr(x, m - 1)``.  So each even mode
-    (the last one too when ``d`` is odd) gets a copy, and each odd mode ``n``
-    a C-ordered view of mode ``(n + 1) % d``'s.  Both unfoldings of a matrix
-    are views of it already, and stay so.
-    """
-    d = x.ndim
-    if d == 2:
-        return [unfold_tr(x, 0), unfold_tr(x, 1)]
-    out = [unfold_tr(x, n) if n % 2 == 0 else None for n in range(d)]
-    for n in range(1, d, 2):
-        out[n] = out[(n + 1) % d].reshape(-1, order="F").reshape(x.shape[n], -1)
-    return out
 
 
 def fit(x, ranks, cfg=None, graph=None):

@@ -5,7 +5,11 @@ row-major (C) memory order.  Mode indices are 0-based.  The cyclic
 unfolding below enumerates the trailing multi-index with the *first* listed
 dimension varying fastest; it must agree with the subchain enumeration in
 :mod:`tring.ring` for the matricized ring identity to hold exactly, so this
-order is frozen and covered by golden tests.
+order is frozen and covered by golden tests.  That unfolding is F-ordered,
+and the same memory read in C order is the unfolding one mode earlier, so
+:func:`_unfoldings` gives the solver every mode's unfolding in ceil(d/2)
+transposed copies: one per even mode, and each odd mode a C-ordered view
+of the next mode's copy.
 
 Every spectral norm the solver takes, of a subchain Gram or of a graph
 Laplacian, is :func:`spectral_norm` of a symmetric PSD matrix: the
@@ -76,6 +80,24 @@ def unfold_tr(x, mode):
     axes = tuple(range(mode, d)) + tuple(range(mode))
     y = np.transpose(x, axes)
     return y.reshape(x.shape[mode], -1, order="F")
+
+
+def _unfoldings(x):
+    """Every mode's cyclic unfolding of ``x``, in ``ceil(d/2)`` copies of ``x``.
+
+    ``unfold_tr(x, m)`` is F-ordered, with ``m`` varying fastest; read in C
+    order, the same memory is ``unfold_tr(x, m - 1)``.  So each even mode
+    (the last one too when ``d`` is odd) gets a copy, and each odd mode ``n``
+    a C-ordered view of mode ``(n + 1) % d``'s.  Both unfoldings of a matrix
+    are views of it already, and stay so.
+    """
+    d = x.ndim
+    if d == 2:
+        return [unfold_tr(x, 0), unfold_tr(x, 1)]
+    out = [unfold_tr(x, n) if n % 2 == 0 else None for n in range(d)]
+    for n in range(1, d, 2):
+        out[n] = out[(n + 1) % d].reshape(-1, order="F").reshape(x.shape[n], -1)
+    return out
 
 
 def fold_tr(m, mode, shape):

@@ -182,6 +182,19 @@ class TestClassifyCommand:
         mean_row = [r for r in lines if r.split(",")[1] == "mean"][0]
         assert float(mean_row.split(",")[2]) == 1.0
 
+    def test_repeated_k_gets_one_block_of_runs_each(self, blob_files, tmp_path):
+        # Each entry's block holds runs 1..R, as a repeated sweep value does.
+        data, labels = blob_files
+        out = tmp_path / "out"
+        code = main(["classify", "--data", str(data), "--labels", str(labels),
+                     "--k-list", "1,1,3", "--tmax", "10", "--max-sweeps", "6",
+                     "--repeats", "2", "--seed", "1", "--out", str(out)])
+        assert code == 0
+        rows = [r.split(",") for r in (out / "classify.csv").read_text().splitlines()[1:]]
+        assert [(k, run) for k, run, _ in rows] == [
+            (k, run) for k in ("1", "1", "3") for run in ("1", "2", "mean", "std")]
+        assert rows[:4] == rows[4:8]
+
     def test_fraction_one_rejected(self, blob_files, tmp_path):
         data, labels = blob_files
         code = main(["classify", "--data", str(data), "--labels", str(labels),

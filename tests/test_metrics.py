@@ -133,9 +133,13 @@ class TestSparseness:
         assert sparseness(v) == pytest.approx((2 - np.sqrt(2)) / 1, rel=1e-12)
 
     def test_scale_invariance(self):
-        v = np.random.default_rng(0).random((3, 4))
-        for c in (0.5, -2.0, 100.0):
-            assert sparseness(c * v) == pytest.approx(sparseness(v), abs=1e-12)
+        # At 1e200 and 1e-200 the squares of the entries leave float64.
+        vs = (np.random.default_rng(0).random((3, 4)), np.array([1.0, 1.0]),
+              np.array([0.0, 0.0, 5.0, 0.0]))
+        for v, c in itertools.product(vs, (0.5, -2.0, 100.0, 1e200, 1e-200)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert sparseness(c * v) == pytest.approx(sparseness(v), abs=1e-12)
 
     def test_in_unit_interval(self):
         rng = np.random.default_rng(1)

@@ -3,12 +3,14 @@
 import itertools
 import pickle
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from tring.ring import (
     TRCores,
+    basis_tensors,
     build_subchain,
     core_fold2,
     core_unfold2,
@@ -405,9 +407,37 @@ class TestRelativeError:
         with pytest.raises(ValueError, match="tensor must be finite"):
             relative_error(np.array([[bad, 1.0, 1.0], [1.0, 1.0, 1.0]]), cores)
 
+    @pytest.mark.parametrize("s", [1e-170, 1e160])
+    def test_scaled_data_and_core_keep_the_error(self, s):
+        # The squares of these entries leave float64.
+        x, _ = blob_tensor((4, 3), 2, 5, noise=0.1, seed=3)
+        cores = init_random(x.shape, (2, 2, 2), seed=4)
+        want = relative_error(x, cores)
+        scaled = TRCores([s * cores[0], *cores[1:]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = relative_error(s * x, scaled)
+        assert got == pytest.approx(want, rel=1e-12)
+
 
 def test_feature_matrix_is_last_core_unfolding():
     cores = init_random((3, 4, 6), (2, 3, 2), seed=21)
     f = feature_matrix(cores)
     assert f.shape == (6, 2 * 2)  # samples x (r_d * r_1)
     assert np.array_equal(f, core_unfold2(cores[2]))
+
+
+@pytest.mark.parametrize("dims, ranks", [((5, 4, 7), (2, 3, 2)),          # grayscale (h, w, n)
+                                         ((4, 3, 3, 6), (3, 2, 2, 2))])  # colour (h, w, 3, n)
+def test_basis_tensors_are_rings_with_a_unit_last_core(dims, ranks):
+    # Basis f is the ring whose last core is a unit indicator on feature
+    # column f, paired (r_d slow, r_1 fast) as in feature_matrix.
+    cores = init_random(dims, ranks, seed=22)
+    bases = basis_tensors(cores)
+    assert len(bases) == ranks[-1] * ranks[0]
+    for f, basis in enumerate(bases):
+        unit = np.zeros((ranks[-1], 1, ranks[0]))
+        unit[f // ranks[0], 0, f % ranks[0]] = 1.0
+        want = reconstruct([*cores[:-1], unit])[..., 0]
+        assert basis.shape == dims[:-1]
+        assert np.allclose(basis, want, rtol=1e-12, atol=0)
