@@ -49,6 +49,7 @@ from .images import ingest_images, montage, to_uint8, write_pnm
 from .metrics import accuracy, kmeans, knn_classify, nmi
 from .ring import basis_tensors, feature_matrix
 from .solver import NumericalError, SolverConfig, fit
+from .tensor_ops import as_count
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -75,7 +76,8 @@ def _parse_list(text, kind=integer):
         raise ValueError(f"expected comma-separated {what}, got {text!r}") from exc
 
 
-def _parse_layout(text):
+def _parse_layout(text, tiles):
+    """``(rows, cols)`` from ``--layout``, checked as :func:`montage` checks it for ``tiles``."""
     parts = text.lower().split("x")
     if len(parts) != 2:
         raise ValueError(f"layout must look like ROWSxCOLS, got {text!r}")
@@ -83,8 +85,8 @@ def _parse_layout(text):
         rows, cols = integer(parts[0]), integer(parts[1])
     except ValueError as exc:
         raise ValueError(f"layout must look like ROWSxCOLS, got {text!r}") from exc
-    if rows < 1 or cols < 1:
-        raise ValueError("layout sides must be positive")
+    rows, cols = as_count(rows, "--layout rows", 1), as_count(cols, "--layout cols", 1)
+    as_count(rows * cols, f"cells in layout {rows}x{cols}", tiles)
     return rows, cols
 
 
@@ -103,8 +105,7 @@ def default_ranks(order, n_classes):
     pair of the class count (larger factor on the last core's own rank);
     all other ranks are 2.
     """
-    if order < 2:
-        raise ValueError("need a tensor of order >= 2")
+    as_count(order, "tensor order", 2)
     a, b = _balanced_factor_pair(int(n_classes))
     ranks = [2] * order
     ranks[0] = b
@@ -145,8 +146,7 @@ def _fits(x, ranks, args, repeats=1, graphs=None):
     distinct ``p``.  The returned iterator fits run ``r`` seeded
     ``args.seed + r`` and yields ``(seed, cores, report)``.
     """
-    if repeats < 1:
-        raise ValueError(f"--repeats must be at least 1, got {repeats}")
+    as_count(repeats, "--repeats", 1)
     cfgs = [SolverConfig(t_max=args.tmax, max_sweeps=args.max_sweeps, tol=args.tol,
                          beta=args.beta, seed=args.seed + run) for run in range(repeats)]
     graphs = {} if graphs is None else graphs
@@ -154,6 +154,19 @@ def _fits(x, ranks, args, repeats=1, graphs=None):
         graphs[args.p] = neighbor_graph(x, args.p)
     graph = graphs[args.p] if args.beta > 0 else None
     return ((cfg.seed, *fit(x, ranks, cfg, graph)) for cfg in cfgs)
+
+
+def _check_outdir(args):
+    """Fail unless ``--out`` can become a directory, creating nothing.
+
+    Its nearest existing path, itself or an ancestor, must be a
+    directory, not a file or a dangling link; ``main`` checks this
+    before any work starts.
+    """
+    out = Path(args.out).absolute()
+    found = next(p for p in (out, *out.parents) if p.exists() or p.is_symlink())
+    if not found.is_dir():
+        raise NotADirectoryError(f"--out {args.out}: {found} is not a directory")
 
 
 def _outdir(args):
@@ -228,8 +241,7 @@ def cmd_fit(args):
 
 def _cluster_runs(fits, labels, restarts):
     """Score planned fits: k-means each run seeded like its fit, one (AC, NMI) row."""
-    if restarts < 1:  # kmeans' own check, made before the first fit runs
-        raise ValueError("restarts must be >= 1")
+    as_count(restarts, "restarts", 1)  # kmeans' own check, made before the first fit runs
     k = int(np.unique(labels).size)
     rows = []
     for seed, cores, _ in fits:
@@ -278,8 +290,7 @@ def cmd_classify(args):
     train_idx, test_idx = _prefix_split(labels, args.label_fraction)
     fits = _fits(x, ranks, args, args.repeats)
     for k in k_list:  # knn_classify's own check, made before the first fit runs
-        if not 1 <= k <= train_idx.size:
-            raise ValueError(f"k={k} out of range for {train_idx.size} training rows")
+        as_count(k, "k", 1, train_idx.size)
     acc = [[] for _ in k_list]  # one list per entry, so a repeated k keeps runs 1..R
     for _, cores, _ in fits:
         feats = feature_matrix(cores)
@@ -329,7 +340,7 @@ def cmd_sweep(args):
 
 def cmd_basis(args):
     x, _, ranks = _load(args, need_labels=False)
-    rows_n, cols_n = _parse_layout(args.layout)
+    rows_n, cols_n = _parse_layout(args.layout, ranks[-1] * ranks[0])  # one tile per feature
     slice_dims = x.shape[:-1]
     color = len(slice_dims) == 3 and slice_dims[2] == 3
     if not color and len(slice_dims) != 2:
@@ -435,6 +446,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        _check_outdir(args)
         args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -155,9 +155,7 @@ def neighbor_graph(x, p):
         raise ValueError("a sample graph needs at least 2 samples")
     flat = unfold_tr(x, x.ndim - 1)
     n = flat.shape[0]
-    p = as_count(p, "neighbor count p")
-    if not 1 <= p < n:
-        raise ValueError(f"neighbor count p={p} out of range for {n} samples")
+    p = as_count(p, "neighbor count p", 1, n - 1)
     sq = _bounded_sq_norms(flat, "sample data")
     # Each row's p nearest so far by (distance, column); column n marks an
     # empty slot, whose inf leaves the row unbounded.  The two passes meet

@@ -116,9 +116,7 @@ def area_resize(img, out_h, out_w):
     img = np.asarray(img, dtype=np.float64)
     if img.ndim not in (2, 3):
         raise ValueError("expected a 2-D or 3-D image array")
-    out_h, out_w = as_count(out_h, "output height"), as_count(out_w, "output width")
-    if out_h < 1 or out_w < 1:
-        raise ValueError("output size must be positive")
+    out_h, out_w = as_count(out_h, "output height", 1), as_count(out_w, "output width", 1)
     rows = _overlap_weights(img.shape[0], out_h)
     cols = _overlap_weights(img.shape[1], out_w)
     tmp = np.tensordot(rows, img, axes=(1, 0))
@@ -136,8 +134,10 @@ def ingest_images(dir_path, height, width):
     rescaled to [0, 1], area-averaged down to ``height x width``, and
     stacked with samples along the last dimension: grayscale corpora give
     a (height, width, n) tensor, color ones (height, width, 3, n).  Mixing
-    grayscale and color images is an error.
+    grayscale and color images is an error.  The output size is checked
+    before any file is read.
     """
+    height, width = as_count(height, "output height", 1), as_count(width, "output width", 1)
     root = Path(dir_path)
     if not root.is_dir():
         raise ValueError(f"{dir_path}: not a directory")
@@ -190,9 +190,8 @@ def montage(tiles, rows, cols):
     """
     if not tiles:
         raise ValueError("no tiles to assemble")
-    rows, cols = as_count(rows, "rows"), as_count(cols, "cols")
-    if rows * cols < len(tiles):
-        raise ValueError(f"layout {rows}x{cols} smaller than {len(tiles)} tiles")
+    rows, cols = as_count(rows, "rows", 1), as_count(cols, "cols", 1)
+    as_count(rows * cols, f"cells in layout {rows}x{cols}", len(tiles))
     shape = tiles[0].shape
     for t in tiles:
         if t.shape != shape:

@@ -176,11 +176,8 @@ def kmeans(features, k, restarts=200, seed=0):
     if x.ndim != 2:
         raise ValueError("features must be a 2-D matrix")
     n = x.shape[0]
-    k = as_count(k, "k")
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} out of range for {n} samples")
-    if as_count(restarts, "restarts") < 1:
-        raise ValueError("restarts must be >= 1")
+    k = as_count(k, "k", 1, n)
+    restarts = as_count(restarts, "restarts", 1)
     sq = _bounded_sq_norms(x, "features")
     # min keeps the first of equal wcss; _bounded_sq_norms keeps every wcss finite.
     runs = (_lloyd(x, sq, k, np.random.default_rng((seed, r))) for r in range(restarts))
@@ -203,9 +200,7 @@ def knn_classify(train, train_labels, test, k):
         raise ValueError("one label per training row required")
     if train.shape[1] != test.shape[1]:
         raise ValueError("train and test feature widths differ")
-    k = as_count(k, "k")
-    if not 1 <= k <= train.shape[0]:
-        raise ValueError(f"k={k} out of range for {train.shape[0]} training rows")
+    k = as_count(k, "k", 1, train.shape[0])
     classes, train_class = np.unique(train_labels, return_inverse=True)
     n_cls = classes.size
     sq_train = _bounded_sq_norms(train, "train features")

@@ -90,12 +90,10 @@ def init_random(dims, ranks, seed):
     Gaussian draws pass through absolute value so the chain is a valid
     nonnegative starting point while keeping the unit scale.
     """
-    dims = tuple(as_count(i, "dimension") for i in dims)
-    ranks = tuple(as_count(r, "rank") for r in ranks)
+    dims = tuple(as_count(i, "dimension", 1) for i in dims)
+    ranks = tuple(as_count(r, "rank", 1) for r in ranks)
     if len(dims) != len(ranks):
         raise ValueError(f"{len(ranks)} ranks for an order-{len(dims)} tensor")
-    if any(i < 1 for i in dims) or any(r < 1 for r in ranks):
-        raise ValueError("dims and ranks must be positive")
     rng = np.random.default_rng(seed)
     d = len(dims)
     cores = [
@@ -128,9 +126,7 @@ def build_subchain(cores, mode, workspace=None):
     d = len(cores)
     if d < 2:
         raise ValueError("subchain requires at least two cores")
-    mode = as_count(mode, "mode")
-    if not 0 <= mode < d:
-        raise ValueError(f"mode {mode} out of range for {d} cores")
+    mode = as_count(mode, "mode", 0, d - 1)
     order = [(mode + j) % d for j in range(1, d)]
     first = as_tensor(cores[order[0]]).transpose(1, 2, 0)
     if d == 2:

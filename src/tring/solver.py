@@ -104,15 +104,22 @@ class SolverConfig:
 
     def __setattr__(self, name, value):
         if name in ("t_max", "max_sweeps"):
-            if as_count(value, name) < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        elif name == "tol" and not (math.isfinite(value) and value > 0):
+            as_count(value, name, 1)
+        elif name == "tol" and not (_is_finite(value) and value > 0):
             raise ValueError(f"tol must be finite and > 0, got {value}")
-        elif name == "beta" and not (math.isfinite(value) and value >= 0):
+        elif name == "beta" and not (_is_finite(value) and value >= 0):
             raise ValueError(f"beta must be finite and >= 0, got {value}")
-        elif name == "seed" and as_count(value, name) < 0:
-            raise ValueError(f"seed must be an integer >= 0, got {value!r}")
+        elif name == "seed":
+            as_count(value, name, 0)
         super().__setattr__(name, value)
+
+
+def _is_finite(value):
+    """Whether ``value`` is a finite real number; ``False``, not ``TypeError``, for any other."""
+    try:
+        return math.isfinite(value)
+    except TypeError:
+        return False
 
 
 @dataclass

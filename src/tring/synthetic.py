@@ -38,21 +38,13 @@ def blob_tensor(slice_dims, n_classes, per_class, noise=0.05, seed=0):
     Returns ``(tensor, labels)`` with tensor shape ``(*slice_dims,
     n_classes * per_class)``.
     """
-    slice_dims = tuple(as_count(s, "slice dimension") for s in slice_dims)
-    if any(s < 1 for s in slice_dims):
-        raise ValueError(f"slice dimensions must be >= 1, got {slice_dims}")
-    if as_count(n_classes, "n_classes") < 1 or as_count(per_class, "per_class") < 1:
-        raise ValueError("need at least one class and one sample per class")
+    slice_dims = tuple(as_count(s, "slice dimension", 1) for s in slice_dims)
+    n_classes = as_count(n_classes, "n_classes", 1)
+    per_class = as_count(per_class, "per_class", 1)
     if not (math.isfinite(noise) and noise >= 0):
         raise ValueError(f"noise must be finite and >= 0, got {noise}")
     rng = np.random.default_rng(seed)
     prototypes = rng.random((n_classes,) + slice_dims)
-    n = n_classes * per_class
-    x = np.empty(slice_dims + (n,))
-    labels = np.empty(n, dtype=np.int64)
-    for c in range(n_classes):
-        for s in range(per_class):
-            idx = c * per_class + s
-            x[..., idx] = prototypes[c] + noise * rng.random(slice_dims)
-            labels[idx] = c
-    return x, labels
+    labels = np.repeat(np.arange(n_classes, dtype=np.int64), per_class)
+    x = prototypes[labels] + noise * rng.random((labels.size,) + slice_dims)
+    return np.ascontiguousarray(np.moveaxis(x, 0, -1)), labels

@@ -40,16 +40,24 @@ def as_tensor(x):
     return np.asarray(x, dtype=np.float64)
 
 
-def as_count(value, name):
-    """``value`` as a Python int; a float such as 2.7 is rejected, not truncated.
+def as_count(value, name, lo=None, hi=None):
+    """``value`` as a Python int in ``[lo, hi]``; a float such as 2.7 is rejected, not truncated.
 
     Ints and numpy integers pass (``operator.index``); anything else
-    raises ``ValueError`` naming the count.
+    raises ``ValueError`` naming the count.  So does an int below ``lo``
+    or above ``hi``, when given: ``"{name} must be an integer >= {lo},
+    got {n}"`` for a lower bound alone, ``"{name}={n} out of range [{lo},
+    {hi}]"`` for both.
     """
     try:
-        return operator.index(value)
+        n = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if hi is not None and not lo <= n <= hi:
+        raise ValueError(f"{name}={n} out of range [{lo}, {hi}]")
+    if lo is not None and n < lo:
+        raise ValueError(f"{name} must be an integer >= {lo}, got {n}")
+    return n
 
 
 def as_labels(a):
@@ -73,10 +81,8 @@ def unfold_tr(x, mode):
     that one varying fastest.
     """
     x = as_tensor(x)
-    mode = as_count(mode, "mode")
     d = x.ndim
-    if not 0 <= mode < d:
-        raise ValueError(f"mode {mode} out of range for order-{d} tensor")
+    mode = as_count(mode, "mode", 0, d - 1)
     axes = tuple(range(mode, d)) + tuple(range(mode))
     y = np.transpose(x, axes)
     return y.reshape(x.shape[mode], -1, order="F")
@@ -104,10 +110,8 @@ def fold_tr(m, mode, shape):
     """Exact inverse of :func:`unfold_tr` for the given shape."""
     m = as_tensor(m)
     shape = tuple(as_count(s, "dimension") for s in shape)
-    mode = as_count(mode, "mode")
     d = len(shape)
-    if not 0 <= mode < d:
-        raise ValueError(f"mode {mode} out of range for shape {shape}")
+    mode = as_count(mode, "mode", 0, d - 1)
     perm_shape = shape[mode:] + shape[:mode]
     if m.shape != (shape[mode], int(np.prod(perm_shape[1:], dtype=np.int64))):
         raise ValueError(f"matrix shape {m.shape} does not match target {shape}")

@@ -543,7 +543,7 @@ class TestExitCodes:
                      "--repeats", repeats, "--tmax", "5", "--max-sweeps", "2",
                      "--out", str(out)] + extra)
         assert code == 2
-        assert "--repeats must be at least 1" in capsys.readouterr().err
+        assert "--repeats must be an integer >= 1" in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.csv"))
 
     @pytest.mark.parametrize("option, value", [("--beta", "nan"), ("--beta", "inf"),
@@ -574,15 +574,15 @@ class TestExitCodes:
                      "--restarts", "0", "--repeats", "1", "--tmax", "5",
                      "--max-sweeps", "2", "--out", str(tmp_path / "o")])
         assert code == 2
-        assert "restarts must be >= 1" in capsys.readouterr().err
+        assert "restarts must be an integer >= 1" in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.csv"))
         assert not fit_calls
 
     @pytest.mark.parametrize("argv, message", [
         (["sweep", "--sweep-param", "beta", "--sweep-values", "0.1", "--restarts", "0"],
-         "restarts must be >= 1"),
-        (["classify", "--k-list", "0"], "k=0 out of range for 4 training rows"),
-        (["classify", "--k-list", "1,1000"], "k=1000 out of range for 4 training rows"),
+         "restarts must be an integer >= 1"),
+        (["classify", "--k-list", "0"], "k=0 out of range [1, 4]"),
+        (["classify", "--k-list", "1,1000"], "k=1000 out of range [1, 4]"),
     ])
     def test_scoring_setting_fails_before_any_fit(self, argv, message, blob_files,
                                                   tmp_path, capsys, fit_calls):
@@ -626,6 +626,51 @@ class TestExitCodes:
         assert code == 2
         assert "seed must be an integer >= 0" in capsys.readouterr().err
         assert not built and not fit_calls
+
+    @pytest.mark.parametrize("layout, message", [
+        ("1x1", "cells in layout 1x1 must be an integer >= 4, got 1"),  # 2 * 2 tiles
+        ("0x2", "--layout rows must be an integer >= 1, got 0"),
+        ("2x-1", "--layout cols must be an integer >= 1, got -1"),
+    ])
+    def test_basis_layout_fails_before_any_graph_or_fit(self, layout, message, blob_files,
+                                                        tmp_path, capsys, fit_calls, monkeypatch):
+        built = []
+        monkeypatch.setattr("tring.cli.neighbor_graph", lambda x, p: built.append(p))
+        data, _ = blob_files
+        out = tmp_path / "o"
+        code = main(["basis", "--data", str(data), "--ranks", "2,2,2", "--layout", layout,
+                     "--beta", "0.2", "--p", "3", "--tmax", "5", "--max-sweeps", "2",
+                     "--out", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not built and not fit_calls
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["file", "below_file", "dangling_link"])
+    @pytest.mark.parametrize("command", ["fit", "cluster", "ingest"])
+    def test_out_on_a_file_fails_before_any_work(self, command, where, blob_files, tmp_path,
+                                                 capsys, fit_calls, monkeypatch):
+        built = []
+        monkeypatch.setattr("tring.cli.neighbor_graph", lambda x, p: built.append(p))
+        monkeypatch.setattr("tring.cli.ingest_images", lambda *a: built.append(a))
+        data, labels = blob_files
+        taken = tmp_path / "taken"
+        if where == "dangling_link":
+            taken.symlink_to(tmp_path / "missing")
+        else:
+            taken.write_text("kept")
+        fitting = ["--data", str(data), "--ranks", "2,2,2", "--beta", "0.2", "--p", "3",
+                   "--tmax", "5", "--max-sweeps", "2"]
+        argv = {
+            "fit": fitting,
+            "cluster": fitting + ["--labels", str(labels), "--repeats", "1", "--restarts", "2"],
+            "ingest": ["--images", str(tmp_path), "--height", "2", "--width", "2"],
+        }[command]
+        out = taken / "sub" if where == "below_file" else taken
+        assert main([command, *argv, "--out", str(out)]) == 3
+        assert f"{taken} is not a directory" in capsys.readouterr().err
+        assert not built and not fit_calls
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
     # int() alone reads "1_0" as 10 and the full-width "３" as 3; every
     # integer option takes only an optional sign and ASCII digits.  Each

@@ -290,8 +290,14 @@ class TestIngest:
     def test_bad_output_size_rejected(self, tmp_path, height, width):
         (tmp_path / "a").mkdir()
         make_pgm(tmp_path / "a" / "x.pgm", np.zeros((2, 2)))
-        with pytest.raises(ValueError, match="output size must be positive"):
+        with pytest.raises(ValueError, match=r"output (height|width) must be an integer >= 1"):
             ingest_images(tmp_path, height, width)
+
+    def test_bad_output_size_rejected_before_any_file_is_read(self, tmp_path):
+        (tmp_path / "a").mkdir()
+        (tmp_path / "a" / "x.pgm").write_bytes(b"P5\n2 2\n255\n\x01")  # truncated raster
+        with pytest.raises(ValueError, match="output height must be an integer >= 1, got 0"):
+            ingest_images(tmp_path, 0, 2)
 
     def test_empty_directory_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -309,7 +315,7 @@ class TestMontage:
 
     def test_layout_too_small_rejected(self):
         tiles = [np.zeros((2, 2), dtype=np.uint8)] * 5
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cells in layout 2x2 must be an integer >= 5, got 4"):
             montage(tiles, 2, 2)
 
     def test_color_tiles(self):

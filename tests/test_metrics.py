@@ -343,7 +343,7 @@ class TestKmeans:
     def test_no_restarts_rejected(self, restarts):
         # Zero restarts would otherwise return no labeling at all (None).
         x = np.random.default_rng(6).random((4, 2))
-        with pytest.raises(ValueError, match="restarts must be >= 1"):
+        with pytest.raises(ValueError, match="restarts must be an integer >= 1"):
             kmeans(x, 2, restarts=restarts, seed=0)
 
 

@@ -19,7 +19,10 @@ from tring.ring import (
     reconstruct,
     relative_error,
 )
-from tring.images import montage
+from tring.cli import default_ranks
+from tring.graph import neighbor_graph
+from tring.images import area_resize, montage
+from tring.metrics import kmeans, knn_classify
 from tring.solver import SolverConfig, fit
 from tring.synthetic import blob_tensor, ring_tensor
 from tring.tensor_ops import fold_tr, unfold_tr
@@ -154,7 +157,9 @@ class TestInitRandom:
 
 _SIZES_AND_MODES = {
     "blob_float_dimension": (lambda: blob_tensor((4.9, 4), 2, 3), "slice dimension must be"),
-    "blob_zero_dimension": (lambda: blob_tensor((0, 4), 2, 3), "slice dimensions must be >= 1"),
+    "blob_zero_dimension": (
+        lambda: blob_tensor((0, 4), 2, 3), "slice dimension must be an integer >= 1"
+    ),
     "blob_float_classes": (lambda: blob_tensor((4, 4), 2.5, 3), "n_classes must be"),
     "fold_float_dimension": (
         lambda: fold_tr(np.ones((2, 12)), 0, (2.9, 3, 4)), "dimension must be"
@@ -184,6 +189,79 @@ def test_blob_noise_must_be_finite_and_nonnegative(noise):
     # only fit would reject, later.
     with pytest.raises(ValueError, match="noise must be finite and >= 0"):
         blob_tensor((2, 2), 2, 2, noise=noise)
+
+
+_FEATURES = np.arange(10.0).reshape(5, 2)
+_TILES = [np.zeros((2, 2), dtype=np.uint8)]
+
+# Every count an entry point takes: the name its message gives, the
+# bounds lo and hi (None: no upper bound), and a call taking the count.
+_COUNTS = {
+    "unfold_tr_mode": ("mode", 0, 2, lambda v: unfold_tr(np.ones((2, 3, 4)), v)),
+    "fold_tr_mode": ("mode", 0, 2, lambda v: fold_tr(np.ones((2, 12)), v, (2, 3, 4))),
+    "build_subchain_mode": (
+        "mode", 0, 2, lambda v: build_subchain(init_random((2, 3, 4), (2, 2, 2), seed=0), v)
+    ),
+    "init_random_dimension": ("dimension", 1, None, lambda v: init_random((3, v), (2, 2), 0)),
+    "init_random_rank": ("rank", 1, None, lambda v: init_random((3, 4), (2, v), seed=0)),
+    "fit_rank": (
+        "rank", 1, None,
+        lambda v: fit(np.ones((3, 4, 5)), (v, 2, 2), SolverConfig(max_sweeps=1, beta=0.0)),
+    ),
+    "neighbor_graph_p": ("neighbor count p", 1, 4, lambda v: neighbor_graph(np.ones((2, 5)), v)),
+    "kmeans_k": ("k", 1, 5, lambda v: kmeans(_FEATURES, v, restarts=1, seed=0)),
+    "kmeans_restarts": ("restarts", 1, None, lambda v: kmeans(_FEATURES, 2, restarts=v, seed=0)),
+    "knn_classify_k": (
+        "k", 1, 5, lambda v: knn_classify(_FEATURES, np.arange(5) % 2, _FEATURES, v)
+    ),
+    "area_resize_height": ("output height", 1, None, lambda v: area_resize(np.ones((4, 4)), v, 2)),
+    "area_resize_width": ("output width", 1, None, lambda v: area_resize(np.ones((4, 4)), 2, v)),
+    "montage_rows": ("rows", 1, None, lambda v: montage(_TILES, v, 2)),
+    "montage_cols": ("cols", 1, None, lambda v: montage(_TILES, 2, v)),
+    "blob_slice_dimension": ("slice dimension", 1, None, lambda v: blob_tensor((v, 4), 2, 3)),
+    "blob_n_classes": ("n_classes", 1, None, lambda v: blob_tensor((4, 4), v, 3)),
+    "blob_per_class": ("per_class", 1, None, lambda v: blob_tensor((4, 4), 2, v)),
+    "config_t_max": ("t_max", 1, None, lambda v: SolverConfig(t_max=v)),
+    "config_max_sweeps": ("max_sweeps", 1, None, lambda v: SolverConfig(max_sweeps=v)),
+    "config_seed": ("seed", 0, None, lambda v: SolverConfig(seed=v)),
+    "default_ranks_order": ("tensor order", 2, None, lambda v: default_ranks(v, 4)),
+}
+
+
+def _count_cases():
+    for case, (name, lo, hi, call) in sorted(_COUNTS.items()):
+        for value in [lo - 1, 2.5] + ([] if hi is None else [hi + 1]):
+            yield pytest.param(name, lo, hi, call, value, id=f"{case}={value}")
+
+
+@pytest.mark.parametrize("name, lo, hi, call, value", _count_cases())
+def test_counts_out_of_range_rejected_by_one_rule(name, lo, hi, call, value):
+    # Below lo, a fraction, and above hi: each message in the one form of as_count.
+    if isinstance(value, float):
+        message = f"{name} must be an integer, got {value}"
+    elif hi is None:
+        message = f"{name} must be an integer >= {lo}, got {value}"
+    else:
+        message = f"{name}={value} out of range [{lo}, {hi}]"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(value)
+
+
+@pytest.mark.parametrize("slice_dims, n_classes, per_class, seed", [
+    ((4, 4), 2, 6, 0), ((3,), 1, 1, 5), ((2, 3, 4), 3, 2, 1),
+    ((12, 12), 4, 10, 7), ((16, 16, 3), 4, 350, 2),
+])
+def test_blob_tensor_is_its_per_sample_draws(slice_dims, n_classes, per_class, seed):
+    # One draw for every sample is the same stream as one draw per sample.
+    rng = np.random.default_rng(seed)
+    prototypes = rng.random((n_classes,) + slice_dims)
+    want = np.empty(slice_dims + (n_classes * per_class,))
+    for idx in range(want.shape[-1]):
+        want[..., idx] = prototypes[idx // per_class] + 0.05 * rng.random(slice_dims)
+    x, labels = blob_tensor(slice_dims, n_classes, per_class, noise=0.05, seed=seed)
+    assert x.flags.c_contiguous and x.tobytes() == want.tobytes()
+    assert labels.dtype == np.int64
+    assert labels.tolist() == [idx // per_class for idx in range(want.shape[-1])]
 
 
 class TestSubchain:

@@ -32,7 +32,7 @@ from tring.solver import (
     solve_core,
 )
 from tring.synthetic import blob_tensor, ring_tensor
-from tring.tensor_ops import unfold_tr
+from tring.tensor_ops import _unfoldings, unfold_tr
 
 
 def objective_plain(g, s2, xn):
@@ -532,6 +532,7 @@ class TestFit:
         ("t_max", 0), ("t_max", 2.5), ("t_max", "3"),
         ("max_sweeps", 0), ("max_sweeps", 2.5), ("max_sweeps", None),
         ("seed", 1.5), ("seed", -1),
+        ("beta", None), ("tol", "1e-6"), ("beta", 1j),
     ])
     def test_config_rejects_values_it_cannot_run(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -750,7 +751,7 @@ class TestSharedUnfoldings:
     @pytest.mark.parametrize("dims", [(5, 7), (3, 4, 5), (2, 3, 4, 5), (2, 3, 1, 4, 5)])
     def test_every_mode_is_unfold_tr_bit_for_bit(self, dims):
         x = np.random.default_rng(len(dims)).random(dims)
-        mats = tring.solver._unfoldings(x)
+        mats = _unfoldings(x)
         assert len(mats) == x.ndim
         for n, m in enumerate(mats):
             want = unfold_tr(x, n)
