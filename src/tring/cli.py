@@ -47,7 +47,7 @@ from .fileio import (
 from .graph import neighbor_graph
 from .images import ingest_images, montage, to_uint8, write_pnm
 from .metrics import accuracy, kmeans, knn_classify, nmi
-from .ring import basis_tensors, feature_matrix
+from .ring import _chain_shape, basis_tensors, feature_matrix
 from .solver import NumericalError, SolverConfig, fit
 from .tensor_ops import as_count
 
@@ -114,7 +114,11 @@ def default_ranks(order, n_classes):
 
 
 def _load(args, need_labels):
-    """``(x, labels, ranks)`` from ``--data``, ``--labels`` and ``--ranks``."""
+    """``(x, labels, ranks)`` from ``--data``, ``--labels`` and ``--ranks``.
+
+    The ranks pass ``fit``'s own rank rule here, so a bad one fails before
+    any graph is built.
+    """
     x = read_tensor(args.data)
     labels = None
     if need_labels:
@@ -127,13 +131,11 @@ def _load(args, need_labels):
             )
     if args.ranks is not None:
         ranks = _parse_list(args.ranks)
-        if len(ranks) != x.ndim:
-            raise ValueError(f"{len(ranks)} ranks for an order-{x.ndim} tensor")
     elif labels is None:
         raise ValueError("--ranks is required when no labels define a class count")
     else:
         ranks = default_ranks(x.ndim, np.unique(labels).size)
-    return x, labels, ranks
+    return x, labels, _chain_shape(x.shape, ranks)[1]
 
 
 def _fits(x, ranks, args, repeats=1, graphs=None):

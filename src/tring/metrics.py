@@ -30,16 +30,17 @@ def sparseness(h):
     (sqrt(n) - ||v||_1 / ||v||_2) / (sqrt(n) - 1) over the flattened entries.
     The ratio does not depend on scale, so both norms are taken of |v| over
     its maximum: no square overflows or underflows at either end of float64.
+    That maximum is NaN or Inf exactly when an entry is, so the one check
+    on it rejects those entries and an all-zero array alike.
     """
     v = np.abs(np.asarray(h, dtype=np.float64).ravel())
     n = v.size
     if n < 2:
         raise ValueError("sparseness needs at least 2 entries")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("sparseness needs finite entries (no NaN or Inf)")
     top = v.max()
-    if top == 0.0:
-        raise ValueError("sparseness undefined for an all-zero array")
+    if not 0.0 < top < np.inf:
+        raise ValueError(f"sparseness needs finite entries (no NaN or Inf), not all zero: "
+                         f"max |entry| is {top}")
     v /= top
     l1, l2 = v.sum(), np.linalg.norm(v)
     root = np.sqrt(n)
@@ -47,6 +48,10 @@ def sparseness(h):
 
 
 def _confusion(pred, truth):
+    """Contingency counts of two labelings, ``as_labels`` each, of one length."""
+    pred, truth = as_labels(pred), as_labels(truth)
+    if pred.size != truth.size:
+        raise ValueError(f"length mismatch: {pred.size} vs {truth.size}")
     pi, pred_inv = np.unique(pred, return_inverse=True)
     ti, truth_inv = np.unique(truth, return_inverse=True)
     c = np.zeros((pi.size, ti.size), dtype=np.int64)
@@ -60,13 +65,9 @@ def accuracy(pred, truth):
     The mapping is the exact optimal assignment on the confusion matrix,
     so any relabeling of either side leaves the score unchanged.
     """
-    pred = as_labels(pred)
-    truth = as_labels(truth)
-    if pred.size != truth.size:
-        raise ValueError(f"length mismatch: {pred.size} vs {truth.size}")
     c = _confusion(pred, truth)
     rows, cols = linear_sum_assignment(c, maximize=True)
-    return float(c[rows, cols].sum()) / pred.size
+    return float(c[rows, cols].sum() / c.sum())
 
 
 def entropy(labels):
@@ -79,11 +80,8 @@ def entropy(labels):
 
 def mutual_information(a, b):
     """Mutual information between two labelings, in bits (0*log 0 = 0)."""
-    a = as_labels(a)
-    b = as_labels(b)
-    if a.size != b.size:
-        raise ValueError(f"length mismatch: {a.size} vs {b.size}")
-    joint = _confusion(a, b) / a.size
+    c = _confusion(a, b)
+    joint = c / c.sum()
     pa = joint.sum(axis=1)
     pb = joint.sum(axis=0)
     mask = joint > 0

@@ -84,16 +84,25 @@ class TRCores(tuple):
         return f"TRCores(dims={self.dims}, ranks={self.ranks}, nonneg={self.nonneg})"
 
 
+def _chain_shape(dims, ranks):
+    """``(dims, ranks)`` as tuples of ints, if they can shape a ring; else ``ValueError``.
+
+    Every dimension and rank must be an integer >= 1, one rank per dimension.
+    """
+    dims = tuple(as_count(i, "dimension", 1) for i in dims)
+    ranks = tuple(as_count(r, "rank", 1) for r in ranks)
+    if len(dims) != len(ranks):
+        raise ValueError(f"{len(ranks)} ranks for an order-{len(dims)} tensor")
+    return dims, ranks
+
+
 def init_random(dims, ranks, seed):
     """Random nonnegative cores: |N(0, 1)| entries, deterministic per seed.
 
     Gaussian draws pass through absolute value so the chain is a valid
     nonnegative starting point while keeping the unit scale.
     """
-    dims = tuple(as_count(i, "dimension", 1) for i in dims)
-    ranks = tuple(as_count(r, "rank", 1) for r in ranks)
-    if len(dims) != len(ranks):
-        raise ValueError(f"{len(ranks)} ranks for an order-{len(dims)} tensor")
+    dims, ranks = _chain_shape(dims, ranks)
     rng = np.random.default_rng(seed)
     d = len(dims)
     cores = [
@@ -129,14 +138,10 @@ def build_subchain(cores, mode, workspace=None):
     mode = as_count(mode, "mode", 0, d - 1)
     order = [(mode + j) % d for j in range(1, d)]
     first = as_tensor(cores[order[0]]).transpose(1, 2, 0)
-    if d == 2:
-        acc = _chain_buffer(first.shape, workspace)
-        acc[...] = first
-    else:
-        acc = np.ascontiguousarray(first)
-        for idx in order[1:-1]:
-            acc = _merge(acc, as_tensor(cores[idx]))
-        acc = _merge(acc, as_tensor(cores[order[-1]]), workspace)
+    acc = _chain_buffer(first.shape, workspace if d == 2 else None)
+    acc[...] = first
+    for idx in order[1:]:
+        acc = _merge(acc, as_tensor(cores[idx]), workspace if idx == order[-1] else None)
     return acc.reshape(len(acc), -1)
 
 
@@ -200,21 +205,22 @@ def reconstruct(cores):
 def relative_error(x, cores):
     """Frobenius-relative reconstruction error ||x - ring(cores)|| / ||x||.
 
-    ``x`` must be finite and have the ring's shape; a NaN or Inf entry, or
-    a shape that would broadcast against the ring, raises ``ValueError``.
+    ``x`` must have the ring's shape, and a norm that is finite and not
+    zero; a shape that would broadcast against the ring, a NaN or Inf
+    entry, an overflowing norm or an all-zero ``x`` raises ``ValueError``.
     Both norms are BLAS ``nrm2``, which scales as it sums, so data near
-    the ends of the float64 range neither overflows nor underflows.
+    the ends of the float64 range neither overflows nor underflows unless
+    the norm itself does.
     """
     x = as_tensor(x)
     cores = list(cores)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("tensor must be finite (no NaN or Inf)")
     dims = tuple(np.shape(c)[1] for c in cores)
     if x.shape != dims:
         raise ValueError(f"tensor shape {x.shape} does not match the ring's shape {dims}")
     norm_x = scipy.linalg.norm(x.ravel(), check_finite=False)
-    if norm_x == 0.0:
-        raise ValueError("relative error undefined for an all-zero tensor")
+    if not 0.0 < norm_x < np.inf:
+        raise ValueError(f"tensor must be finite (no NaN or Inf) with a norm in (0, inf): "
+                         f"relative error undefined for norm {norm_x}")
     return float(scipy.linalg.norm((x - reconstruct(cores)).ravel(), check_finite=False) / norm_x)
 
 

@@ -329,8 +329,9 @@ def fit(x, ranks, cfg=None, graph=None):
     Parameters
     ----------
     x : ndarray
-        Nonnegative data tensor of order >= 2; samples along the last
-        dimension when a graph is supplied.
+        Nonnegative data tensor of order >= 2, with a nonzero entry and a
+        finite ``||X||^2``, else ``ValueError`` before any work; samples
+        along the last dimension when a graph is supplied.
     ranks : sequence of int
         Cyclic rank chain, one entry per tensor dimension.
     cfg : SolverConfig, optional
@@ -353,13 +354,16 @@ def fit(x, ranks, cfg=None, graph=None):
         cfg = SolverConfig()
     if x.ndim < 2:
         raise ValueError("fit requires a tensor of order >= 2")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("data tensor must be finite (no NaN or Inf)")
-    if np.any(x < 0):
-        raise ValueError("data tensor must be nonnegative")
+    # A sum of squares is NaN or Inf exactly when an entry is NaN or +-Inf,
+    # or when it overflows, so this one value checks both.
     norm_x2 = float(np.vdot(x, x))
     if not math.isfinite(norm_x2):
-        raise ValueError("data tensor too large for float64: its squared norm overflows")
+        raise ValueError("data tensor must be finite (no NaN or Inf) and not too large "
+                         "for float64: its squared norm must not overflow")
+    # Squares of entries below about 2e-162 underflow to 0, so a zero norm alone
+    # does not mean zero data.
+    if x.min() < 0 or not (norm_x2 > 0 or x.any()):
+        raise ValueError("data tensor must be nonnegative, with a nonzero entry")
     dims = x.shape
     d = x.ndim
 

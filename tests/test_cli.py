@@ -461,6 +461,33 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")])
         assert code == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["basis", "--ranks", "2,2,2", "--layout", "2x2x1"],
+         "layout must look like ROWSxCOLS, got '2x2x1'"),
+        (["basis", "--ranks", "2,2,2", "--layout", "22"], "layout must look like ROWSxCOLS"),
+        (["fit"], "--ranks is required when no labels define a class count"),
+        (["classify", "--label-fraction", "0.1"], "has 6 samples; fraction 0.1 labels none"),
+    ])
+    def test_unusable_input_fails_before_any_fit(self, argv, message, blob_files, tmp_path,
+                                                capsys, fit_calls):
+        data, labels = blob_files
+        if argv[0] == "classify":
+            argv = argv + ["--labels", str(labels)]
+        out = tmp_path / "o"
+        assert main(argv + ["--data", str(data), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not fit_calls and not out.exists()
+
+    @pytest.mark.parametrize("shape, ranks", [((4, 4, 2, 6), "2,2,2,2"), ((16, 6), "2,2")])
+    def test_basis_needs_image_slices(self, shape, ranks, tmp_path, capsys, fit_calls):
+        data = tmp_path / "d.ten"
+        write_tensor(data, np.ones(shape))
+        code = main(["basis", "--data", str(data), "--ranks", ranks, "--layout", "2x2",
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "basis montage needs grayscale (h, w, samples) or color" in capsys.readouterr().err
+        assert not fit_calls
+
     def test_wrong_label_count(self, blob_files, tmp_path):
         data, _ = blob_files
         short = tmp_path / "short.txt"
@@ -513,15 +540,27 @@ class TestExitCodes:
         assert code == expected
 
     def test_all_zero_subchain_is_numerical_error(self, tmp_path, capsys):
-        # Rank-1 steps toward all-zero data shrink the first core by about
-        # 1e-10 each, so it underflows to zero and the next core's subchain
-        # is all zero: no step size exists.
-        data = tmp_path / "zeros.ten"
-        write_tensor(data, np.zeros((3, 3, 4)))
+        # All-zero data is a validation error, so the data holds one entry at
+        # rounding scale.  Rank-1 steps toward it shrink the first core by
+        # about 1e-10 each, so it underflows to zero and the next core's
+        # subchain is all zero: no step size exists.
+        data = tmp_path / "tiny.ten"
+        x = np.zeros((3, 3, 4))
+        x[1, 1, 1] = 1e-300
+        write_tensor(data, x)
         code = main(["fit", "--data", str(data), "--ranks", "1,1,1", "--beta", "0",
                      "--out", str(tmp_path / "o")])
         assert code == 4
         assert "all-zero subchain gives a zero step size" in capsys.readouterr().err
+
+    def test_all_zero_data_is_validation_error(self, tmp_path, capsys, fit_calls):
+        data = tmp_path / "zeros.ten"
+        write_tensor(data, np.zeros((3, 4, 5)))
+        out = tmp_path / "o"
+        code = main(["fit", "--data", str(data), "--ranks", "2,2,2", "--out", str(out)])
+        assert code == 2
+        assert "with a nonzero entry" in capsys.readouterr().err
+        assert len(fit_calls) == 1 and not out.exists()
 
     def test_unmapped_exception_propagates(self, blob_files, tmp_path, monkeypatch):
         def failing_fit(*args, **kwargs):
@@ -626,6 +665,26 @@ class TestExitCodes:
         assert code == 2
         assert "seed must be an integer >= 0" in capsys.readouterr().err
         assert not built and not fit_calls
+
+    @pytest.mark.parametrize("ranks, message", [
+        ("0,2,2", "rank must be an integer >= 1, got 0"),
+        ("2,2,-3", "rank must be an integer >= 1, got -3"),
+        ("2,2", "2 ranks for an order-3 tensor"),
+    ])
+    @pytest.mark.parametrize("command", ["cluster", "classify"])
+    def test_bad_rank_fails_before_any_graph_or_fit(self, command, ranks, message, blob_files,
+                                                    tmp_path, capsys, fit_calls, monkeypatch):
+        built = []
+        monkeypatch.setattr("tring.cli.neighbor_graph", lambda x, p: built.append(p))
+        data, labels = blob_files
+        out = tmp_path / "o"
+        code = main([command, "--data", str(data), "--labels", str(labels), "--ranks", ranks,
+                     "--beta", "0.1", "--p", "3", "--repeats", "1", "--tmax", "5",
+                     "--max-sweeps", "2", "--out", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not built and not fit_calls
+        assert not out.exists()
 
     @pytest.mark.parametrize("layout, message", [
         ("1x1", "cells in layout 1x1 must be an integer >= 4, got 1"),  # 2 * 2 tiles

@@ -7,6 +7,7 @@ import pytest
 
 from tring.fileio import (
     FileFormatError,
+    atomic_write_bytes,
     read_labels,
     read_tensor,
     sha256_file,
@@ -88,6 +89,16 @@ class TestTensorFile:
         with pytest.raises(FileFormatError, match="payload length"):
             read_tensor(path)
 
+    @pytest.mark.parametrize("header, message", [
+        ((0).to_bytes(4, "little"), "tensor order must be >= 1, got 0"),
+        ((3).to_bytes(4, "little") + (2).to_bytes(8, "little") * 2, "truncated header"),
+    ], ids=["order_0", "truncated_header"])
+    def test_bad_header_rejected(self, tmp_path, header, message):
+        path = tmp_path / "h.ten"
+        path.write_bytes(b"TEN1" + header)
+        with pytest.raises(FileFormatError, match=message):
+            read_tensor(path)
+
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):
             read_tensor(tmp_path / "absent.ten")
@@ -144,6 +155,12 @@ class TestLabelsFile:
         path.write_text(" 7 \n+3\n-2\n007\n9223372036854775807\n-9223372036854775808\n")
         assert read_labels(path).tolist() == [7, 3, -2, 7, 2**63 - 1, -(2**63)]
 
+    def test_blank_line_rejected(self, tmp_path):
+        path = tmp_path / "labels.txt"
+        path.write_text("0\n  \n1\n")
+        with pytest.raises(FileFormatError, match="blank line 2"):
+            read_labels(path)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "labels.txt"
         path.write_text("")
@@ -156,6 +173,15 @@ class TestLabelsFile:
         write_tensor(path, np.full((2, 2), -1.0))
         with pytest.raises(FileFormatError, match=re.escape(f"{path}: not a text labels file")):
             read_labels(path)
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path):
+    path = tmp_path / "out.bin"
+    path.write_bytes(b"kept")
+    with pytest.raises(TypeError):
+        atomic_write_bytes(path, "text, not bytes")
+    assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+    assert path.read_bytes() == b"kept"
 
 
 def test_sha256_matches_known_digest(tmp_path):

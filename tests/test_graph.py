@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -339,6 +340,12 @@ class TestBlockedBuild:
         assert np.array_equal(g.laplacian, lap)
         assert np.array_equal(g @ np.eye(2), lap)
         assert np.array_equal(g.w, w)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+    def test_hand_built_laplacian_must_be_square(self, shape):
+        message = re.escape(f"Laplacian must be square, got shape {shape}")
+        with pytest.raises(ValueError, match=message):
+            NeighborGraph(w=np.zeros((2, 2)), degree=np.zeros(2), laplacian=np.zeros(shape))
 
     def test_overflowing_distances_named(self):
         x = np.random.default_rng(14).random((3, 8)) * 1e200

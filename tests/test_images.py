@@ -194,6 +194,11 @@ class TestAreaResize:
         with pytest.raises(ValueError, match=f"output {side} must be an integer"):
             area_resize(np.ones((4, 4)), *size)
 
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 3, 1)])
+    def test_image_must_be_2d_or_3d(self, shape):
+        with pytest.raises(ValueError, match="expected a 2-D or 3-D image array"):
+            area_resize(np.ones(shape), 1, 1)
+
     def test_fractional_overlap(self):
         # 3 -> 2 cells: output 0 covers [0, 1.5) = cell0 + half of cell1
         img = np.array([[0.0, 3.0, 6.0]])
@@ -317,6 +322,16 @@ class TestMontage:
         tiles = [np.zeros((2, 2), dtype=np.uint8)] * 5
         with pytest.raises(ValueError, match="cells in layout 2x2 must be an integer >= 5, got 4"):
             montage(tiles, 2, 2)
+
+    def test_no_tiles_rejected(self):
+        with pytest.raises(ValueError, match="no tiles to assemble"):
+            montage([], 1, 1)
+
+    @pytest.mark.parametrize("other", [(2, 3), (2, 2, 3)])
+    def test_mixed_tile_shapes_rejected(self, other):
+        tiles = [np.zeros((2, 2), dtype=np.uint8), np.zeros(other, dtype=np.uint8)]
+        with pytest.raises(ValueError, match="all tiles must share one shape"):
+            montage(tiles, 1, 2)
 
     def test_color_tiles(self):
         tiles = [np.full((2, 2, 3), 7, dtype=np.uint8)] * 2

@@ -496,6 +496,23 @@ _MANGLED_INPUT = {
     ),
     "sparseness NaN": (lambda: sparseness([np.nan, 1.0]), "finite"),
     "sparseness Inf": (lambda: sparseness([np.inf, 1.0]), "finite"),
+    "sparseness -Inf": (lambda: sparseness([1.0, -np.inf]), "finite"),
+}
+
+_MISSHAPEN_INPUT = {
+    "sparseness one entry": (lambda: sparseness([3.0]), "at least 2 entries"),
+    "kmeans 3-D features": (lambda: kmeans(np.ones((4, 2, 2)), 2), "features must be a 2-D matrix"),
+    "knn label count": (
+        lambda: knn_classify(np.eye(3), [0, 1], np.eye(3), 1), "one label per training row"
+    ),
+    "knn feature width": (
+        lambda: knn_classify(np.eye(3), [0, 1, 2], np.ones((2, 4)), 1), "feature widths differ"
+    ),
+    "accuracy length": (lambda: accuracy([0, 1, 1], [0, 1]), "length mismatch: 3 vs 2"),
+    "mutual information length": (
+        lambda: mutual_information([0, 1], [0, 1, 1]), "length mismatch: 2 vs 3"
+    ),
+    "nmi length": (lambda: nmi([0, 1, 1, 0], [0, 1, 1]), "length mismatch: 4 vs 3"),
 }
 
 
@@ -504,6 +521,12 @@ class TestMangledInput:
     def test_rejected_not_truncated_or_propagated(self, case):
         # At truncation accuracy([0.5, 1.7, 1.2], [0, 1, 1]) read 1.0.
         call, message = _MANGLED_INPUT[case]
+        with pytest.raises(ValueError, match=message):
+            call()
+
+    @pytest.mark.parametrize("case", sorted(_MISSHAPEN_INPUT))
+    def test_misshapen_input_named(self, case):
+        call, message = _MISSHAPEN_INPUT[case]
         with pytest.raises(ValueError, match=message):
             call()
 

@@ -73,6 +73,15 @@ class TestTRCores:
         with pytest.raises(ValueError):
             TRCores([np.ones((2, 3, 4)), np.ones((3, 2, 2))])
 
+    @pytest.mark.parametrize("cores, message", [
+        ([], "need at least one core"),
+        ([np.ones((2, 3, 2)), np.ones((2, 3))], "core 1 must be third order, got 2"),
+        ([np.ones((1, 2, 1, 1))], "core 0 must be third order, got 4"),
+    ])
+    def test_ring_of_third_order_cores_required(self, cores, message):
+        with pytest.raises(ValueError, match=message):
+            TRCores(cores)
+
     def test_nonneg_validation(self):
         # A reading, not a check: a negative or NaN entry reads False.
         c = [np.ones((1, 2, 1)), np.ones((1, 3, 1))]
@@ -362,6 +371,17 @@ class TestUnfold2:
         core = np.random.default_rng(5).random((3, 5, 2))
         assert np.array_equal(core_fold2(core_unfold2(core), 3, 5, 2), core)
 
+    @pytest.mark.parametrize("shape", [(2, 3), (1, 2, 3, 1)])
+    def test_core_unfold2_needs_a_third_order_core(self, shape):
+        with pytest.raises(ValueError, match="core must be third order"):
+            core_unfold2(np.ones(shape))
+
+    @pytest.mark.parametrize("shape", [(5, 5), (6, 5), (30,)])
+    def test_core_fold2_shape_mismatch_named(self, shape):
+        message = re.escape(f"matrix shape {shape} does not match core (3, 5, 2)")
+        with pytest.raises(ValueError, match=message):
+            core_fold2(np.ones(shape), 3, 5, 2)
+
     def test_rank_one_core_unfolds_to_column(self):
         core = np.random.default_rng(6).random((1, 4, 1))
         m = core_unfold2(core)
@@ -478,12 +498,19 @@ class TestRelativeError:
         with pytest.raises(ValueError, match=message):
             relative_error(np.ones(shape), cores)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_tensor_rejected(self, bad):
         # A NaN entry used to give a relative error of nan.
         cores = init_random((2, 3), (1, 1), seed=0)
         with pytest.raises(ValueError, match="tensor must be finite"):
             relative_error(np.array([[bad, 1.0, 1.0], [1.0, 1.0, 1.0]]), cores)
+
+    @pytest.mark.parametrize("fill", [1e308, 8e307])
+    def test_overflowing_norm_rejected(self, fill):
+        # Every entry is finite, but ||x|| is not: it used to give nan.
+        cores = init_random((2, 3), (1, 1), seed=0)
+        with pytest.raises(ValueError, match="norm in \\(0, inf\\).*norm inf"):
+            relative_error(np.full((2, 3), fill), cores)
 
     @pytest.mark.parametrize("s", [1e-170, 1e160])
     def test_scaled_data_and_core_keep_the_error(self, s):

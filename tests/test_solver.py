@@ -263,6 +263,25 @@ class TestLipschitz:
             assert top <= lip <= top * (1 + 1e-8) + 1e-12
 
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+    def test_non_finite_gram_is_numerical_error(self, bad):
+        s2 = np.ones((4, 2))
+        s2[1, 0] = bad
+        with np.errstate(over="ignore", invalid="ignore"):
+            sub = Subproblem(s2, np.ones((3, 4)))
+        with pytest.raises(NumericalError, match="subchain Gram became non-finite"):
+            sub.lipschitz
+
+    def test_non_finite_constant_is_numerical_error(self):
+        # Each term is finite; their sum is not.
+        path = np.array([[1.0, -1.0], [-1.0, 1.0]])  # ||H||_2 = 2
+        sub = Subproblem(np.ones((3, 2)), np.ones((2, 3)), laplacian_graph(path),
+                         np.finfo(np.float64).max)
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericalError, match="non-finite subproblem step size: inf"):
+                sub.lipschitz
+
+
 class TestMomentumPieces:
     def test_search_points_follow_the_momentum_recurrence(self, monkeypatch):
         # Without a restart, step k+1 starts from
@@ -517,7 +536,33 @@ class TestFit:
         with pytest.raises(ValueError):
             fit(-np.ones((3, 3)), (1, 1), SolverConfig(beta=0.0))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("shape", [(), (5,)])
+    def test_order_below_two_rejected(self, shape, monkeypatch):
+        monkeypatch.setattr("tring.solver.init_random", None)  # no work may start
+        with pytest.raises(ValueError, match="fit requires a tensor of order >= 2"):
+            fit(np.ones(shape), (1,) * len(shape), SolverConfig(beta=0.0))
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("shape", [(5, 6, 7), (3, 4, 5), (16, 16, 3, 50)])
+    def test_all_zero_data_rejected_for_every_seed(self, shape, seed, monkeypatch):
+        # It used to depend on the seed: some fits returned, others raised
+        # NumericalError on a zero step size.
+        monkeypatch.setattr("tring.solver.init_random", None)  # no work may start
+        with pytest.raises(ValueError, match="data tensor must be nonnegative, with a nonzero"):
+            fit(np.zeros(shape), (2,) * len(shape), SolverConfig(seed=seed, beta=0.0))
+
+    def test_overflowing_objective_is_numerical_error(self):
+        # beta * ||H||_2 is finite, but the graph term of the objective after
+        # a single inner step is not.
+        x, _ = blob_tensor((3, 3), 3, 10, seed=0)
+        graph = neighbor_graph(x, 3)
+        beta = 0.9 * np.finfo(np.float64).max / graph.norm
+        cfg = SolverConfig(t_max=1, max_sweeps=3, beta=beta)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match="objective became non-finite: inf"):
+                fit(x, (2, 2, 2), cfg, graph)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("beta", [0.0, 0.1])
     def test_non_finite_data_rejected_before_fitting(self, bad, beta, monkeypatch):
         x, _ = ring_tensor((4, 4, 5), (2, 2, 2), seed=0)

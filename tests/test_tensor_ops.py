@@ -1,5 +1,7 @@
 """Tensor algebra primitives against brute-force index-loop oracles."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -90,6 +92,12 @@ class TestUnfoldings:
         d = x.ndim
         cycled = np.transpose(x, tuple(range(mode, d)) + tuple(range(mode)))
         assert np.array_equal(unfold_tr(x, mode), unfold_tr(cycled, 0))
+
+    @pytest.mark.parametrize("shape", [(3, 9), (4, 6), (24,), (3, 4, 2)])
+    def test_fold_shape_mismatch_named(self, shape):
+        message = re.escape(f"matrix shape {shape} does not match target (2, 3, 4)")
+        with pytest.raises(ValueError, match=message):
+            fold_tr(np.ones(shape), 1, (2, 3, 4))
 
     def test_mode_out_of_range(self):
         with pytest.raises(ValueError):
