@@ -6,6 +6,7 @@ floats in [0, 1].
 """
 
 import functools
+import re
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,13 @@ __all__ = [
 ]
 
 
+# A header token with the separators and comments before it.  The separators
+# are the bytes str.isspace accepts; a comment runs from "#" to the end of its
+# line, and a "#" inside a token is part of the token.
+_SPACE = rb"\t-\r\x1c-\x1f \x85\xa0"
+_TOKEN = re.compile(rb"(?:[%s]|#[^\n]*)*([^%s]*)" % (_SPACE, _SPACE))
+
+
 def read_pnm(path):
     """Load a binary PGM (P5) or PPM (P6) image as floats in [0, 1].
 
@@ -33,35 +41,22 @@ def read_pnm(path):
 
     def token():
         nonlocal pos
-        while pos < len(data):
-            c = data[pos]
-            if c == ord("#"):
-                while pos < len(data) and data[pos] != ord("\n"):
-                    pos += 1
-            elif chr(c).isspace():
-                pos += 1
-            else:
-                break
-        start = pos
-        while pos < len(data) and not chr(data[pos]).isspace():
-            pos += 1
-        if start == pos:
+        match = _TOKEN.match(data, pos)
+        pos = match.end()
+        if not match[1]:
             raise FileFormatError(f"{path}: truncated header")
-        return data[start:pos]
+        return match[1]
 
     def number():
         field = token()  # ASCII digits: int() alone also reads b"1_0" as 10, and b"+1"
         if not field.isdigit():
-            raise ValueError(field)
+            raise FileFormatError(f"{path}: malformed header")
         return int(field)
 
     magic = token()
     if magic not in (b"P5", b"P6"):
         raise FileFormatError(f"{path}: unsupported format {magic!r} (need P5/P6)")
-    try:
-        width, height, maxval = number(), number(), number()
-    except ValueError as exc:
-        raise FileFormatError(f"{path}: malformed header") from exc
+    width, height, maxval = number(), number(), number()
     if width < 1 or height < 1 or not 0 < maxval < 65536:
         raise FileFormatError(f"{path}: bad dimensions or maxval")
     pos += 1  # single whitespace byte separates header from raster

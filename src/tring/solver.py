@@ -127,9 +127,12 @@ class FitReport:
     """Per-sweep progress of one :func:`fit` run.
 
     ``objective_per_sweep`` and ``initial_objective`` are ``0.5*||X||^2``
-    plus the sample-mode subproblem's objective.  ``seconds_per_sweep``
-    holds seconds since the fit began, not per-sweep durations; the CLI
-    writes it as ``report.csv``'s ``seconds`` column.
+    plus the sample-mode subproblem's objective; :func:`fit` checks each
+    of them, the initial one too, and raises ``NumericalError`` on a
+    non-finite value.  With ``beta > 0`` the graph's ``||H||_2`` is taken
+    when :func:`fit` checks the graph, before the first objective.
+    ``seconds_per_sweep`` holds seconds since the fit began, not per-sweep
+    durations; the CLI writes it as ``report.csv``'s ``seconds`` column.
 
     ``rel_change_per_sweep`` is the objective decrease per sweep measured
     relative to the run's initial objective, floored at ``eps * ||X||^2``
@@ -160,8 +163,9 @@ _BLOCK = 4096
 def _sample_graph(graph, beta, n_samples):
     """``graph``, checked, if it regularizes (``beta > 0``); else ``None``.
 
-    It must be a ``NeighborGraph`` with ``n_samples`` samples; anything else
-    raises ``ValueError``.
+    It must be a ``NeighborGraph`` with ``n_samples`` samples, and
+    ``beta * ||H||_2`` must be finite; anything else raises ``ValueError``.
+    The check takes the graph's norm, which the graph keeps.
     """
     if graph is None or not beta > 0:
         return None
@@ -169,6 +173,9 @@ def _sample_graph(graph, beta, n_samples):
         raise ValueError("graph must be a NeighborGraph")
     if graph.n_samples != n_samples:
         raise ValueError(f"graph has {graph.n_samples} samples, tensor has {n_samples}")
+    # A Python float product overflows to inf without a warning; a NumPy one warns.
+    if not math.isfinite(float(beta) * graph.norm):
+        raise ValueError(f"beta * ||H||_2 overflows float64: beta={beta}, ||H||_2={graph.norm}")
     return graph
 
 
@@ -178,9 +185,9 @@ class Subproblem:
     ``min_{G >= 0} 0.5*||x_unfold - G @ subchain2.T||_F^2`` plus
     ``0.5*beta*tr(G.T H G)`` when a sample ``graph`` is given and
     ``beta > 0``; the graph must then be a ``NeighborGraph`` with one sample
-    per row of ``x_unfold``, or ``ValueError`` is raised, as :func:`fit`
-    raises it.  So is a ``subchain2`` with other than one row per column of
-    ``x_unfold``.
+    per row of ``x_unfold`` and a finite ``beta*||H||_2``, or ``ValueError``
+    is raised, as :func:`fit` raises it.  So is a ``subchain2`` with other
+    than one row per column of ``x_unfold``.
 
     The set-up forms only the Gram ``sts = S.T @ S`` and the cross term
     ``xs = X @ S``, so :meth:`objective` is the expanded form without its
@@ -214,9 +221,11 @@ class Subproblem:
     def lipschitz(self):
         """``spectral_norm(S.T S)`` (top eigenvalue plus margin), plus ``beta*||H||_2``.
 
-        Taken on each read, not at set-up, so a gradient alone never runs
-        an eigensolver.  Raises ``NumericalError`` on a non-finite Gram or
-        constant.
+        The Gram's norm is taken on each read, not at set-up, so a gradient
+        alone never runs an eigensolver on it.  With ``beta > 0`` the
+        graph's norm was taken when the graph was checked, at set-up, and
+        ``beta*||H||_2`` is finite.  Raises ``NumericalError`` on a
+        non-finite Gram or constant.
         """
         if not np.all(np.isfinite(self.sts)):
             raise NumericalError("subchain Gram became non-finite")
@@ -339,7 +348,9 @@ def fit(x, ranks, cfg=None, graph=None):
     graph : NeighborGraph, optional
         Sample graph whose Laplacian regularizes the last core.  With
         ``cfg.beta == 0`` (or no graph) the run is the plain nonnegative
-        fit, bit-for-bit.
+        fit, bit-for-bit.  With ``cfg.beta > 0`` it is checked before any
+        work, and its ``||H||_2`` is taken then: a ``beta * ||H||_2`` that
+        overflows float64 raises ``ValueError``.
 
     Returns
     -------
@@ -347,7 +358,9 @@ def fit(x, ranks, cfg=None, graph=None):
         Nonnegative cores and the per-sweep progress record.  The reported
         objective is measured at the sample mode, solved last, as its last
         ``f_new``; every mode's value is identical because the unfoldings
-        only permute entries.
+        only permute entries.  A non-finite objective raises
+        ``NumericalError``; a non-finite initial one does so before any
+        core is solved.
     """
     x = as_tensor(x)
     if cfg is None:
@@ -380,13 +393,21 @@ def fit(x, ranks, cfg=None, graph=None):
         max(math.prod(dims) // dims[n] * ranks[n] * ranks[(n + 1) % d] for n in range(d))
     )
 
+    objectives, seconds = [], []
+
+    def add_objective(f):
+        """Append ``0.5*||X||^2 + f``, which must be finite, to ``objectives``."""
+        obj = 0.5 * norm_x2 + f
+        if not math.isfinite(obj):
+            raise NumericalError(f"objective became non-finite: {obj}")
+        objectives.append(obj)
+
     sub = Subproblem(build_subchain(cores, d - 1, workspace), x_unfolds[d - 1], graph, cfg.beta)
-    prev_obj = initial_objective = 0.5 * norm_x2 + sub.objective(core_unfold2(cores[d - 1]))
+    add_objective(sub.objective(core_unfold2(cores[d - 1])))
     # A fit that starts at an exact decomposition reads an initial objective
     # of rounding size, or even below zero where the expanded form cancels;
     # changes are then measured against the rounding of ||X||^2 instead.
-    scale = max(initial_objective, np.finfo(np.float64).eps * norm_x2)
-    objectives, rel_changes, seconds = [], [], []
+    scale = max(objectives[0], np.finfo(np.float64).eps * norm_x2)
     terminated_by = "max_sweeps"
     f_last = None
 
@@ -402,25 +423,19 @@ def fit(x, ranks, cfg=None, graph=None):
             g = solve_core(x_unfolds[n], sub2, g0, cfg, h_g=graph if sample else None,
                            callback=keep_objective if sample else None)
             cores[n] = core_fold2(g, ranks[n], dims[n], ranks[(n + 1) % d])
-        obj = 0.5 * norm_x2 + f_last
-        if not np.isfinite(obj):
-            raise NumericalError(f"objective became non-finite: {obj}")
-        rel = abs(prev_obj - obj) / scale
-        objectives.append(obj)
-        rel_changes.append(rel)
+        add_objective(f_last)
         seconds.append(time.perf_counter() - t0)
-        prev_obj = obj
-        if rel < cfg.tol:
+        if abs(objectives[-2] - objectives[-1]) / scale < cfg.tol:
             terminated_by = "tol"
             break
 
     report = FitReport(
-        objective_per_sweep=np.asarray(objectives),
-        rel_change_per_sweep=np.asarray(rel_changes),
+        objective_per_sweep=np.asarray(objectives[1:]),
+        rel_change_per_sweep=np.abs(np.diff(objectives)) / scale,
         seconds_per_sweep=np.asarray(seconds),
-        sweeps_run=len(objectives),
+        sweeps_run=len(seconds),
         terminated_by=terminated_by,
         wall_seconds=time.perf_counter() - t0,
-        initial_objective=initial_objective,
+        initial_objective=objectives[0],
     )
     return TRCores(cores), report

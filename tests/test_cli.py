@@ -562,6 +562,33 @@ class TestExitCodes:
         assert "with a nonzero entry" in capsys.readouterr().err
         assert len(fit_calls) == 1 and not out.exists()
 
+    def test_overflowing_initial_objective_is_numerical_error(self, tmp_path, capsys):
+        # beta * ||H||_2 = 5.3e307 is finite, the initial objective is not.
+        data = tmp_path / "blobs.ten"
+        write_tensor(data, blob_tensor((3, 3), 3, 10, seed=0)[0])
+        out = tmp_path / "o"
+        code = main(["fit", "--data", str(data), "--ranks", "2,2,2", "--beta", "1e307",
+                     "--p", "3", "--out", str(out)])
+        assert code == 4
+        assert "objective became non-finite: inf" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "cluster"])
+    def test_overflowing_graph_constant_is_validation_error(self, command, tmp_path, capsys,
+                                                             monkeypatch):
+        x, labels = blob_tensor((3, 3), 3, 10, seed=0)
+        data, label_file = tmp_path / "blobs.ten", tmp_path / "labels.txt"
+        write_tensor(data, x)
+        write_labels(label_file, labels)
+        label_opts = ["--labels", str(label_file)] if command == "cluster" else []
+        monkeypatch.setattr("tring.solver.init_random", None)  # no fit work may start
+        out = tmp_path / "o"
+        code = main([command, "--data", str(data), *label_opts, "--ranks", "2,2,2",
+                     "--beta", "1e308", "--p", "3", "--out", str(out)])
+        assert code == 2
+        assert "beta * ||H||_2 overflows float64" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unmapped_exception_propagates(self, blob_files, tmp_path, monkeypatch):
         def failing_fit(*args, **kwargs):
             raise RuntimeError("injected")

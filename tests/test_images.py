@@ -130,6 +130,30 @@ class TestReadPnm:
         p.write_bytes(b"#lead\nP5\x85 2\xa0#x\n1\x1c255\n\x00\xff")
         assert np.array_equal(read_pnm(p), [[0.0, 1.0]])
 
+    # The 12 bytes str.isspace accepts, each the only separator of a header,
+    # including the one byte between maxval and the raster.
+    @pytest.mark.parametrize(
+        "sep", [bytes([c]) for c in b"\t\n\v\f\r\x1c\x1d\x1e\x1f \x85\xa0"],
+        ids=lambda sep: f"0x{sep[0]:02x}",
+    )
+    def test_every_space_byte_separates_tokens(self, tmp_path, sep):
+        assert chr(sep[0]).isspace()
+        p = tmp_path / "s.pgm"
+        p.write_bytes(sep.join([b"P5", b"2", b"1", b"255", b"\x00\xff"]))
+        assert np.array_equal(read_pnm(p), [[0.0, 1.0]])
+
+    # Neighbours of separators that are not separators: inside a number they
+    # make the field malformed.
+    @pytest.mark.parametrize("byte", [b"\x1b", b"\x84"], ids=["0x1b", "0x84"])
+    @pytest.mark.parametrize("field", range(3), ids=["width", "height", "maxval"])
+    def test_non_space_byte_in_a_number_is_malformed(self, tmp_path, byte, field):
+        fields = [b"2", b"1", b"255"]
+        fields[field] += byte
+        p = tmp_path / "n.pgm"
+        p.write_bytes(b"P5\n" + b" ".join(fields) + b"\n\x00\xff")
+        with pytest.raises(FileFormatError, match="malformed header"):
+            read_pnm(p)
+
 
 class TestWritePnm:
     def test_pgm_round_trip(self, tmp_path):

@@ -273,10 +273,10 @@ class TestLipschitz:
             sub.lipschitz
 
     def test_non_finite_constant_is_numerical_error(self):
-        # Each term is finite; their sum is not.
+        # Each term is finite, about 1e308; their sum is not.  (A beta*||H||_2
+        # that overflows on its own is a ValueError when the graph is checked.)
         path = np.array([[1.0, -1.0], [-1.0, 1.0]])  # ||H||_2 = 2
-        sub = Subproblem(np.ones((3, 2)), np.ones((2, 3)), laplacian_graph(path),
-                         np.finfo(np.float64).max)
+        sub = Subproblem(np.array([[1e154]]), np.ones((2, 1)), laplacian_graph(path), 5e307)
         with np.errstate(over="ignore"):
             with pytest.raises(NumericalError, match="non-finite subproblem step size: inf"):
                 sub.lipschitz
@@ -552,8 +552,7 @@ class TestFit:
             fit(np.zeros(shape), (2,) * len(shape), SolverConfig(seed=seed, beta=0.0))
 
     def test_overflowing_objective_is_numerical_error(self):
-        # beta * ||H||_2 is finite, but the graph term of the objective after
-        # a single inner step is not.
+        # beta * ||H||_2 is finite, but the graph term of the objective is not.
         x, _ = blob_tensor((3, 3), 3, 10, seed=0)
         graph = neighbor_graph(x, 3)
         beta = 0.9 * np.finfo(np.float64).max / graph.norm
@@ -561,6 +560,23 @@ class TestFit:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalError, match="objective became non-finite: inf"):
                 fit(x, (2, 2, 2), cfg, graph)
+
+    def test_overflowing_initial_objective_raises_before_any_core_solve(self, monkeypatch):
+        # beta * ||H||_2 = 5.3e307 is finite, but the initial objective's graph
+        # term is not.
+        x, _ = blob_tensor((3, 3), 3, 10, seed=0)
+        graph = neighbor_graph(x, 3)
+        solves = []
+        real = tring.solver.solve_core
+
+        def counting(*args, **kwargs):
+            solves.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tring.solver, "solve_core", counting)
+        with pytest.raises(NumericalError, match="objective became non-finite: inf"):
+            fit(x, (2, 2, 2), SolverConfig(beta=1e307), graph)
+        assert not solves
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("beta", [0.0, 0.1])
@@ -896,6 +912,20 @@ class TestLaplacianOperator:
         x = blob_tensor((4, 4), 3, 10, seed=4)[0]
         with pytest.raises(ValueError, match=message):
             fit(x, (2, 2, 3), cfg, other)
+
+    @pytest.mark.parametrize("entry", ["fit", "solve_core", "Subproblem"])
+    def test_overflowing_graph_constant_rejected_as_fit_rejects_it(self, entry, monkeypatch):
+        # beta * ||H||_2 overflows float64: bad input, rejected before any work.
+        (xn, s2, g0, cfg), graph = self.sample_mode_problem(beta=1e308)
+        x = blob_tensor((4, 4), 3, 10, seed=4)[0]
+        monkeypatch.setattr("tring.solver.init_random", None)  # fit may start no work
+        calls = {
+            "fit": lambda: fit(x, (2, 2, 3), cfg, graph),
+            "solve_core": lambda: solve_core(xn, s2, g0, cfg, h_g=graph),
+            "Subproblem": lambda: Subproblem(s2, xn, graph, cfg.beta),
+        }
+        with pytest.raises(ValueError, match=r"beta=1e\+308, \|\|H\|\|_2="):
+            calls[entry]()
 
     def test_norm_computed_once_per_graph_fit(self, monkeypatch):
         calls = []
