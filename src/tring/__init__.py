@@ -22,7 +22,7 @@ from .ring import (
     reconstruct,
     relative_error,
 )
-from .solver import FitReport, NumericalError, SolverConfig, Subproblem, fit, solve_core
+from .solver import FitReport, NumericalError, SolverConfig, Subproblem, fit
 from .synthetic import blob_tensor, ring_tensor
 from .tensor_ops import fold_tr, unfold_tr
 
@@ -43,7 +43,6 @@ __all__ = [
     "basis_tensors",
     "neighbor_graph",
     "Subproblem",
-    "solve_core",
     "fit",
     "sparseness",
     "accuracy",

@@ -26,6 +26,7 @@ bit-for-bit with the same binary.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -90,14 +91,6 @@ def _parse_layout(text, tiles):
     return rows, cols
 
 
-def _balanced_factor_pair(k):
-    # Most balanced integer factorization a*b = k with a >= b.
-    b = int(np.sqrt(k))
-    while k % b:
-        b -= 1
-    return k // b, b
-
-
 def default_ranks(order, n_classes):
     """Rank chain giving ``n_classes`` feature columns on the last core.
 
@@ -106,22 +99,23 @@ def default_ranks(order, n_classes):
     all other ranks are 2.
     """
     as_count(order, "tensor order", 2)
-    a, b = _balanced_factor_pair(int(n_classes))
-    ranks = [2] * order
-    ranks[0] = b
-    ranks[-1] = a
-    return tuple(ranks)
+    n_classes = as_count(n_classes, "class count", 1)
+    b = int(np.sqrt(n_classes))
+    while n_classes % b:
+        b -= 1
+    return (b, *[2] * (order - 2), n_classes // b)
 
 
-def _load(args, need_labels):
+def _load(args):
     """``(x, labels, ranks)`` from ``--data``, ``--labels`` and ``--ranks``.
 
-    The ranks pass ``fit``'s own rank rule here, so a bad one fails before
-    any graph is built.
+    Labels are read, and required, when the command takes ``--labels``;
+    otherwise ``labels`` is ``None``.  The ranks pass ``fit``'s own rank
+    rule here, so a bad one fails before any graph is built.
     """
     x = read_tensor(args.data)
     labels = None
-    if need_labels:
+    if hasattr(args, "labels"):
         if args.labels is None:
             raise ValueError("this command requires --labels")
         labels = read_labels(args.labels)
@@ -138,19 +132,25 @@ def _load(args, need_labels):
     return x, labels, _chain_shape(x.shape, ranks)[1]
 
 
-def _fits(x, ranks, args, repeats=1, graphs=None):
-    """Plan ``repeats`` fits of ``x``; iterating the result runs them.
+def _config(args, seed):
+    """The ``SolverConfig`` that the solver options of ``args`` give, seeded ``seed``."""
+    return SolverConfig(t_max=args.tmax, max_sweeps=args.max_sweeps, tol=args.tol,
+                        beta=args.beta, seed=seed)
 
-    This call builds every run's config, and the sample graph when
-    ``args.beta > 0``, so a bad setting fails before any fit.  The graph
-    is taken from ``graphs``, a ``p -> graph`` dict on ``x``, and added to
-    it when missing, so plans that share the dict build one graph per
-    distinct ``p``.  The returned iterator fits run ``r`` seeded
-    ``args.seed + r`` and yields ``(seed, cores, report)``.
+
+def _fits(x, ranks, args, graphs=None):
+    """Plan the fits of ``x`` that ``args`` asks for; iterating the result runs them.
+
+    That is ``--repeats`` runs when the command takes the option, else
+    one.  This call builds every run's config, ``_config(args, args.seed
+    + r)`` for run ``r``, and the sample graph when ``args.beta > 0``, so
+    a bad setting fails before any fit.  The graph is taken from
+    ``graphs``, a ``p -> graph`` dict on ``x``, and added to it when
+    missing, so plans that share the dict build one graph per distinct
+    ``p``.  The returned iterator yields ``(seed, cores, report)``.
     """
-    as_count(repeats, "--repeats", 1)
-    cfgs = [SolverConfig(t_max=args.tmax, max_sweeps=args.max_sweeps, tol=args.tol,
-                         beta=args.beta, seed=args.seed + run) for run in range(repeats)]
+    repeats = as_count(getattr(args, "repeats", 1), "--repeats", 1)
+    cfgs = [_config(args, args.seed + run) for run in range(repeats)]
     graphs = {} if graphs is None else graphs
     if args.beta > 0 and args.p not in graphs:
         graphs[args.p] = neighbor_graph(x, args.p)
@@ -204,17 +204,9 @@ def _write_manifest(outdir, command, params, inputs):
 
 
 def _write_fit_manifest(outdir, args, ranks, **extra):
-    """Write the fit settings plus ``extra``, and digests of the input files."""
-    params = {
-        "ranks": list(ranks),
-        "beta": args.beta,
-        "p": args.p,
-        "t_max": args.tmax,
-        "tol": args.tol,
-        "max_sweeps": args.max_sweeps,
-        "seed": args.seed,
-        **extra,
-    }
+    """Write ``_config(args, args.seed)``, ``ranks``, ``--p`` and ``extra``, and input digests."""
+    params = {**dataclasses.asdict(_config(args, args.seed)), "ranks": list(ranks),
+              "p": args.p, **extra}
     inputs = {"data": args.data}
     if hasattr(args, "labels"):
         inputs["labels"] = args.labels
@@ -222,7 +214,7 @@ def _write_fit_manifest(outdir, args, ranks, **extra):
 
 
 def cmd_fit(args):
-    x, _, ranks = _load(args, need_labels=False)
+    x, _, ranks = _load(args)
     _, cores, report = next(_fits(x, ranks, args))
     out = _outdir(args)
     for i, core in enumerate(cores):
@@ -253,8 +245,8 @@ def _cluster_runs(fits, labels, restarts):
 
 
 def cmd_cluster(args):
-    x, labels, ranks = _load(args, need_labels=True)
-    scores = _cluster_runs(_fits(x, ranks, args, args.repeats), labels, args.restarts)
+    x, labels, ranks = _load(args)
+    scores = _cluster_runs(_fits(x, ranks, args), labels, args.restarts)
     out = _outdir(args)
     rows = [(r + 1, scores[r, 0], scores[r, 1]) for r in range(len(scores))]
     rows.append(("mean", scores[:, 0].mean(), scores[:, 1].mean()))
@@ -287,10 +279,10 @@ def _prefix_split(labels, fraction):
 def cmd_classify(args):
     if not 0.0 < args.label_fraction < 1.0:
         raise ValueError("--label-fraction must lie strictly between 0 and 1")
-    x, labels, ranks = _load(args, need_labels=True)
+    x, labels, ranks = _load(args)
     k_list = _parse_list(args.k_list)
     train_idx, test_idx = _prefix_split(labels, args.label_fraction)
-    fits = _fits(x, ranks, args, args.repeats)
+    fits = _fits(x, ranks, args)
     for k in k_list:  # knn_classify's own check, made before the first fit runs
         as_count(k, "k", 1, train_idx.size)
     acc = [[] for _ in k_list]  # one list per entry, so a repeated k keeps runs 1..R
@@ -314,7 +306,7 @@ def cmd_classify(args):
 
 
 def cmd_sweep(args):
-    x, labels, ranks = _load(args, need_labels=True)
+    x, labels, ranks = _load(args)
     param = args.sweep_param
     if param == "p" and not args.beta > 0:
         raise ValueError("sweeping p needs --beta > 0")
@@ -322,7 +314,7 @@ def cmd_sweep(args):
               else _parse_list(args.sweep_values, float if param == "beta" else integer))
     graphs = {}
     plans = [_fits(x, ranks, argparse.Namespace(**{**vars(args), param: value}),
-                   args.repeats, graphs) for value in values]
+                   graphs) for value in values]
     rows = []
     for value, fits in zip(values, plans):
         start = time.perf_counter()
@@ -341,7 +333,7 @@ def cmd_sweep(args):
 
 
 def cmd_basis(args):
-    x, _, ranks = _load(args, need_labels=False)
+    x, _, ranks = _load(args)
     rows_n, cols_n = _parse_layout(args.layout, ranks[-1] * ranks[0])  # one tile per feature
     slice_dims = x.shape[:-1]
     color = len(slice_dims) == 3 and slice_dims[2] == 3

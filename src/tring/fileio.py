@@ -54,10 +54,10 @@ def atomic_write_bytes(path, data):
 
 
 def write_tensor(path, x):
-    """Serialize a dense float tensor; refuses non-finite values."""
-    x = np.ascontiguousarray(x, dtype=np.float64)
+    """Serialize a dense float tensor; refuses order 0 and non-finite values, writing nothing."""
+    x = np.asarray(x, dtype=np.float64)
     if x.ndim < 1:
-        x = x.reshape(1)
+        raise FileFormatError("refusing to write an order-0 tensor: the container holds order >= 1")
     if not np.all(np.isfinite(x)):
         raise FileFormatError("refusing to write non-finite values")
     header = MAGIC + np.uint32(x.ndim).astype("<u4").tobytes()

@@ -100,6 +100,19 @@ def nmi(a, b):
     return float(min(1.0, mi / max(entropy(a), entropy(b))))
 
 
+def _features(rows, what):
+    """``rows`` as a float64 matrix with one row per sample; 1-D is one feature per sample.
+
+    Any other number of dimensions raises ``ValueError`` naming ``what``.
+    """
+    x = np.asarray(rows, dtype=np.float64)
+    if x.ndim == 1:
+        x = x[:, None]
+    if x.ndim != 2:
+        raise ValueError(f"{what} must be a 2-D matrix")
+    return x
+
+
 # Lloyd iterations per k-means run; a run that has not settled by then
 # keeps its last assignment.
 _LLOYD_ITERATIONS = 300
@@ -168,11 +181,7 @@ def kmeans(features, k, restarts=200, seed=0):
     ndarray of int
         Cluster id per sample.
     """
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
-    if x.ndim != 2:
-        raise ValueError("features must be a 2-D matrix")
+    x = _features(features, "features")
     n = x.shape[0]
     k = as_count(k, "k", 1, n)
     restarts = as_count(restarts, "restarts", 1)
@@ -190,9 +199,11 @@ def knn_classify(train, train_labels, test, k):
     break toward the class with the smaller summed neighbor distance,
     added in neighbor order, then toward the lower class id.  Test rows
     are scored in blocks, so memory does not grow with test x train.
+    ``train`` and ``test`` are read as :func:`kmeans` reads its features:
+    a 1-D input is one feature per sample.
     """
-    train = np.atleast_2d(np.asarray(train, dtype=np.float64))
-    test = np.atleast_2d(np.asarray(test, dtype=np.float64))
+    train = _features(train, "train features")
+    test = _features(test, "test features")
     train_labels = as_labels(train_labels)
     if train.shape[0] != train_labels.size:
         raise ValueError("one label per training row required")

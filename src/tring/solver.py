@@ -311,17 +311,16 @@ def solve_core(x_unfold, subchain2, g_init, cfg, h_g=None, callback=None):
     alpha = 1.0
     f_curr = sub.objective(g_init)
     for _ in range(cfg.t_max):
-        grad = sub.gradient(y)
-        g_next = prox_step(y, grad, lipschitz)
-        f_next = sub.objective(g_next)
-        if f_next > f_curr:
-            # Momentum overshoot: restart and retake a plain projected
-            # gradient step, which majorization makes non-increasing.
-            alpha = 1.0
-            y = g_curr
+        # The step from the search point, retaken from the current iterate
+        # on a momentum overshoot: restart and take a plain projected
+        # gradient step, which majorization makes non-increasing.
+        for y in (y, g_curr):
             grad = sub.gradient(y)
             g_next = prox_step(y, grad, lipschitz)
             f_next = sub.objective(g_next)
+            if not f_next > f_curr:
+                break
+            alpha = 1.0
         if callback is not None:
             callback(g_next, y, grad, f_next)
         a_nxt = 0.5 * (1.0 + math.sqrt(4.0 * alpha * alpha + 1.0))

@@ -31,7 +31,8 @@ def test_every_top_level_name_is_documented_or_demonstrated():
 
 
 @pytest.mark.parametrize("module, name", [
-    ("solver", "search_point"), ("solver", "prox_step"), ("ring", "core_fold2"),
+    ("solver", "search_point"), ("solver", "prox_step"), ("solver", "solve_core"),
+    ("ring", "core_fold2"),
     ("metrics", "entropy"), ("metrics", "mutual_information"),
 ])
 def test_layer_internals_stay_public_in_their_module(module, name):

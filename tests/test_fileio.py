@@ -72,6 +72,15 @@ class TestTensorFile:
         with pytest.raises(FileFormatError):
             write_tensor(tmp_path / "inf.ten", np.array([1.0, np.inf]))
 
+    @pytest.mark.parametrize("value", [2.5, np.float64(2.5), np.array(2.5)],
+                             ids=["float", "numpy scalar", "0-d array"])
+    def test_order_zero_refused_on_write(self, tmp_path, value):
+        # read_tensor rejects order 0, so the writer refuses it too, rather
+        # than writing a (1,) tensor that reads back with another shape.
+        with pytest.raises(FileFormatError, match="order-0"):
+            write_tensor(tmp_path / "scalar.ten", value)
+        assert list(tmp_path.iterdir()) == []
+
     def test_zero_dimension_rejected(self, tmp_path):
         path = tmp_path / "z.ten"
         header = b"TEN1" + (1).to_bytes(4, "little") + (0).to_bytes(8, "little")

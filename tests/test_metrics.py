@@ -252,6 +252,8 @@ class TestKmeans:
         x = np.array([0.0, 0.1, 10.0, 10.1])
         labels = kmeans(x, 2, restarts=10, seed=0)
         assert accuracy(labels, np.array([0, 0, 1, 1])) == 1.0
+        # A 1-D input is one feature per sample, the rule knn_classify shares.
+        assert np.array_equal(labels, kmeans(x[:, None], 2, restarts=10, seed=0))
 
     def test_k_equals_samples_gives_zero_wcss(self):
         x = np.random.default_rng(1).random((6, 3))
@@ -353,6 +355,14 @@ class TestKnnClassify:
         labels = np.array([0, 1, 2])
         pred = knn_classify(train, labels, train, 1)
         assert np.array_equal(pred, labels)
+
+    def test_one_dimensional_features_are_one_feature_per_sample(self):
+        train, labels, test = [0.0, 0.1, 5.0, 5.1], [0, 0, 1, 1], [0.05, 5.05]
+        assert np.array_equal(knn_classify(train, labels, test, 1), [0, 1])
+        train_col, test_col = np.asarray(train)[:, None], np.asarray(test)[:, None]
+        want = knn_classify(train_col, labels, test_col, 3)
+        assert np.array_equal(knn_classify(train, labels, test_col, 3), want)
+        assert np.array_equal(knn_classify(train_col, labels, test, 3), want)
 
     def test_two_versus_one_majority(self):
         train = np.array([[0.0], [0.2], [5.0]])
@@ -502,6 +512,14 @@ _MANGLED_INPUT = {
 _MISSHAPEN_INPUT = {
     "sparseness one entry": (lambda: sparseness([3.0]), "at least 2 entries"),
     "kmeans 3-D features": (lambda: kmeans(np.ones((4, 2, 2)), 2), "features must be a 2-D matrix"),
+    "knn 3-D train": (
+        lambda: knn_classify(np.ones((6, 2, 2)), np.arange(6) % 2, np.ones((2, 4)), 1),
+        "train features must be a 2-D matrix",
+    ),
+    "knn 3-D test": (
+        lambda: knn_classify(np.ones((6, 2)), np.arange(6) % 2, np.ones((2, 2, 1)), 1),
+        "test features must be a 2-D matrix",
+    ),
     "knn label count": (
         lambda: knn_classify(np.eye(3), [0, 1], np.eye(3), 1), "one label per training row"
     ),

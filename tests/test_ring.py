@@ -103,6 +103,10 @@ class TestTRCores:
         assert len(cores) == 3
         assert cores[1].shape == (3, 4, 2)
 
+    def test_repr_names_dims_ranks_and_nonneg(self):
+        cores = TRCores([np.ones((2, 3, 4)), -np.ones((4, 5, 2))])
+        assert repr(cores) == "TRCores(dims=(3, 5), ranks=(2, 4), nonneg=False)"
+
     def test_checked_chain_cannot_be_reassigned(self):
         cores = init_random((3, 4), (2, 2), seed=0)
         with pytest.raises(TypeError):
@@ -234,6 +238,7 @@ _COUNTS = {
     "config_max_sweeps": ("max_sweeps", 1, None, lambda v: SolverConfig(max_sweeps=v)),
     "config_seed": ("seed", 0, None, lambda v: SolverConfig(seed=v)),
     "default_ranks_order": ("tensor order", 2, None, lambda v: default_ranks(v, 4)),
+    "default_ranks_classes": ("class count", 1, None, lambda v: default_ranks(3, v)),
 }
 
 

@@ -308,6 +308,50 @@ class TestMomentumPieces:
             assert np.array_equal(y, g + (alpha - 1.0) / a_nxt * (g - g_prev))
             alpha, g_prev = a_nxt, g
 
+    def test_restart_retakes_the_step_from_the_accepted_iterate(self, monkeypatch):
+        # A step whose objective rises is retaken once, as a plain projected
+        # gradient step from the last accepted iterate, and the next search
+        # point starts the momentum over (alpha = 1).  The callback sees the
+        # retaken step.  Each step is logged as its prox calls, then the
+        # callback, then its search point.
+        g0, s2, xn = random_instance(5)
+        t_max = 60
+        events = []
+
+        def logging_prox(y, grad, lipschitz):
+            events.append(("prox", y, grad))
+            return prox_step(y, grad, lipschitz)
+
+        def logging_search_point(g, g_prev, alpha, a_nxt):
+            events.append(("search", alpha))
+            return search_point(g, g_prev, alpha, a_nxt)
+
+        monkeypatch.setattr(tring.solver, "prox_step", logging_prox)
+        monkeypatch.setattr(tring.solver, "search_point", logging_search_point)
+        solve_core(xn, s2, g0, SolverConfig(t_max=t_max, beta=0.0),
+                   callback=lambda g_new, y, grad_y, f_new: events.append(("step", g_new, y, grad_y)))
+        steps, current = [], []
+        for event in events:
+            current.append(event)
+            if event[0] == "search":
+                steps.append(current)
+                current = []
+        assert len(steps) == t_max and current == []
+        proxes = [[e for e in step if e[0] == "prox"] for step in steps]
+        # Past step 1, alpha only grows unless a restart resets it to 1.
+        restarts = sum(step[-1][1] == 1.0 for step in steps[1:])
+        assert restarts >= 1 and sum(map(len, proxes)) == t_max + restarts
+        g_prev = g0
+        for step, prox in zip(steps, proxes):
+            _, g_new, y, grad = step[-2]
+            assert len(prox) in (1, 2)
+            # The callback gets the accepted step's search point and gradient.
+            assert y is prox[-1][1] and grad is prox[-1][2]
+            if len(prox) == 2:
+                assert np.array_equal(prox[1][1], g_prev)  # bitwise, not just close
+                assert step[-1][1] == 1.0  # alpha_curr of this step's search point
+            g_prev = g_new
+
     @staticmethod
     def momentum_pairs(monkeypatch, instance, t_max):
         # The (a_k, a_{k+1}) pair solve_core hands each search point.
@@ -457,6 +501,14 @@ class TestSolveCore:
 
 
 class TestFit:
+    def test_no_config_is_the_default_config(self):
+        x = blob_tensor((3, 3), 2, 4, seed=0)[0]
+        cores_a, rep_a = fit(x, (2, 2, 2))
+        cores_b, rep_b = fit(x, (2, 2, 2), SolverConfig())
+        assert all(np.array_equal(a, b) for a, b in zip(cores_a, cores_b))
+        assert np.array_equal(rep_a.objective_per_sweep, rep_b.objective_per_sweep)
+        assert (rep_a.sweeps_run, rep_a.terminated_by) == (rep_b.sweeps_run, rep_b.terminated_by)
+
     def test_exact_recovery_small(self):
         x, _ = ring_tensor((6, 5, 4), (2, 2, 2), seed=0)
         cfg = SolverConfig(t_max=60, max_sweeps=300, tol=1e-10, beta=0.0, seed=3)
