@@ -212,14 +212,19 @@ class NeighborGraph:
     ``NeighborGraph(w=..., degree=..., laplacian=...)`` from dense or
     sparse arrays, a graph applies the square ``laplacian`` given, not
     checked against ``w``: that is how a custom Laplacian reaches the
-    solver.  The graph keeps read-only copies of what it is given.
+    solver.  A Laplacian of any other shape, or with a NaN or Inf entry,
+    raises ``ValueError``.  The graph keeps read-only copies of what it is
+    given.
     """
 
     def __init__(self, w, degree, laplacian):
         shape = np.shape(laplacian)
         if len(shape) != 2 or shape[0] != shape[1]:
             raise ValueError(f"Laplacian must be square, got shape {shape}")
-        object.__setattr__(self, "matrix", _frozen_csr(laplacian))
+        matrix = _frozen_csr(laplacian)
+        if not np.all(np.isfinite(matrix.data)):
+            raise ValueError("Laplacian must be finite (no NaN or Inf)")
+        object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "adjacency", _frozen_csr(w))
         object.__setattr__(self, "degree", _read_only(np.array(degree)))
 

@@ -172,7 +172,7 @@ def kmeans(features, k, restarts=200, seed=0):
         Independent restarts, at least 1; the labeling with the lowest
         within-cluster sum of squares wins, first-come on ties.
     seed : int
-        Root seed; each restart derives its own generator from
+        Root seed, at least 0; each restart derives its own generator from
         ``(seed, restart index)`` so the result depends only on
         ``(seed, restarts)`` and never on scheduling.
 
@@ -185,6 +185,7 @@ def kmeans(features, k, restarts=200, seed=0):
     n = x.shape[0]
     k = as_count(k, "k", 1, n)
     restarts = as_count(restarts, "restarts", 1)
+    seed = as_count(seed, "seed", 0)
     sq = _bounded_sq_norms(x, "features")
     # min keeps the first of equal wcss; _bounded_sq_norms keeps every wcss finite.
     runs = (_lloyd(x, sq, k, np.random.default_rng((seed, r))) for r in range(restarts))

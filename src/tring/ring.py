@@ -3,8 +3,13 @@
 A ring factorization of an order-``d`` tensor is a cyclic chain of ``d``
 third-order cores; core ``n`` has shape ``(ranks[n], dims[n], ranks[n+1])``
 with the trailing rank of the last core wrapping back to the leading rank
-of the first.  Element ``(i_1, ..., i_d)`` of the represented tensor is the
-trace of the product of the cores' lateral slices at those indices.
+of the first, and every dimension and rank at least 1.  Element
+``(i_1, ..., i_d)`` of the represented tensor is the trace of the product
+of the cores' lateral slices at those indices.  :class:`TRCores` is the
+one rule for that shape: every function here that takes a ring reads it
+through ``TRCores(cores)``, so a list of arrays and a checked ring are
+read alike, and a chain that is not a ring fails there with
+``ValueError``.
 
 The matricized identity used by the solver reads, for every mode ``n``::
 
@@ -45,10 +50,14 @@ __all__ = [
 class TRCores(tuple):
     """Ordered cyclic chain of third-order cores: a tuple that checks its ring.
 
-    Core ``n`` must have shape ``(r_n, i_n, r_{n+1})``, with ``r_d == r_0``
-    closing the ring, and is copied to float64.  ``nonneg`` reads whether
-    every entry is >= 0, taken once at construction; a NaN entry reads
-    False.  ``==`` and ``hash`` are by identity, not element-wise over arrays.
+    This is the one rule by which every function here reads a ring.  Core
+    ``n`` must have shape ``(r_n, i_n, r_{n+1})``, with ``r_d == r_0``
+    closing the ring and every dimension and rank >= 1, and is copied to
+    float64; anything else raises ``ValueError``.  A ``TRCores`` argument
+    comes back unchanged, as ``tuple(t) is t`` does.  ``nonneg`` reads
+    whether every entry is >= 0, taken once at construction; a NaN entry
+    reads False.  ``==`` and ``hash`` are by identity, not element-wise
+    over arrays.
     """
 
     __eq__ = object.__eq__
@@ -56,6 +65,8 @@ class TRCores(tuple):
     __hash__ = object.__hash__
 
     def __new__(cls, cores):
+        if type(cores) is cls:
+            return cores
         cores = [np.array(c, dtype=np.float64) for c in cores]
         if not cores:
             raise ValueError("need at least one core")
@@ -68,9 +79,26 @@ class TRCores(tuple):
             if cores[n].shape[2] != cores[nxt].shape[0]:
                 raise ValueError(f"rank chain broken: core {n} trailing rank {cores[n].shape[2]} "
                                  f"!= core {nxt} leading rank {cores[nxt].shape[0]}")
+        self = cls._wrap(cores)
+        _chain_shape(self.dims, self.ranks)
+        return self
+
+    @classmethod
+    def _wrap(cls, cores):
+        """``cores``, float64 arrays that make a ring, as a ``TRCores``: no copy, no check."""
         self = super().__new__(cls, cores)
         self.nonneg = all(np.all(c >= 0) for c in cores)
         return self
+
+    def _replace(self, n, core):
+        """This ring with core ``n`` replaced by ``core``; no core is copied.
+
+        ``core`` must be a float64 array of core ``n``'s shape, so the chain
+        stays a ring and only ``nonneg`` is taken again.
+        :func:`tring.solver.fit` updates its ring by this step, so each
+        subchain build reads the ring as it is.
+        """
+        return self._wrap(self[:n] + (core,) + self[n + 1:])
 
     @property
     def dims(self):
@@ -97,13 +125,13 @@ def _chain_shape(dims, ranks):
 
 
 def init_random(dims, ranks, seed):
-    """Random nonnegative cores: |N(0, 1)| entries, deterministic per seed.
+    """Random nonnegative cores: |N(0, 1)| entries, deterministic per seed, an integer >= 0.
 
     Gaussian draws pass through absolute value so the chain is a valid
     nonnegative starting point while keeping the unit scale.
     """
     dims, ranks = _chain_shape(dims, ranks)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_count(seed, "seed", 0))
     d = len(dims)
     cores = [
         np.abs(rng.standard_normal((ranks[n], dims[n], ranks[(n + 1) % d])))
@@ -131,17 +159,17 @@ def build_subchain(cores, mode, workspace=None):
     transposed copy) goes there: it is the only full-size write, since
     every earlier merge lacks the last core's dimension.
     """
-    cores = list(cores)
+    cores = TRCores(cores)
     d = len(cores)
     if d < 2:
         raise ValueError("subchain requires at least two cores")
     mode = as_count(mode, "mode", 0, d - 1)
     order = [(mode + j) % d for j in range(1, d)]
-    first = as_tensor(cores[order[0]]).transpose(1, 2, 0)
+    first = cores[order[0]].transpose(1, 2, 0)
     acc = _chain_buffer(first.shape, workspace if d == 2 else None)
     acc[...] = first
     for idx in order[1:]:
-        acc = _merge(acc, as_tensor(cores[idx]), workspace if idx == order[-1] else None)
+        acc = _merge(acc, cores[idx], workspace if idx == order[-1] else None)
     return acc.reshape(len(acc), -1)
 
 
@@ -195,11 +223,10 @@ def reconstruct(cores):
     which costs a slice product per entry; the trace form survives only as
     a test oracle.
     """
-    cores = list(cores)
+    cores = TRCores(cores)
     if len(cores) == 1:
         return np.trace(cores[0], axis1=0, axis2=2)
-    dims = tuple(c.shape[1] for c in cores)
-    return fold_tr(core_unfold2(cores[0]) @ build_subchain(cores, 0).T, 0, dims)
+    return fold_tr(core_unfold2(cores[0]) @ build_subchain(cores, 0).T, 0, cores.dims)
 
 
 def relative_error(x, cores):
@@ -213,10 +240,9 @@ def relative_error(x, cores):
     the norm itself does.
     """
     x = as_tensor(x)
-    cores = list(cores)
-    dims = tuple(np.shape(c)[1] for c in cores)
-    if x.shape != dims:
-        raise ValueError(f"tensor shape {x.shape} does not match the ring's shape {dims}")
+    cores = TRCores(cores)
+    if x.shape != cores.dims:
+        raise ValueError(f"tensor shape {x.shape} does not match the ring's shape {cores.dims}")
     norm_x = scipy.linalg.norm(x.ravel(), check_finite=False)
     if not 0.0 < norm_x < np.inf:
         raise ValueError(f"tensor must be finite (no NaN or Inf) with a norm in (0, inf): "
@@ -230,7 +256,7 @@ def feature_matrix(cores):
     With samples stored along the final tensor dimension, the last core's
     unfolding has one row per sample and ``r_d * r_1`` feature columns.
     """
-    return core_unfold2(list(cores)[-1])
+    return core_unfold2(TRCores(cores)[-1])
 
 
 def basis_tensors(cores):
@@ -241,9 +267,8 @@ def basis_tensors(cores):
     columns of the subchain unfolding, so basis f is column f folded back
     to the non-sample dimensions.
     """
-    d = len(cores)
-    sub2 = build_subchain(cores, d - 1)
-    slice_dims = tuple(c.shape[1] for c in cores)[:-1]
+    cores = TRCores(cores)
+    sub2 = build_subchain(cores, len(cores) - 1)
     return [
-        sub2[:, f].reshape(slice_dims, order="F") for f in range(sub2.shape[1])
+        sub2[:, f].reshape(cores.dims[:-1], order="F") for f in range(sub2.shape[1])
     ]

@@ -55,8 +55,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import NeighborGraph
-from .ring import TRCores, build_subchain, core_fold2, core_unfold2, init_random
-from .tensor_ops import _unfoldings, as_count, as_tensor, spectral_norm
+from .ring import build_subchain, core_fold2, core_unfold2, init_random
+from .tensor_ops import _is_finite, _unfoldings, as_count, as_tensor, spectral_norm
 
 __all__ = [
     "SolverConfig",
@@ -112,14 +112,6 @@ class SolverConfig:
         elif name == "seed":
             as_count(value, name, 0)
         super().__setattr__(name, value)
-
-
-def _is_finite(value):
-    """Whether ``value`` is a finite real number; ``False``, not ``TypeError``, for any other."""
-    try:
-        return math.isfinite(value)
-    except TypeError:
-        return False
 
 
 @dataclass
@@ -382,8 +374,9 @@ def fit(x, ranks, cfg=None, graph=None):
     graph = _sample_graph(graph, cfg.beta, dims[-1])
 
     t0 = time.perf_counter()
-    init = init_random(dims, ranks, cfg.seed)
-    cores, ranks = list(init), init.ranks
+    # A checked ring throughout, so build_subchain reads it without a copy.
+    cores = init_random(dims, ranks, cfg.seed)
+    ranks = cores.ranks
     x_unfolds = _unfoldings(x)
     # Every mode's subchain is built into this one buffer, sized to the
     # largest.  Each is read only until the next build, and nothing the fit
@@ -421,7 +414,7 @@ def fit(x, ranks, cfg=None, graph=None):
             sample = n == d - 1
             g = solve_core(x_unfolds[n], sub2, g0, cfg, h_g=graph if sample else None,
                            callback=keep_objective if sample else None)
-            cores[n] = core_fold2(g, ranks[n], dims[n], ranks[(n + 1) % d])
+            cores = cores._replace(n, core_fold2(g, ranks[n], dims[n], ranks[(n + 1) % d]))
         add_objective(f_last)
         seconds.append(time.perf_counter() - t0)
         if abs(objectives[-2] - objectives[-1]) / scale < cfg.tol:
@@ -437,4 +430,4 @@ def fit(x, ranks, cfg=None, graph=None):
         wall_seconds=time.perf_counter() - t0,
         initial_objective=objectives[0],
     )
-    return TRCores(cores), report
+    return cores, report

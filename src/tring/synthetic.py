@@ -6,12 +6,10 @@ stacks whose sample slices cluster by construction (for clustering and
 classification experiments).
 """
 
-import math
-
 import numpy as np
 
 from .ring import init_random, reconstruct
-from .tensor_ops import as_count
+from .tensor_ops import _is_finite, as_count
 
 __all__ = ["ring_tensor", "blob_tensor"]
 
@@ -36,14 +34,14 @@ def blob_tensor(slice_dims, n_classes, per_class, noise=0.05, seed=0):
     prefix splits trivial.
 
     Returns ``(tensor, labels)`` with tensor shape ``(*slice_dims,
-    n_classes * per_class)``.
+    n_classes * per_class)``, deterministic per ``seed``, an integer >= 0.
     """
     slice_dims = tuple(as_count(s, "slice dimension", 1) for s in slice_dims)
     n_classes = as_count(n_classes, "n_classes", 1)
     per_class = as_count(per_class, "per_class", 1)
-    if not (math.isfinite(noise) and noise >= 0):
+    if not (_is_finite(noise) and noise >= 0):
         raise ValueError(f"noise must be finite and >= 0, got {noise}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_count(seed, "seed", 0))
     prototypes = rng.random((n_classes,) + slice_dims)
     labels = np.repeat(np.arange(n_classes, dtype=np.int64), per_class)
     x = prototypes[labels] + noise * rng.random((labels.size,) + slice_dims)

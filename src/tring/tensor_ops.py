@@ -16,6 +16,7 @@ Laplacian, is :func:`spectral_norm` of a symmetric PSD matrix: the
 Lipschitz constants need no other.
 """
 
+import math
 import operator
 
 import numpy as np
@@ -58,6 +59,14 @@ def as_count(value, name, lo=None, hi=None):
     if lo is not None and n < lo:
         raise ValueError(f"{name} must be an integer >= {lo}, got {n}")
     return n
+
+
+def _is_finite(value):
+    """Whether ``value`` is a finite real number; ``False``, not ``TypeError``, for any other."""
+    try:
+        return math.isfinite(value)
+    except TypeError:
+        return False
 
 
 def as_labels(a):

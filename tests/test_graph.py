@@ -347,6 +347,16 @@ class TestBlockedBuild:
         with pytest.raises(ValueError, match=message):
             NeighborGraph(w=np.zeros((2, 2)), degree=np.zeros(2), laplacian=np.zeros(shape))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("as_sparse", [False, True])
+    def test_hand_built_laplacian_must_be_finite(self, bad, as_sparse):
+        # Left to the norm, scipy's eigensolver would fail on it mid-fit.
+        lap = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        lap[0, 1] = bad
+        message = re.escape("Laplacian must be finite (no NaN or Inf)")
+        with pytest.raises(ValueError, match=message):
+            two_node_graph(sparse.csr_array(lap) if as_sparse else lap)
+
     def test_overflowing_distances_named(self):
         x = np.random.default_rng(14).random((3, 8)) * 1e200
         with pytest.raises(ValueError, match="too large for float64"):

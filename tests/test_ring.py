@@ -66,6 +66,16 @@ def subchain_oracle(cores, mode):
     return out.transpose(1, 2, 0).reshape(out.shape[1], -1)
 
 
+# Chains that are not rings: core 0's trailing rank 2 is not core 1's
+# leading 3; a rank of 0; a dimension of 0.
+_NOT_RINGS = [
+    ([np.ones((2, 3, 2)), np.ones((3, 4, 2))],
+     "rank chain broken: core 0 trailing rank 2 != core 1 leading rank 3"),
+    ([np.ones((0, 3, 2)), np.ones((2, 4, 0))], "rank must be an integer >= 1, got 0"),
+    ([np.ones((2, 0, 2)), np.ones((2, 4, 2))], "dimension must be an integer >= 1, got 0"),
+]
+
+
 class TestTRCores:
     def test_chain_validation(self):
         good = [np.ones((2, 3, 4)), np.ones((4, 2, 2))]
@@ -77,10 +87,39 @@ class TestTRCores:
         ([], "need at least one core"),
         ([np.ones((2, 3, 2)), np.ones((2, 3))], "core 1 must be third order, got 2"),
         ([np.ones((1, 2, 1, 1))], "core 0 must be third order, got 4"),
+        *_NOT_RINGS,
     ])
     def test_ring_of_third_order_cores_required(self, cores, message):
         with pytest.raises(ValueError, match=message):
             TRCores(cores)
+
+    @pytest.mark.parametrize("read", [
+        lambda c: build_subchain(c, 0), reconstruct, lambda c: relative_error(np.ones((3, 4)), c),
+        feature_matrix, basis_tensors,
+    ], ids=["build_subchain", "reconstruct", "relative_error", "feature_matrix", "basis_tensors"])
+    @pytest.mark.parametrize("cores, message", _NOT_RINGS, ids=["broken_chain", "rank_0", "dim_0"])
+    def test_every_ring_function_reads_cores_by_the_one_rule(self, read, cores, message):
+        # Read without the ring rule, such chains give made-up bases or
+        # features, a numpy error, or a rank-0 relative error of 1.0.
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read(cores)
+
+    def test_checked_ring_passes_through_and_a_sequence_is_copied(self):
+        cores = init_random((3, 4), (2, 2), seed=0)
+        assert TRCores(cores) is cores
+        for seq in (list(cores), tuple(cores)):
+            copy = TRCores(seq)
+            assert copy is not cores
+            assert not any(np.shares_memory(c, s) for c, s in zip(copy, cores))
+
+    def test_core_replaced_without_copies_keeps_the_ring(self):
+        # fit's update step: no core is copied, so no subchain build copies one.
+        cores = init_random((3, 4), (2, 2), seed=0)
+        core = -np.ones((2, 4, 2))
+        new = cores._replace(1, core)
+        assert type(new) is TRCores and new[0] is cores[0] and new[1] is core
+        assert cores.nonneg and not new.nonneg
+        assert new._replace(1, cores[1]).nonneg
 
     def test_nonneg_validation(self):
         # A reading, not a check: a negative or NaN entry reads False.
@@ -196,10 +235,11 @@ def test_sizes_and_modes_rejected_not_truncated(case):
         call()
 
 
-@pytest.mark.parametrize("noise", [-5.0, -1e-300, np.nan, np.inf])
+@pytest.mark.parametrize("noise", [-5.0, -1e-300, np.nan, np.inf, None, "0.1"])
 def test_blob_noise_must_be_finite_and_nonnegative(noise):
     # A negative amplitude gives negative data; NaN or Inf gives data that
-    # only fit would reject, later.
+    # only fit would reject, later.  A value that is not a real number
+    # fails by the same rule, not with a TypeError.
     with pytest.raises(ValueError, match="noise must be finite and >= 0"):
         blob_tensor((2, 2), 2, 2, noise=noise)
 
@@ -217,6 +257,8 @@ _COUNTS = {
     ),
     "init_random_dimension": ("dimension", 1, None, lambda v: init_random((3, v), (2, 2), 0)),
     "init_random_rank": ("rank", 1, None, lambda v: init_random((3, 4), (2, v), seed=0)),
+    "init_random_seed": ("seed", 0, None, lambda v: init_random((3, 4), (2, 2), v)),
+    "ring_tensor_seed": ("seed", 0, None, lambda v: ring_tensor((3, 4), (2, 2), v)),
     "fit_rank": (
         "rank", 1, None,
         lambda v: fit(np.ones((3, 4, 5)), (v, 2, 2), SolverConfig(max_sweeps=1, beta=0.0)),
@@ -224,6 +266,7 @@ _COUNTS = {
     "neighbor_graph_p": ("neighbor count p", 1, 4, lambda v: neighbor_graph(np.ones((2, 5)), v)),
     "kmeans_k": ("k", 1, 5, lambda v: kmeans(_FEATURES, v, restarts=1, seed=0)),
     "kmeans_restarts": ("restarts", 1, None, lambda v: kmeans(_FEATURES, 2, restarts=v, seed=0)),
+    "kmeans_seed": ("seed", 0, None, lambda v: kmeans(_FEATURES, 2, restarts=1, seed=v)),
     "knn_classify_k": (
         "k", 1, 5, lambda v: knn_classify(_FEATURES, np.arange(5) % 2, _FEATURES, v)
     ),
@@ -234,6 +277,7 @@ _COUNTS = {
     "blob_slice_dimension": ("slice dimension", 1, None, lambda v: blob_tensor((v, 4), 2, 3)),
     "blob_n_classes": ("n_classes", 1, None, lambda v: blob_tensor((4, 4), v, 3)),
     "blob_per_class": ("per_class", 1, None, lambda v: blob_tensor((4, 4), 2, v)),
+    "blob_seed": ("seed", 0, None, lambda v: blob_tensor((4, 4), 2, 3, seed=v)),
     "config_t_max": ("t_max", 1, None, lambda v: SolverConfig(t_max=v)),
     "config_max_sweeps": ("max_sweeps", 1, None, lambda v: SolverConfig(max_sweeps=v)),
     "config_seed": ("seed", 0, None, lambda v: SolverConfig(seed=v)),
@@ -244,15 +288,16 @@ _COUNTS = {
 
 def _count_cases():
     for case, (name, lo, hi, call) in sorted(_COUNTS.items()):
-        for value in [lo - 1, 2.5] + ([] if hi is None else [hi + 1]):
-            yield pytest.param(name, lo, hi, call, value, id=f"{case}={value}")
+        for value in [lo - 1, 2.5, None, "3"] + ([] if hi is None else [hi + 1]):
+            yield pytest.param(name, lo, hi, call, value, id=f"{case}={value!r}")
 
 
 @pytest.mark.parametrize("name, lo, hi, call, value", _count_cases())
 def test_counts_out_of_range_rejected_by_one_rule(name, lo, hi, call, value):
-    # Below lo, a fraction, and above hi: each message in the one form of as_count.
-    if isinstance(value, float):
-        message = f"{name} must be an integer, got {value}"
+    # Below lo, a fraction, no number, a numeral string, and above hi: each
+    # message in the one form of as_count.
+    if not isinstance(value, int):
+        message = f"{name} must be an integer, got {value!r}"
     elif hi is None:
         message = f"{name} must be an integer >= {lo}, got {value}"
     else:

@@ -210,15 +210,21 @@ class TestLipschitz:
         assert lip >= np.linalg.eigvalsh(s2.T @ s2)[-1]
 
     @pytest.mark.parametrize("beta", [0.0, 0.4])
-    def test_solver_steps_at_the_public_constant(self, beta):
+    @pytest.mark.parametrize("block", [None, 5])
+    def test_solver_steps_at_the_public_constant(self, monkeypatch, block, beta):
         # Criteria 2 and 3 check Subproblem's gradient and constant; every
         # step solve_core takes must use exactly that gradient and that
-        # constant, and hand its callback exactly that objective.
+        # constant, and hand its callback exactly that objective.  With
+        # block=5 the sample-mode subchain's 16 rows come in blocks of 5, 5,
+        # 5 and 1.
+        if block is not None:
+            monkeypatch.setattr(tring.solver, "_BLOCK", block)
         x, _ = blob_tensor((4, 4), 3, 10, seed=4)
         graph = neighbor_graph(x, 4)
         cores = init_random(x.shape, (2, 2, 3), seed=1)
         s2 = build_subchain(cores, 2)
         xn = unfold_tr(x, 2)
+        assert s2.shape[0] == 16
         sub = Subproblem(s2, xn, graph, beta)
         lip = sub.lipschitz
         steps = []
@@ -774,32 +780,6 @@ class TestBlockedSetup:
             np.testing.assert_allclose(got, want, rtol=1e-13)
             if rows <= 8:
                 assert np.array_equal(got, want)
-
-    @pytest.mark.parametrize("beta", [0.0, 0.4])
-    def test_multi_block_steps_at_the_public_constant(self, monkeypatch, beta):
-        # TestLipschitz's check with the sample-mode subchain's 16 rows in
-        # blocks of 5, 5, 5 and 1: the public gradient and constant must
-        # still be exactly the ones every solver step uses and reports.
-        monkeypatch.setattr(tring.solver, "_BLOCK", 5)
-        x, _ = blob_tensor((4, 4), 3, 10, seed=4)
-        graph = neighbor_graph(x, 4)
-        cores = init_random(x.shape, (2, 2, 3), seed=1)
-        s2 = build_subchain(cores, 2)
-        xn = unfold_tr(x, 2)
-        assert s2.shape[0] == 16
-        h = graph if beta > 0 else None
-        sub = Subproblem(s2, xn, h, beta)
-        lip = sub.lipschitz
-        steps = []
-
-        def audit(g_new, y, grad_y, f_new):
-            steps.append(np.array_equal(grad_y, sub.gradient(y))
-                         and np.array_equal(g_new, prox_step(y, grad_y, lip))
-                         and f_new == sub.objective(g_new))
-
-        solve_core(xn, s2, core_unfold2(cores[2]), SolverConfig(t_max=20, beta=beta),
-                   h_g=h, callback=audit)
-        assert len(steps) == 20 and all(steps)
 
     def test_block_size_moves_only_rounding(self, monkeypatch):
         x, _ = blob_tensor((6, 6), 3, 20, seed=6)
