@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor_ops import as_labels
+from .tensor_ops import as_labels, as_tensor
 
 __all__ = [
     "FileFormatError",
@@ -54,8 +54,11 @@ def atomic_write_bytes(path, data):
 
 
 def write_tensor(path, x):
-    """Serialize a dense float tensor; refuses order 0 and non-finite values, writing nothing."""
-    x = np.asarray(x, dtype=np.float64)
+    """Serialize a dense float tensor; refuses order 0 and non-finite values, writing nothing.
+
+    Data that is not real numbers raises ``as_tensor``'s ``ValueError``, before any write too.
+    """
+    x = as_tensor(x)
     if x.ndim < 1:
         raise FileFormatError("refusing to write an order-0 tensor: the container holds order >= 1")
     if not np.all(np.isfinite(x)):

@@ -41,8 +41,12 @@ def _read_only(arr):
 
 
 def _frozen_csr(matrix):
-    """A float64 CSR copy of a dense or sparse ``matrix`` whose arrays are read-only."""
-    csr = sparse.csr_array(matrix, dtype=np.float64, copy=True)
+    """A float64 CSR copy of a dense or sparse ``matrix`` whose arrays are read-only.
+
+    Its entries are read by the ``as_tensor`` rule, a sparse matrix's too.
+    """
+    csr = sparse.csr_array(matrix if sparse.issparse(matrix) else as_tensor(matrix), copy=True)
+    csr.data = as_tensor(csr.data)
     for arr in (csr.data, csr.indices, csr.indptr):
         _read_only(arr)
     return csr
@@ -213,8 +217,9 @@ class NeighborGraph:
     sparse arrays, a graph applies the square ``laplacian`` given, not
     checked against ``w``: that is how a custom Laplacian reaches the
     solver.  A Laplacian of any other shape, or with a NaN or Inf entry,
-    raises ``ValueError``.  The graph keeps read-only copies of what it is
-    given.
+    raises ``ValueError``, as does any of the three inputs, dense or
+    sparse, whose dtype is not real numbers (the ``as_tensor`` rule).  The
+    graph keeps read-only float64 copies of what it is given.
     """
 
     def __init__(self, w, degree, laplacian):
@@ -226,7 +231,7 @@ class NeighborGraph:
             raise ValueError("Laplacian must be finite (no NaN or Inf)")
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "adjacency", _frozen_csr(w))
-        object.__setattr__(self, "degree", _read_only(np.array(degree)))
+        object.__setattr__(self, "degree", _read_only(np.array(as_tensor(degree))))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign {name!r}: a NeighborGraph is immutable")

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .fileio import FileFormatError, atomic_write_bytes
-from .tensor_ops import as_count
+from .tensor_ops import as_count, as_tensor
 
 __all__ = [
     "read_pnm",
@@ -108,7 +108,7 @@ def _overlap_weights(n_in, n_out):
 
 def area_resize(img, out_h, out_w):
     """Exact area-average resampling of a (h, w) or (h, w, 3) image."""
-    img = np.asarray(img, dtype=np.float64)
+    img = as_tensor(img)
     if img.ndim not in (2, 3):
         raise ValueError("expected a 2-D or 3-D image array")
     out_h, out_w = as_count(out_h, "output height", 1), as_count(out_w, "output width", 1)
@@ -165,7 +165,7 @@ def to_uint8(img):
 
     A NaN or Inf entry raises ``ValueError``: it has no place on the scale.
     """
-    img = np.asarray(img, dtype=np.float64)
+    img = as_tensor(img)
     if not np.all(np.isfinite(img)):
         raise ValueError("image must be finite (no NaN or Inf)")
     neg = img < 0

@@ -10,7 +10,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .graph import _bounded_sq_norms, _nearest, _row_blocks, _sq_norms, _squared_distances
-from .tensor_ops import as_count, as_labels
+from .tensor_ops import as_count, as_labels, as_tensor
 
 __all__ = [
     "sparseness",
@@ -33,7 +33,7 @@ def sparseness(h):
     That maximum is NaN or Inf exactly when an entry is, so the one check
     on it rejects those entries and an all-zero array alike.
     """
-    v = np.abs(np.asarray(h, dtype=np.float64).ravel())
+    v = np.abs(as_tensor(h).ravel())
     n = v.size
     if n < 2:
         raise ValueError("sparseness needs at least 2 entries")
@@ -105,7 +105,7 @@ def _features(rows, what):
 
     Any other number of dimensions raises ``ValueError`` naming ``what``.
     """
-    x = np.asarray(rows, dtype=np.float64)
+    x = as_tensor(rows)
     if x.ndim == 1:
         x = x[:, None]
     if x.ndim != 2:

@@ -51,15 +51,17 @@ class TRCores(tuple):
     """Ordered cyclic chain of third-order cores: a tuple that checks its ring.
 
     This is the one rule by which every function here reads a ring.  Core
-    ``n`` must have shape ``(r_n, i_n, r_{n+1})``, with ``r_d == r_0``
-    closing the ring and every dimension and rank >= 1, and is copied to
-    float64; anything else raises ``ValueError``.  A ``TRCores`` argument
-    comes back unchanged, as ``tuple(t) is t`` does.  ``nonneg`` reads
-    whether every entry is >= 0, taken once at construction; a NaN entry
-    reads False.  ``==`` and ``hash`` are by identity, not element-wise
-    over arrays.
+    ``n`` must hold real numbers, by the :func:`tring.tensor_ops.as_tensor`
+    rule, and have shape ``(r_n, i_n, r_{n+1})``, with ``r_d == r_0``
+    closing the ring and every dimension and rank >= 1; it is copied to
+    float64.  Anything else raises ``ValueError``.  A ``TRCores`` argument
+    comes back unchanged, as ``tuple(t) is t`` does.  The ring records
+    nothing beside its cores: ``nonneg`` reads, on each access, whether
+    every entry is >= 0, and a NaN entry reads False.  ``==`` and ``hash``
+    are by identity, not element-wise over arrays.
     """
 
+    __slots__ = ()
     __eq__ = object.__eq__
     __ne__ = object.__ne__
     __hash__ = object.__hash__
@@ -67,7 +69,7 @@ class TRCores(tuple):
     def __new__(cls, cores):
         if type(cores) is cls:
             return cores
-        cores = [np.array(c, dtype=np.float64) for c in cores]
+        cores = [np.array(as_tensor(c)) for c in cores]
         if not cores:
             raise ValueError("need at least one core")
         for n, c in enumerate(cores):
@@ -79,26 +81,22 @@ class TRCores(tuple):
             if cores[n].shape[2] != cores[nxt].shape[0]:
                 raise ValueError(f"rank chain broken: core {n} trailing rank {cores[n].shape[2]} "
                                  f"!= core {nxt} leading rank {cores[nxt].shape[0]}")
-        self = cls._wrap(cores)
+        self = super().__new__(cls, cores)
         _chain_shape(self.dims, self.ranks)
         return self
 
-    @classmethod
-    def _wrap(cls, cores):
-        """``cores``, float64 arrays that make a ring, as a ``TRCores``: no copy, no check."""
-        self = super().__new__(cls, cores)
-        self.nonneg = all(np.all(c >= 0) for c in cores)
-        return self
-
     def _replace(self, n, core):
-        """This ring with core ``n`` replaced by ``core``; no core is copied.
+        """This ring with core ``n`` replaced by ``core``: no copy, no check.
 
         ``core`` must be a float64 array of core ``n``'s shape, so the chain
-        stays a ring and only ``nonneg`` is taken again.
-        :func:`tring.solver.fit` updates its ring by this step, so each
-        subchain build reads the ring as it is.
+        stays a ring.  :func:`tring.solver.fit` updates its ring by this
+        step, so each subchain build reads the ring as it is.
         """
-        return self._wrap(self[:n] + (core,) + self[n + 1:])
+        return tuple.__new__(type(self), self[:n] + (core,) + self[n + 1:])
+
+    @property
+    def nonneg(self):
+        return all(np.all(c >= 0) for c in self)
 
     @property
     def dims(self):
@@ -191,7 +189,9 @@ def _merge(acc, core, workspace=None):
     """
     middle, r, r_head = acc.shape
     size, r_next = core.shape[1], core.shape[2]
-    kron = np.einsum("kib,ac->ikabc", core, np.eye(r_head))
+    # order="C": numpy's default keeps a C-contiguous core's layout, and the
+    # reshape below would then copy the block matrix.
+    kron = np.einsum("kib,ac->ikabc", core, np.eye(r_head), order="C")
     out = _chain_buffer((size, middle, r_next * r_head), workspace)
     np.matmul(acc.reshape(middle, r * r_head), kron.reshape(size, r * r_head, -1), out=out)
     return out.reshape(size * middle, r_next, r_head)

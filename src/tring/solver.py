@@ -368,22 +368,19 @@ def fit(x, ranks, cfg=None, graph=None):
     # does not mean zero data.
     if x.min() < 0 or not (norm_x2 > 0 or x.any()):
         raise ValueError("data tensor must be nonnegative, with a nonzero entry")
-    dims = x.shape
     d = x.ndim
 
-    graph = _sample_graph(graph, cfg.beta, dims[-1])
+    graph = _sample_graph(graph, cfg.beta, x.shape[-1])
 
     t0 = time.perf_counter()
     # A checked ring throughout, so build_subchain reads it without a copy.
-    cores = init_random(dims, ranks, cfg.seed)
-    ranks = cores.ranks
+    cores = init_random(x.shape, ranks, cfg.seed)
     x_unfolds = _unfoldings(x)
     # Every mode's subchain is built into this one buffer, sized to the
     # largest.  Each is read only until the next build, and nothing the fit
     # returns refers to it.
-    workspace = np.empty(
-        max(math.prod(dims) // dims[n] * ranks[n] * ranks[(n + 1) % d] for n in range(d))
-    )
+    workspace = np.empty(max(x.size // i * r * r_next
+                             for r, i, r_next in (c.shape for c in cores)))
 
     objectives, seconds = [], []
 
@@ -414,7 +411,7 @@ def fit(x, ranks, cfg=None, graph=None):
             sample = n == d - 1
             g = solve_core(x_unfolds[n], sub2, g0, cfg, h_g=graph if sample else None,
                            callback=keep_objective if sample else None)
-            cores = cores._replace(n, core_fold2(g, ranks[n], dims[n], ranks[(n + 1) % d]))
+            cores = cores._replace(n, core_fold2(g, *cores[n].shape))
         add_objective(f_last)
         seconds.append(time.perf_counter() - t0)
         if abs(objectives[-2] - objectives[-1]) / scale < cfg.tol:

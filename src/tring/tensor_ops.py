@@ -36,9 +36,28 @@ __all__ = [
 NORM_MARGIN = 1e-10
 
 
+def _real(x):
+    """``np.asarray(x)``, if its dtype holds real numbers: bool, integer or floating point.
+
+    Any other dtype (complex, text, bytes, datetime, object) raises one
+    ``ValueError`` that names it, rather than being truncated, parsed or
+    read as NaN.
+    """
+    x = np.asarray(x)
+    if x.dtype.kind not in "biuf":
+        raise ValueError(f"data must be real numbers (bool, integer or floating point), "
+                         f"got dtype {x.dtype}")
+    return x
+
+
 def as_tensor(x):
-    """Coerce to a float64 ndarray without copying when already one."""
-    return np.asarray(x, dtype=np.float64)
+    """``x`` as a float64 ndarray: the one float64 cast of every array the library reads.
+
+    Bool, integer and floating-point data is cast, and a float64 ndarray
+    comes back as the same object, not a copy.  Any other dtype raises
+    ``ValueError`` naming it: see :func:`_real`.
+    """
+    return _real(x).astype(np.float64, copy=False)
 
 
 def as_count(value, name, lo=None, hi=None):
@@ -70,8 +89,12 @@ def _is_finite(value):
 
 
 def as_labels(a):
-    """Nonempty 1-D ``a`` as int64 labels; a float label must hold an int64 value exactly."""
-    a = np.asarray(a)
+    """Nonempty 1-D ``a`` as int64 labels; a float label must hold an int64 value exactly.
+
+    ``a`` must hold real numbers by the :func:`as_tensor` rule, but is not
+    cast to float64 first, so an int64 label above 2**53 keeps its value.
+    """
+    a = _real(a)
     if a.ndim != 1 or a.size == 0:
         raise ValueError("labels must be a nonempty 1-D sequence")
     if a.dtype.kind == "f":

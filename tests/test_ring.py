@@ -3,6 +3,7 @@
 import itertools
 import pickle
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 from tring.ring import (
     TRCores,
+    _merge,
     basis_tensors,
     build_subchain,
     core_fold2,
@@ -128,6 +130,13 @@ class TestTRCores:
         for bad in (-1.0, np.nan):
             c[1][0, 1, 0] = bad
             assert TRCores(c).nonneg is False
+
+    def test_ring_records_nothing_beside_its_cores(self):
+        # nonneg is read from the cores on each access, not kept.
+        cores = init_random((3, 4), (2, 2), seed=0)
+        assert not hasattr(cores, "__dict__")
+        cores[1][0, 1, 0] = -1.0
+        assert cores.nonneg is False
 
     def test_cores_copied_to_float64(self):
         src = [np.ones((1, 2, 1), dtype=np.float32), np.ones((1, 3, 1))]
@@ -352,6 +361,28 @@ class TestSubchain:
     def test_single_core_rejected(self):
         with pytest.raises(ValueError):
             build_subchain(TRCores([np.ones((2, 3, 2))]), 0)
+
+    def test_merge_costs_a_contiguous_core_what_its_view_twin_costs(self):
+        # fit's updated cores are transposed views (core_fold2), init_random's
+        # are C-contiguous.  Left in the core's layout, the block matrix of a
+        # contiguous core is copied again by its reshape: 256000 bytes more
+        # here.  The peaks read equal; only the view's side may grow, by a read buffer.
+        rng = np.random.default_rng(0)
+        core = rng.random((2, 200, 5))
+        twin = core_fold2(core_unfold2(core), *core.shape)
+        assert core.flags.c_contiguous and not twin.flags.c_contiguous
+        acc = rng.random((6, 2, 4))
+        peaks = {}
+        for name, c in [("view", twin), ("contiguous", core)] * 2:  # the first pair warms up
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                merged = _merge(acc, c)
+                peaks[name] = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert np.array_equal(merged, _merge(acc, np.array(core)))
+        assert peaks["contiguous"] <= peaks["view"]
 
     @pytest.mark.parametrize(
         "dims, ranks",

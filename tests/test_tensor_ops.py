@@ -6,8 +6,26 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from tring.fileio import write_labels, write_tensor
+from tring.graph import NeighborGraph, neighbor_graph
+from tring.images import area_resize, to_uint8
+from tring.metrics import accuracy, kmeans, knn_classify, nmi, sparseness
+from tring.ring import (
+    TRCores,
+    basis_tensors,
+    build_subchain,
+    core_fold2,
+    core_unfold2,
+    feature_matrix,
+    init_random,
+    reconstruct,
+    relative_error,
+)
+from tring.solver import SolverConfig, Subproblem, fit, solve_core
 from tring.tensor_ops import (
     NORM_MARGIN,
+    as_labels,
+    as_tensor,
     fold_tr,
     spectral_norm,
     unfold_tr,
@@ -161,3 +179,109 @@ class TestSpectralNorm:
         top = 2.0 + 2.0 * np.cos(np.pi / n)
         assert top <= spectral_norm(lap) == pytest.approx(top, rel=1e-9)
         assert spectral_norm(lap) == pytest.approx(spectral_norm(lap.toarray()), rel=1e-12)
+
+
+def _with_none(shape):
+    a = np.full(shape, 1.0, dtype=object)
+    a.flat[-1] = None
+    return a
+
+
+# Arrays of a given shape whose dtype is not real numbers.
+_NOT_REAL = {
+    "complex": lambda shape: np.full(shape, 1.0 + 2.0j),
+    "str": lambda shape: np.full(shape, "1.0"),
+    "bytes": lambda shape: np.full(shape, b"1"),
+    "object": _with_none,
+    "datetime64": lambda shape: np.full(shape, np.datetime64("2020-01-01")),
+}
+
+_EDGE = np.array([[0.0, 1.0], [1.0, 0.0]])
+_EDGE_LAPLACIAN = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+
+def _ring(core):
+    return [core, np.ones((1, 4, 1))]
+
+
+# Every public function that reads an array: the shape it reads there, and
+# a call that passes it such an array beside valid other arguments.
+_READERS = {
+    "fit": ((3, 4, 5), lambda a, _: fit(a, (2, 2, 2))),
+    "neighbor_graph": ((2, 5), lambda a, _: neighbor_graph(a, 2)),
+    "TRCores": ((1, 3, 1), lambda a, _: TRCores(_ring(a))),
+    "reconstruct": ((1, 3, 1), lambda a, _: reconstruct(_ring(a))),
+    "build_subchain": ((1, 3, 1), lambda a, _: build_subchain(_ring(a), 0)),
+    "feature_matrix": ((1, 3, 1), lambda a, _: feature_matrix(_ring(a))),
+    "basis_tensors": ((1, 3, 1), lambda a, _: basis_tensors(_ring(a))),
+    "relative_error": ((3, 4), lambda a, _: relative_error(a, init_random((3, 4), (2, 2), 0))),
+    "unfold_tr": ((2, 3, 4), lambda a, _: unfold_tr(a, 0)),
+    "fold_tr": ((2, 12), lambda a, _: fold_tr(a, 0, (2, 3, 4))),
+    "core_unfold2": ((2, 3, 2), lambda a, _: core_unfold2(a)),
+    "core_fold2": ((3, 4), lambda a, _: core_fold2(a, 2, 3, 2)),
+    "Subproblem": ((3, 6), lambda a, _: Subproblem(np.ones((6, 4)), a)),
+    "solve_core": (
+        (3, 6), lambda a, _: solve_core(a, np.ones((6, 4)), np.ones((3, 4)), SolverConfig())
+    ),
+    "kmeans": ((5, 2), lambda a, _: kmeans(a, 2)),
+    "knn_classify": ((5, 2), lambda a, _: knn_classify(a, np.arange(5) % 2, np.ones((5, 2)), 1)),
+    "sparseness": ((4,), lambda a, _: sparseness(a)),
+    "accuracy": ((3,), lambda a, _: accuracy(a, [0, 1, 1])),
+    "nmi": ((3,), lambda a, _: nmi(a, [0, 1, 1])),
+    "area_resize": ((4, 4), lambda a, _: area_resize(a, 2, 2)),
+    "to_uint8": ((2, 2), lambda a, _: to_uint8(a)),
+    "write_tensor": ((2, 3), lambda a, tmp: write_tensor(tmp / "x.ten", a)),
+    "write_labels": ((3,), lambda a, tmp: write_labels(tmp / "labels.txt", a)),
+    "NeighborGraph_w": (
+        (2, 2), lambda a, _: NeighborGraph(w=a, degree=np.ones(2), laplacian=_EDGE_LAPLACIAN)
+    ),
+    "NeighborGraph_degree": (
+        (2,), lambda a, _: NeighborGraph(w=_EDGE, degree=a, laplacian=_EDGE_LAPLACIAN)
+    ),
+    "NeighborGraph_laplacian": (
+        (2, 2), lambda a, _: NeighborGraph(w=_EDGE, degree=np.ones(2), laplacian=a)
+    ),
+    # scipy holds no text, bytes, datetime or object sparse array; complex it does.
+    "NeighborGraph_sparse_w": (
+        (2, 2),
+        lambda a, _: NeighborGraph(w=sparse.csr_array(a), degree=np.ones(2),
+                                   laplacian=_EDGE_LAPLACIAN),
+    ),
+    "NeighborGraph_sparse_laplacian": (
+        (2, 2),
+        lambda a, _: NeighborGraph(w=_EDGE, degree=np.ones(2), laplacian=sparse.csr_array(a)),
+    ),
+}
+
+
+def _not_real_cases():
+    for reader, (shape, call) in _READERS.items():
+        for kind, make in _NOT_REAL.items():
+            if "sparse" in reader and kind != "complex":
+                continue
+            yield pytest.param(call, make(shape), id=f"{reader}-{kind}")
+
+
+@pytest.mark.parametrize("call, data", _not_real_cases())
+def test_data_that_is_not_real_numbers_is_refused_by_one_rule(tmp_path, call, data):
+    # Complex data was cut to its real part, text parsed as numbers,
+    # datetimes read as day counts and None as NaN.
+    message = f"data must be real numbers (bool, integer or floating point), got dtype {data.dtype}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(data, tmp_path)
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("dtype", [np.bool_, np.int32, np.uint8, np.float32, np.float16])
+def test_real_numbers_are_cast_to_float64_as_numpy_casts_them(dtype):
+    x = (np.arange(12) * 0.37).reshape(3, 4).astype(dtype)
+    got = as_tensor(x)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, np.asarray(x, dtype=np.float64))
+
+
+def test_float64_data_comes_back_uncopied_and_labels_keep_int64():
+    x = np.ones((2, 3))
+    assert as_tensor(x) is x
+    # Labels are not read through float64, which holds no 2**53 + 1.
+    assert as_labels(np.array([2**53 + 1, 0])).tolist() == [2**53 + 1, 0]
