@@ -26,7 +26,7 @@ print(f"data: {x.shape[-1]} samples of shape {x.shape[:-1]}, "
       f"{np.unique(labels).size} classes")
 
 graph = neighbor_graph(x, p=5)
-print(f"mutual 5-NN graph: {int(graph.w.sum() / 2)} edges, "
+print(f"mutual 5-NN graph: {int(graph.degree.sum() / 2)} edges, "
       f"degrees {graph.degree.min():.0f}..{graph.degree.max():.0f}")
 
 # feature width = r_d * r_1 = 3, one column per class

@@ -7,7 +7,6 @@ k-means and k-NN take distances from the kernel in :mod:`tring.graph`.
 """
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .graph import _bounded_sq_norms, _nearest, _row_blocks, _sq_norms, _squared_distances
 from .tensor_ops import as_count, as_labels, as_tensor
@@ -65,6 +64,9 @@ def accuracy(pred, truth):
     The mapping is the exact optimal assignment on the confusion matrix,
     so any relabeling of either side leaves the score unchanged.
     """
+    # Imported on call: only scoring uses it, and scipy.optimize is slow to load.
+    from scipy.optimize import linear_sum_assignment
+
     c = _confusion(pred, truth)
     rows, cols = linear_sum_assignment(c, maximize=True)
     return float(c[rows, cols].sum() / c.sum())

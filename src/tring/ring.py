@@ -30,7 +30,6 @@ of its own.  The values are the same bit for bit.
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .tensor_ops import as_count, as_tensor, fold_tr
 
@@ -239,6 +238,9 @@ def relative_error(x, cores):
     the ends of the float64 range neither overflows nor underflows unless
     the norm itself does.
     """
+    # Imported on call: no CLI command uses it, and scipy.linalg is slow to load.
+    import scipy.linalg
+
     x = as_tensor(x)
     cores = TRCores(cores)
     if x.shape != cores.dims:

@@ -21,7 +21,6 @@ import operator
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import eigsh
 
 __all__ = [
     "as_tensor",
@@ -166,6 +165,9 @@ def spectral_norm(m):
     if sparse.issparse(m) and m.count_nonzero() == 0:
         return 0.0
     if sparse.issparse(m) and m.shape[0] > 1:
+        # Imported on call: only a graph needs it, and it is slow to load.
+        from scipy.sparse.linalg import eigsh
+
         v0 = np.random.default_rng(0).standard_normal(m.shape[0])
         top = eigsh(m, k=1, which="LA", v0=v0, return_eigenvectors=False)[0]
     else:

@@ -2,20 +2,28 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as the
 criteria execute.  The recovery and clustering experiments are shared
-module-scoped fixtures so the expensive fits run once.
+module-scoped fixtures so the expensive fits run once.  The references
+the criteria compare against come from ``oracles``, where each is
+written once and imports nothing from ``tring``.
 """
 
-import itertools
-import math
 import time
 
 import numpy as np
 import pytest
+from oracles import (
+    accuracy_oracle,
+    fd_gradient,
+    mi_oracle,
+    nmi_oracle,
+    subproblem_objective,
+    trace_oracle,
+)
 
 from tring.fileio import read_tensor, write_tensor
 from tring.graph import neighbor_graph
 from tring.images import area_resize, ingest_images, montage, read_pnm
-from tring.metrics import accuracy, entropy, kmeans, mutual_information, nmi, sparseness
+from tring.metrics import accuracy, kmeans, mutual_information, nmi, sparseness
 from tring.ring import (
     build_subchain,
     core_unfold2,
@@ -40,27 +48,6 @@ def check(name, ok, detail=""):
         line += f"  ({detail})"
     print(line)
     assert ok, line
-
-
-def trace_oracle(cores):
-    cores = list(cores)
-    dims = tuple(c.shape[1] for c in cores)
-    out = np.empty(dims)
-    for idx in itertools.product(*map(range, dims)):
-        m = cores[0][:, idx[0], :]
-        for n in range(1, len(cores)):
-            m = m @ cores[n][:, idx[n], :]
-        out[idx] = np.trace(m)
-    return out
-
-
-def fd_gradient(objective, g, h=1e-6):
-    grad = np.zeros_like(g)
-    for idx in np.ndindex(g.shape):
-        e = np.zeros_like(g)
-        e[idx] = h
-        grad[idx] = (objective(g + e) - objective(g - e)) / (2.0 * h)
-    return grad
 
 
 @pytest.fixture(scope="module")
@@ -136,20 +123,13 @@ def test_criterion_2_gradient_finite_difference_checks():
         s2 = np.abs(rng.standard_normal((cols, width)))
         xn = np.abs(rng.standard_normal((rows, cols)))
 
-        def f_plain(v):
-            return 0.5 * np.linalg.norm(xn - v @ s2.T) ** 2
-
-        ref = fd_gradient(f_plain, g)
+        ref = fd_gradient(lambda v: subproblem_objective(v, s2, xn), g)
         err = np.linalg.norm(Subproblem(s2, xn).gradient(g) - ref) / np.linalg.norm(ref)
         worst_plain = max(worst_plain, err)
 
         graph = neighbor_graph(rng.random((3, rows)), 2)
         h, beta = graph.laplacian, 0.1
-
-        def f_graph(v):
-            return f_plain(v) + 0.5 * beta * float(np.vdot(v, h @ v))
-
-        ref = fd_gradient(f_graph, g)
+        ref = fd_gradient(lambda v: subproblem_objective(v, s2, xn, h, beta), g)
         grad = Subproblem(s2, xn, graph, beta).gradient(g)
         err = np.linalg.norm(grad - ref) / np.linalg.norm(ref)
         worst_graph = max(worst_graph, err)
@@ -190,22 +170,16 @@ def test_criterion_3_lipschitz_and_majorization():
         g0 = core_unfold2(cores[mode])
         lip = Subproblem(s2, xn, h_g, beta).lipschitz
         h = None if h_g is None else h_g.laplacian
-
-        def f(v):
-            val = 0.5 * np.linalg.norm(xn - v @ s2.T) ** 2
-            if h is not None:
-                val += 0.5 * beta * float(np.vdot(v, h @ v))
-            return val
-
         steps = []
 
         def audit(g_new, y, grad_y, f_new):
             phi = (
-                f(y)
+                subproblem_objective(y, s2, xn, h, beta)
                 + float(np.vdot(grad_y, g_new - y))
                 + 0.5 * lip * np.linalg.norm(g_new - y) ** 2
             )
-            steps.append(f(g_new) <= phi + 1e-9 * max(1.0, abs(phi)))
+            steps.append(subproblem_objective(g_new, s2, xn, h, beta)
+                         <= phi + 1e-9 * max(1.0, abs(phi)))
 
         solve_core(xn, s2, g0, SolverConfig(t_max=100, beta=beta), h_g=h_g,
                    callback=audit)
@@ -298,16 +272,7 @@ def test_criterion_8_metric_oracles():
         n = int(rng.integers(5, 30))
         pred = rng.integers(0, k, size=n)
         truth = rng.integers(0, k, size=n)
-        pl, tl = np.unique(pred), np.unique(truth)
-        size = max(pl.size, tl.size)
-        c = np.zeros((size, size), dtype=int)
-        for p, t in zip(pred, truth):
-            c[np.flatnonzero(pl == p)[0], np.flatnonzero(tl == t)[0]] += 1
-        brute = max(
-            sum(c[i, perm[i]] for i in range(size))
-            for perm in itertools.permutations(range(size))
-        ) / n
-        if abs(accuracy(pred, truth) - brute) > 1e-12:
+        if abs(accuracy(pred, truth) - accuracy_oracle(pred, truth)) > 1e-12:
             acc_ok = False
 
     nmi_ok = True
@@ -315,21 +280,9 @@ def test_criterion_8_metric_oracles():
         n = int(rng.integers(4, 50))
         a = rng.integers(0, rng.integers(2, 6), size=n)
         b = rng.integers(0, rng.integers(2, 6), size=n)
-        pa, pb, pab = {}, {}, {}
-        for u, v in zip(a, b):
-            pa[u] = pa.get(u, 0) + 1
-            pb[v] = pb.get(v, 0) + 1
-            pab[(u, v)] = pab.get((u, v), 0) + 1
-        mi_ref = sum(
-            (cnt / n) * math.log2((cnt / n) / ((pa[u] / n) * (pb[v] / n)))
-            for (u, v), cnt in pab.items()
-        )
-        ha = -sum((c_ / n) * math.log2(c_ / n) for c_ in pa.values())
-        hb = -sum((c_ / n) * math.log2(c_ / n) for c_ in pb.values())
-        nmi_ref = 0.0 if mi_ref <= 0 else min(1.0, mi_ref / max(ha, hb))
-        if abs(mutual_information(a, b) - mi_ref) > 1e-10:
+        if abs(mutual_information(a, b) - mi_oracle(a, b)) > 1e-10:
             nmi_ok = False
-        if abs(nmi(a, b) - nmi_ref) > 1e-10:
+        if abs(nmi(a, b) - nmi_oracle(a, b)) > 1e-10:
             nmi_ok = False
 
     endpoints_ok = (

@@ -2,6 +2,9 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -803,3 +806,14 @@ class TestExitCodes:
     def test_unknown_command_exits_via_argparse(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+
+def test_import_loads_no_scipy_module_that_most_commands_never_call():
+    # accuracy, spectral_norm's sparse branch and relative_error import
+    # these when called; at module level they cost every command about 0.2 s.
+    code = ("import sys, tring.cli; print(*(m for m in ('scipy.optimize', "
+            "'scipy.sparse.linalg', 'scipy.linalg') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == []

@@ -9,21 +9,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import distance_oracle, mutual_knn_oracle
 from scipy import sparse
 
 import tring.graph
 from tring.graph import NeighborGraph, neighbor_graph
 from tring.solver import SolverConfig, fit
 from tring.tensor_ops import spectral_norm, unfold_tr
-
-
-def distance_oracle(x):
-    n = x.shape[-1]
-    d = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            d[i, j] = np.linalg.norm((x[..., i] - x[..., j]).ravel())
-    return d
 
 
 def kernel_distances(x):
@@ -42,17 +34,6 @@ def quadratic(graph, g):
 def two_node_graph(lap):
     """The hand-built graph of one edge that applies the Laplacian ``lap``."""
     return NeighborGraph(w=np.array([[0.0, 1.0], [1.0, 0.0]]), degree=np.ones(2), laplacian=lap)
-
-
-def mutual_knn_oracle(dist, p):
-    """Mutual p-NN adjacency from a stable argsort of every row, self excluded."""
-    n = dist.shape[0]
-    member = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        row = dist[i].copy()
-        row[i] = np.inf
-        member[i, np.argsort(row, kind="stable")[:p]] = True
-    return (member & member.T).astype(np.float64)
 
 
 def tied_samples(n, seed):

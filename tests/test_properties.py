@@ -8,6 +8,7 @@ examples are derandomized, so every run checks the same cases.
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import subproblem_objective
 
 from tring.graph import neighbor_graph
 from tring.ring import (
@@ -80,10 +81,7 @@ def test_no_inner_iterate_raises_the_core_objective(problem):
         h = graph.laplacian if n == x.ndim - 1 else None
 
         def objective(g):
-            val = 0.5 * np.sum((x_unfold - g @ sub2.T) ** 2)
-            if h is not None:
-                val += 0.5 * cfg.beta * np.sum(g * (h @ g))
-            return val
+            return subproblem_objective(g, sub2, x_unfold, h, cfg.beta)
 
         g0 = core_unfold2(cores[n])
         values = [objective(g0)]

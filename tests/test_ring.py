@@ -1,6 +1,5 @@
 """Ring model: subchains, unfoldings, and reconstruction vs trace oracles."""
 
-import itertools
 import pickle
 import re
 import tracemalloc
@@ -8,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+from oracles import trace_oracle
 
 from tring.ring import (
     TRCores,
@@ -28,19 +28,6 @@ from tring.metrics import kmeans, knn_classify
 from tring.solver import SolverConfig, fit
 from tring.synthetic import blob_tensor, ring_tensor
 from tring.tensor_ops import fold_tr, unfold_tr
-
-
-def trace_oracle(cores):
-    """Elementwise reconstruction: trace of the product of lateral slices."""
-    cores = list(cores)
-    dims = tuple(c.shape[1] for c in cores)
-    out = np.empty(dims)
-    for idx in itertools.product(*map(range, dims)):
-        m = cores[0][:, idx[0], :]
-        for n in range(1, len(cores)):
-            m = m @ cores[n][:, idx[n], :]
-        out[idx] = np.trace(m)
-    return out
 
 
 def subchain_oracle(cores, mode):

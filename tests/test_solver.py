@@ -10,6 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import fd_gradient, subproblem_objective
 from scipy import sparse
 
 import tring.graph
@@ -33,23 +34,6 @@ from tring.solver import (
 )
 from tring.synthetic import blob_tensor, ring_tensor
 from tring.tensor_ops import _unfoldings, unfold_tr
-
-
-def objective_plain(g, s2, xn):
-    return 0.5 * np.linalg.norm(xn - g @ s2.T) ** 2
-
-
-def objective_graph(g, s2, xn, h, beta):
-    return objective_plain(g, s2, xn) + 0.5 * beta * float(np.vdot(g, h @ g))
-
-
-def fd_gradient(objective, g, h=1e-6):
-    grad = np.zeros_like(g)
-    for idx in np.ndindex(g.shape):
-        e = np.zeros_like(g)
-        e[idx] = h
-        grad[idx] = (objective(g + e) - objective(g - e)) / (2.0 * h)
-    return grad
 
 
 def laplacian_graph(lap):
@@ -100,7 +84,7 @@ class TestGradients:
     def test_matches_finite_differences(self, seed):
         g, s2, xn = random_instance(seed)
         grad = Subproblem(s2, xn).gradient(g)
-        ref = fd_gradient(lambda v: objective_plain(v, s2, xn), g)
+        ref = fd_gradient(lambda v: subproblem_objective(v, s2, xn), g)
         assert np.linalg.norm(grad - ref) / np.linalg.norm(ref) <= 1e-5
 
     def test_graph_gradient_with_zero_beta_is_plain(self):
@@ -126,7 +110,7 @@ class TestGradients:
         graph = neighbor_graph(np.random.default_rng(seed).random((4, 6)), 2)
         h, beta = graph, 0.1
         grad = Subproblem(s2, xn, h, beta).gradient(g)
-        ref = fd_gradient(lambda v: objective_graph(v, s2, xn, h, beta), g)
+        ref = fd_gradient(lambda v: subproblem_objective(v, s2, xn, h, beta), g)
         assert np.linalg.norm(grad - ref) / np.linalg.norm(ref) <= 1e-5
 
     def test_shape_mismatch_raises(self):
@@ -444,8 +428,8 @@ class TestSolveCore:
         g0 = np.abs(rng.standard_normal((6, 4)))
         ours = solve_core(xn, s2, g0, SolverConfig(t_max=400, beta=0.0))
         ref = projected_gradient_oracle(xn, s2, g0)
-        f_ours = objective_plain(ours, s2, xn)
-        f_ref = objective_plain(ref, s2, xn)
+        f_ours = subproblem_objective(ours, s2, xn)
+        f_ref = subproblem_objective(ref, s2, xn)
         assert f_ours <= f_ref + 1e-4 * max(1.0, f_ref)
 
     def test_never_worse_than_start_and_nonnegative(self):
@@ -455,7 +439,7 @@ class TestSolveCore:
         g0 = np.abs(rng.standard_normal((5, 3)))
         out = solve_core(xn, s2, g0, SolverConfig(t_max=3, beta=0.0))
         assert np.all(out >= 0)
-        assert objective_plain(out, s2, xn) <= objective_plain(g0, s2, xn) + 1e-9
+        assert subproblem_objective(out, s2, xn) <= subproblem_objective(g0, s2, xn) + 1e-9
 
     def test_majorization_bound_at_every_step(self):
         # Replays the audit through the callback hook: each accepted step
@@ -470,9 +454,9 @@ class TestSolveCore:
         checked = []
 
         def audit(g_new, y, grad_y, f_sub):
-            f_new = objective_plain(g_new, s2, xn)
+            f_new = subproblem_objective(g_new, s2, xn)
             phi = (
-                objective_plain(y, s2, xn)
+                subproblem_objective(y, s2, xn)
                 + float(np.vdot(grad_y, g_new - y))
                 + 0.5 * lip * np.linalg.norm(g_new - y) ** 2
             )
@@ -490,10 +474,9 @@ class TestSolveCore:
             g1 = rng.standard_normal((6, 4))
             g2 = rng.standard_normal((6, 4))
             lam = rng.uniform(0.01, 0.99)
-            mid = objective_plain(lam * g1 + (1 - lam) * g2, s2, xn)
-            chord = lam * objective_plain(g1, s2, xn) + (1 - lam) * objective_plain(
-                g2, s2, xn
-            )
+            mid = subproblem_objective(lam * g1 + (1 - lam) * g2, s2, xn)
+            chord = (lam * subproblem_objective(g1, s2, xn)
+                     + (1 - lam) * subproblem_objective(g2, s2, xn))
             assert mid <= chord + 1e-9 * max(1.0, abs(chord))
 
     def test_zero_subchain_is_degenerate(self):
