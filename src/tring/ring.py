@@ -207,6 +207,8 @@ def core_unfold2(core):
 def core_fold2(m, r_left, size, r_right):
     """Exact inverse of :func:`core_unfold2` for a (r_left, size, r_right) core."""
     m = as_tensor(m)
+    r_left, r_right = as_count(r_left, "rank", 1), as_count(r_right, "rank", 1)
+    size = as_count(size, "dimension", 1)
     if m.shape != (size, r_left * r_right):
         raise ValueError(
             f"matrix shape {m.shape} does not match core ({r_left}, {size}, {r_right})"

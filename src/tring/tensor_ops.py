@@ -140,7 +140,7 @@ def _unfoldings(x):
 def fold_tr(m, mode, shape):
     """Exact inverse of :func:`unfold_tr` for the given shape."""
     m = as_tensor(m)
-    shape = tuple(as_count(s, "dimension") for s in shape)
+    shape = tuple(as_count(s, "dimension", 1) for s in shape)
     d = len(shape)
     mode = as_count(mode, "mode", 0, d - 1)
     perm_shape = shape[mode:] + shape[:mode]

@@ -211,13 +211,6 @@ class TestAreaResize:
         out = area_resize(img, 1, 2)
         assert np.allclose(out, [[1.0, 3.0]])
 
-    @pytest.mark.parametrize("value", [2.5, np.float64(2.0), "2"])
-    @pytest.mark.parametrize("side", ["height", "width"])
-    def test_non_integer_size_rejected_not_truncated(self, side, value):
-        size = (value, 2) if side == "height" else (2, value)
-        with pytest.raises(ValueError, match=f"output {side} must be an integer"):
-            area_resize(np.ones((4, 4)), *size)
-
     @pytest.mark.parametrize("shape", [(4,), (2, 2, 3, 1)])
     def test_image_must_be_2d_or_3d(self, shape):
         with pytest.raises(ValueError, match="expected a 2-D or 3-D image array"):
@@ -314,13 +307,6 @@ class TestIngest:
         (tmp_path / "b").mkdir()
         with pytest.raises(ValueError, match="no .pgm/.ppm images"):
             ingest_images(tmp_path, 2, 2)
-
-    @pytest.mark.parametrize("height, width", [(0, 2), (2, -1)])
-    def test_bad_output_size_rejected(self, tmp_path, height, width):
-        (tmp_path / "a").mkdir()
-        make_pgm(tmp_path / "a" / "x.pgm", np.zeros((2, 2)))
-        with pytest.raises(ValueError, match=r"output (height|width) must be an integer >= 1"):
-            ingest_images(tmp_path, height, width)
 
     def test_bad_output_size_rejected_before_any_file_is_read(self, tmp_path):
         (tmp_path / "a").mkdir()

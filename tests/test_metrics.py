@@ -277,20 +277,6 @@ class TestKmeans:
             assert np.array_equal(labels, want[0])
             assert wcss == pytest.approx(want[1], rel=1e-12)
 
-    def test_k_out_of_range(self):
-        x = np.random.default_rng(6).random((4, 2))
-        with pytest.raises(ValueError):
-            kmeans(x, 5, restarts=2, seed=0)
-        with pytest.raises(ValueError):
-            kmeans(x, 0, restarts=2, seed=0)
-
-    @pytest.mark.parametrize("restarts", [0, -1])
-    def test_no_restarts_rejected(self, restarts):
-        # Zero restarts would otherwise return no labeling at all (None).
-        x = np.random.default_rng(6).random((4, 2))
-        with pytest.raises(ValueError, match="restarts must be an integer >= 1"):
-            kmeans(x, 2, restarts=restarts, seed=0)
-
 
 class TestKnnClassify:
     def test_exact_train_point_with_k1(self):
@@ -347,10 +333,6 @@ class TestKnnClassify:
             # most votes, then smallest summed distance, then lowest id
             expected = min(votes, key=lambda c: (-votes[c][0], votes[c][1], c))
             assert pred[i] == expected
-
-    def test_k_out_of_range(self):
-        with pytest.raises(ValueError):
-            knn_classify(np.ones((3, 2)), [0, 1, 0], np.ones((1, 2)), 4)
 
     @pytest.mark.parametrize("train, test", [
         ([[np.nan], [1.0]], [[0.5]]),
@@ -418,7 +400,9 @@ class TestKernelInputRule:
 
 
 _POINTS = np.array([[0.0], [0.1], [5.0], [5.1], [9.0]])
-_COUNTS = {
+# Calls that take a count, to check that a numpy integer reads as its int.
+# The count-rule table in test_ring.py checks every rejection.
+_COUNT_CALLS = {
     "graph p": lambda n: tring.graph.neighbor_graph(_POINTS.T, n),
     "kmeans k": lambda n: kmeans(_POINTS, n, restarts=2),
     "kmeans restarts": lambda n: kmeans(_POINTS, 2, restarts=n),
@@ -427,15 +411,9 @@ _COUNTS = {
 
 
 class TestCounts:
-    @pytest.mark.parametrize("value", [2.7, 1.5, np.float64(2.0), "2"])
-    @pytest.mark.parametrize("count", sorted(_COUNTS))
-    def test_non_integer_count_rejected_not_truncated(self, count, value):
-        with pytest.raises(ValueError, match="must be an integer"):
-            _COUNTS[count](value)
-
-    @pytest.mark.parametrize("count", sorted(_COUNTS))
+    @pytest.mark.parametrize("count", sorted(_COUNT_CALLS))
     def test_numpy_integer_count_accepted(self, count):
-        a, b = _COUNTS[count](np.int64(2)), _COUNTS[count](2)
+        a, b = _COUNT_CALLS[count](np.int64(2)), _COUNT_CALLS[count](2)
         assert np.array_equal(getattr(a, "w", a), getattr(b, "w", b))
 
 

@@ -1,9 +1,13 @@
-"""Ring model: subchains, unfoldings, and reconstruction vs trace oracles."""
+"""Ring model: subchains, unfoldings, and reconstruction vs trace oracles,
+and the count rule every entry point shares: one table of counts for
+``as_count``."""
 
+import ast
 import pickle
 import re
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +27,7 @@ from tring.ring import (
 )
 from tring.cli import default_ranks
 from tring.graph import neighbor_graph
-from tring.images import area_resize, montage
+from tring.images import area_resize, ingest_images, montage
 from tring.metrics import kmeans, knn_classify
 from tring.solver import SolverConfig, fit
 from tring.synthetic import blob_tensor, ring_tensor
@@ -189,47 +193,6 @@ class TestInitRandom:
         with pytest.raises(ValueError):
             init_random((4, 4), (2, 2, 2), seed=0)
 
-    @pytest.mark.parametrize("value", [2.7, 4.9, np.float64(2.0), "2"])
-    @pytest.mark.parametrize("size", ["dimension", "rank", "fit_rank"])
-    def test_non_integer_size_rejected_not_truncated(self, size, value):
-        x, _ = ring_tensor((3, 4, 5), (2, 2, 2), seed=0)
-        calls = {
-            "dimension": lambda: init_random((3, value), (2, 2), seed=0),
-            "rank": lambda: init_random((3, 4), (2, value), seed=0),
-            "fit_rank": lambda: fit(x, (value, 2, 2), SolverConfig(max_sweeps=1, beta=0.0)),
-        }
-        name = "dimension" if size == "dimension" else "rank"
-        with pytest.raises(ValueError, match=f"{name} must be an integer"):
-            calls[size]()
-
-
-_SIZES_AND_MODES = {
-    "blob_float_dimension": (lambda: blob_tensor((4.9, 4), 2, 3), "slice dimension must be"),
-    "blob_zero_dimension": (
-        lambda: blob_tensor((0, 4), 2, 3), "slice dimension must be an integer >= 1"
-    ),
-    "blob_float_classes": (lambda: blob_tensor((4, 4), 2.5, 3), "n_classes must be"),
-    "fold_float_dimension": (
-        lambda: fold_tr(np.ones((2, 12)), 0, (2.9, 3, 4)), "dimension must be"
-    ),
-    "fold_float_mode": (lambda: fold_tr(np.ones((2, 12)), 0.0, (2, 3, 4)), "mode must be"),
-    "unfold_float_mode": (lambda: unfold_tr(np.ones((2, 3, 4)), 1.0), "mode must be"),
-    "subchain_float_mode": (
-        lambda: build_subchain(init_random((2, 3, 4), (2, 2, 2), seed=0), 1.0), "mode must be"
-    ),
-    "montage_float_rows": (
-        lambda: montage([np.zeros((2, 2), dtype=np.uint8)], 1.5, 2), "rows must be"
-    ),
-}
-
-
-@pytest.mark.parametrize("case", sorted(_SIZES_AND_MODES))
-def test_sizes_and_modes_rejected_not_truncated(case):
-    # 4.9 is not read as 4, nor a float mode raised as a TypeError.
-    call, message = _SIZES_AND_MODES[case]
-    with pytest.raises(ValueError, match=message):
-        call()
-
 
 @pytest.mark.parametrize("noise", [-5.0, -1e-300, np.nan, np.inf, None, "0.1"])
 def test_blob_noise_must_be_finite_and_nonnegative(noise):
@@ -240,6 +203,7 @@ def test_blob_noise_must_be_finite_and_nonnegative(noise):
         blob_tensor((2, 2), 2, 2, noise=noise)
 
 
+SRC = Path(__file__).resolve().parent.parent / "src" / "tring"
 _FEATURES = np.arange(10.0).reshape(5, 2)
 _TILES = [np.zeros((2, 2), dtype=np.uint8)]
 
@@ -248,8 +212,15 @@ _TILES = [np.zeros((2, 2), dtype=np.uint8)]
 _COUNTS = {
     "unfold_tr_mode": ("mode", 0, 2, lambda v: unfold_tr(np.ones((2, 3, 4)), v)),
     "fold_tr_mode": ("mode", 0, 2, lambda v: fold_tr(np.ones((2, 12)), v, (2, 3, 4))),
+    "fold_tr_dimension": (
+        "dimension", 1, None, lambda v: fold_tr(np.ones((2, 12)), 0, (2, v, 4))
+    ),
     "build_subchain_mode": (
         "mode", 0, 2, lambda v: build_subchain(init_random((2, 3, 4), (2, 2, 2), seed=0), v)
+    ),
+    "core_fold2_rank": ("rank", 1, None, lambda v: core_fold2(np.ones((3, 4)), v, 3, 2)),
+    "core_fold2_dimension": (
+        "dimension", 1, None, lambda v: core_fold2(np.ones((3, 4)), 2, v, 2)
     ),
     "init_random_dimension": ("dimension", 1, None, lambda v: init_random((3, v), (2, 2), 0)),
     "init_random_rank": ("rank", 1, None, lambda v: init_random((3, 4), (2, v), seed=0)),
@@ -261,6 +232,7 @@ _COUNTS = {
     ),
     "neighbor_graph_p": ("neighbor count p", 1, 4, lambda v: neighbor_graph(np.ones((2, 5)), v)),
     "kmeans_k": ("k", 1, 5, lambda v: kmeans(_FEATURES, v, restarts=1, seed=0)),
+    # Zero restarts would otherwise return no labeling at all (None).
     "kmeans_restarts": ("restarts", 1, None, lambda v: kmeans(_FEATURES, 2, restarts=v, seed=0)),
     "kmeans_seed": ("seed", 0, None, lambda v: kmeans(_FEATURES, 2, restarts=1, seed=v)),
     "knn_classify_k": (
@@ -268,6 +240,9 @@ _COUNTS = {
     ),
     "area_resize_height": ("output height", 1, None, lambda v: area_resize(np.ones((4, 4)), v, 2)),
     "area_resize_width": ("output width", 1, None, lambda v: area_resize(np.ones((4, 4)), 2, v)),
+    # The sizes are read before the directory is.
+    "ingest_images_height": ("output height", 1, None, lambda v: ingest_images(".", v, 2)),
+    "ingest_images_width": ("output width", 1, None, lambda v: ingest_images(".", 2, v)),
     "montage_rows": ("rows", 1, None, lambda v: montage(_TILES, v, 2)),
     "montage_cols": ("cols", 1, None, lambda v: montage(_TILES, 2, v)),
     "blob_slice_dimension": ("slice dimension", 1, None, lambda v: blob_tensor((v, 4), 2, 3)),
@@ -284,14 +259,15 @@ _COUNTS = {
 
 def _count_cases():
     for case, (name, lo, hi, call) in sorted(_COUNTS.items()):
-        for value in [lo - 1, 2.5, None, "3"] + ([] if hi is None else [hi + 1]):
+        for value in [lo - 1, 2.5, np.float64(2.0), None, "3"] + ([] if hi is None else [hi + 1]):
             yield pytest.param(name, lo, hi, call, value, id=f"{case}={value!r}")
 
 
 @pytest.mark.parametrize("name, lo, hi, call, value", _count_cases())
 def test_counts_out_of_range_rejected_by_one_rule(name, lo, hi, call, value):
-    # Below lo, a fraction, no number, a numeral string, and above hi: each
-    # message in the one form of as_count.
+    # Below lo, a fraction, an integral float, no number, a numeral string,
+    # and above hi: each message in the one form of as_count.  So neither
+    # 2.5 nor np.float64(2.0) is read as 2, nor a float mode raised as a TypeError.
     if not isinstance(value, int):
         message = f"{name} must be an integer, got {value!r}"
     elif hi is None:
@@ -300,6 +276,23 @@ def test_counts_out_of_range_rejected_by_one_rule(name, lo, hi, call, value):
         message = f"{name}={value} out of range [{lo}, {hi}]"
     with pytest.raises(ValueError, match=re.escape(message)):
         call(value)
+
+
+def _count_names(path):
+    """Each string literal that the module at ``path`` passes to ``as_count`` as a name."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "as_count":
+            if isinstance(node.args[1], ast.Constant):
+                yield node.args[1].value
+
+
+def test_every_count_the_library_reads_has_a_row():
+    # A count read under a name that no row gives would bypass the table.
+    # cli.py's --option names are checked through the command line instead.
+    read = [(path.name, name) for path in sorted(SRC.glob("*.py")) for name in _count_names(path)
+            if not (path.name == "cli.py" and name.startswith("--"))]
+    rows = {name for name, *_ in _COUNTS.values()}
+    assert read and [f"{module}: {name}" for module, name in read if name not in rows] == []
 
 
 @pytest.mark.parametrize("slice_dims, n_classes, per_class, seed", [
