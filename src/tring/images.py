@@ -24,11 +24,12 @@ __all__ = [
 ]
 
 
-# A header token with the separators and comments before it.  The separators
-# are the bytes str.isspace accepts; a comment runs from "#" to the end of its
-# line, and a "#" inside a token is part of the token.
+# The header: magic, width, height and maxval, each after any run of
+# separators and comments.  The separators are the bytes str.isspace accepts;
+# a comment runs from "#" to the end of its line, and a "#" inside a token is
+# part of the token.  An empty group is a token missing at the end of the data.
 _SPACE = rb"\t-\r\x1c-\x1f \x85\xa0"
-_TOKEN = re.compile(rb"(?:[%s]|#[^\n]*)*([^%s]*)" % (_SPACE, _SPACE))
+_HEADER = re.compile((rb"(?:[%s]|#[^\n]*)*([^%s]*)" % (_SPACE, _SPACE)) * 4)
 
 
 def read_pnm(path):
@@ -37,29 +38,20 @@ def read_pnm(path):
     A sample above the header's maxval raises ``FileFormatError``.
     """
     data = Path(path).read_bytes()
-    pos = 0
-
-    def token():
-        nonlocal pos
-        match = _TOKEN.match(data, pos)
-        pos = match.end()
-        if not match[1]:
+    header = _HEADER.match(data)
+    for i, field in enumerate(header.groups()):
+        if not field:
             raise FileFormatError(f"{path}: truncated header")
-        return match[1]
-
-    def number():
-        field = token()  # ASCII digits: int() alone also reads b"1_0" as 10, and b"+1"
-        if not field.isdigit():
+        if i == 0 and field not in (b"P5", b"P6"):
+            raise FileFormatError(f"{path}: unsupported format {field!r} (need P5/P6)")
+        # ASCII digits: int() alone also reads b"1_0" as 10, and b"+1".
+        if i > 0 and not field.isdigit():
             raise FileFormatError(f"{path}: malformed header")
-        return int(field)
-
-    magic = token()
-    if magic not in (b"P5", b"P6"):
-        raise FileFormatError(f"{path}: unsupported format {magic!r} (need P5/P6)")
-    width, height, maxval = number(), number(), number()
+    magic = header[1]
+    width, height, maxval = map(int, header.groups()[1:])
     if width < 1 or height < 1 or not 0 < maxval < 65536:
         raise FileFormatError(f"{path}: bad dimensions or maxval")
-    pos += 1  # single whitespace byte separates header from raster
+    pos = header.end() + 1  # single whitespace byte separates header from raster
     channels = 3 if magic == b"P6" else 1
     count = width * height * channels
     dtype = np.dtype("u1") if maxval < 256 else np.dtype(">u2")
@@ -150,12 +142,11 @@ def ingest_images(dir_path, height, width):
         labels += [ci] * len(found)
     stack = None
     for j, f in enumerate(files):
-        img = read_pnm(f)
-        if stack is not None and img.ndim != stack.ndim - 1:
-            raise ValueError(f"{f}: mixes color and grayscale images")
-        small = area_resize(img, height, width)
+        small = area_resize(read_pnm(f), height, width)
         if stack is None:
             stack = np.empty(small.shape + (len(files),))
+        elif small.ndim != stack.ndim - 1:
+            raise ValueError(f"{f}: mixes color and grayscale images")
         stack[..., j] = small
     return stack, np.asarray(labels, dtype=np.int64)
 

@@ -171,10 +171,18 @@ def build_subchain(cores, mode, workspace=None):
 
 
 def _chain_buffer(shape, workspace):
-    """A C-contiguous float64 array of ``shape``: fresh, or the head of ``workspace``."""
+    """A C-contiguous float64 array of ``shape``: fresh, or the head of ``workspace``.
+
+    ``workspace`` must be a 1-D float64 ndarray of at least that many
+    entries; anything else raises ``ValueError``.
+    """
     if workspace is None:
         return np.empty(shape)
-    return workspace[: math.prod(shape)].reshape(shape)
+    size = math.prod(shape)
+    if not (isinstance(workspace, np.ndarray) and workspace.dtype == np.float64
+            and workspace.ndim == 1 and workspace.size >= size):
+        raise ValueError(f"workspace must be a 1-D float64 array of at least {size} entries")
+    return workspace[:size].reshape(shape)
 
 
 def _merge(acc, core, workspace=None):

@@ -103,6 +103,13 @@ def as_labels(a):
     return a.astype(np.int64)
 
 
+def _mode(mode, d):
+    """``mode`` as a mode of an order-``d`` tensor; an order-0 tensor has none."""
+    if d == 0:
+        raise ValueError("an order-0 tensor has no modes")
+    return as_count(mode, "mode", 0, d - 1)
+
+
 def unfold_tr(x, mode):
     """Cyclic mode-``mode`` matricization.
 
@@ -113,7 +120,7 @@ def unfold_tr(x, mode):
     """
     x = as_tensor(x)
     d = x.ndim
-    mode = as_count(mode, "mode", 0, d - 1)
+    mode = _mode(mode, d)
     axes = tuple(range(mode, d)) + tuple(range(mode))
     y = np.transpose(x, axes)
     return y.reshape(x.shape[mode], -1, order="F")
@@ -142,7 +149,7 @@ def fold_tr(m, mode, shape):
     m = as_tensor(m)
     shape = tuple(as_count(s, "dimension", 1) for s in shape)
     d = len(shape)
-    mode = as_count(mode, "mode", 0, d - 1)
+    mode = _mode(mode, d)
     perm_shape = shape[mode:] + shape[:mode]
     if m.shape != (shape[mode], int(np.prod(perm_shape[1:], dtype=np.int64))):
         raise ValueError(f"matrix shape {m.shape} does not match target {shape}")

@@ -99,10 +99,14 @@ class TestReadPnm:
         [
             pytest.param(b"", "truncated header", id="empty"),
             pytest.param(b"# only a comment\n", "truncated header", id="comment-only"),
+            pytest.param(b"P5", "truncated header", id="magic-only"),
+            pytest.param(b"P5 2", "truncated header", id="no-height"),
             pytest.param(b"P5\n2 1\n", "truncated header", id="no-maxval"),
             pytest.param(b"P5\n2 1\n# maxval\n", "truncated header", id="comment-for-maxval"),
+            pytest.param(b"P5 2 1 # c", "truncated header", id="comment-for-maxval-at-end"),
             pytest.param(b"P5\nx\n", "malformed header", id="malformed-before-missing"),
             pytest.param(b"P5\n2 1 2#5\n\x00\x01", "malformed header", id="hash-inside-token"),
+            pytest.param(b"P5\n2#1 1\n255\n\x00\x01", "malformed header", id="hash-inside-width"),
             # int() alone reads b"1_0" as 10 and b"+2" as 2.
             pytest.param(b"P5\n1_0 1\n255\n" + bytes(10), "malformed header", id="underscore"),
             pytest.param(b"P5\n+2 1\n255\n\x00\x01", "malformed header", id="signed"),
@@ -129,6 +133,11 @@ class TestReadPnm:
         p = tmp_path / "w.pgm"
         p.write_bytes(b"#lead\nP5\x85 2\xa0#x\n1\x1c255\n\x00\xff")
         assert np.array_equal(read_pnm(p), [[0.0, 1.0]])
+
+    def test_comment_after_every_header_token(self, tmp_path):
+        p = tmp_path / "c.ppm"
+        p.write_bytes(b"P6 # c\n1 # d\n1\n255\n\x01\x02\x03")
+        assert np.array_equal(read_pnm(p), np.array([[[1, 2, 3]]]) / 255)
 
     # The 12 bytes str.isspace accepts, each the only separator of a header,
     # including the one byte between maxval and the raster.

@@ -409,6 +409,17 @@ class TestSubchain:
             assert not np.shares_memory(fresh, workspace)
             assert np.array_equal(into, fresh)
 
+    @pytest.mark.parametrize(
+        "workspace",
+        [np.empty(48, np.float32), np.empty(48, np.int64), np.empty(3), np.empty((10, 10))],
+        ids=["float32", "int64", "too-small", "2-D"],
+    )
+    def test_workspace_not_1d_float64_of_the_subchain_size_rejected(self, workspace):
+        cores = init_random((2, 3, 4), (2, 2, 2), 0)
+        message = "workspace must be a 1-D float64 array of at least 48 entries"
+        with pytest.raises(ValueError, match=message):
+            build_subchain(cores, 0, workspace)
+
     def test_contract_back_reproduces_reconstruction(self):
         cores = init_random((3, 2, 4), (2, 2, 3), seed=4)
         ref = reconstruct(cores)

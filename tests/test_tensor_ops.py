@@ -123,6 +123,15 @@ class TestUnfoldings:
         with pytest.raises(ValueError):
             unfold_tr(np.ones((2, 2)), -1)
 
+    @pytest.mark.parametrize(
+        "call",
+        [lambda: unfold_tr(np.float64(1.0), 0), lambda: fold_tr(np.ones((1, 1)), 0, ())],
+        ids=["unfold", "fold"],
+    )
+    def test_order_0_has_no_modes(self, call):
+        with pytest.raises(ValueError, match="order-0 tensor has no modes"):
+            call()
+
 
 class TestSpectralNorm:
     """``spectral_norm``: the spectral norm of a symmetric PSD matrix, dense
