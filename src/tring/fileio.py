@@ -54,13 +54,18 @@ def atomic_write_bytes(path, data):
 
 
 def write_tensor(path, x):
-    """Serialize a dense float tensor; refuses order 0 and non-finite values, writing nothing.
+    """Serialize a dense float tensor; refuses what ``read_tensor`` refuses, writing nothing.
 
+    That is order 0, a dimension of size 0 and non-finite values, each a ``FileFormatError``.
     Data that is not real numbers raises ``as_tensor``'s ``ValueError``, before any write too.
     """
     x = as_tensor(x)
     if x.ndim < 1:
         raise FileFormatError("refusing to write an order-0 tensor: the container holds order >= 1")
+    if 0 in x.shape:
+        raise FileFormatError(
+            f"refusing to write shape {x.shape}: the container holds dimension sizes >= 1"
+        )
     if not np.all(np.isfinite(x)):
         raise FileFormatError("refusing to write non-finite values")
     header = MAGIC + np.uint32(x.ndim).astype("<u4").tobytes()

@@ -6,6 +6,7 @@ floats in [0, 1].
 """
 
 import functools
+import math
 import re
 from pathlib import Path
 
@@ -47,38 +48,36 @@ def read_pnm(path):
         # ASCII digits: int() alone also reads b"1_0" as 10, and b"+1".
         if i > 0 and not field.isdigit():
             raise FileFormatError(f"{path}: malformed header")
-    magic = header[1]
     width, height, maxval = map(int, header.groups()[1:])
     if width < 1 or height < 1 or not 0 < maxval < 65536:
         raise FileFormatError(f"{path}: bad dimensions or maxval")
     pos = header.end() + 1  # single whitespace byte separates header from raster
-    channels = 3 if magic == b"P6" else 1
-    count = width * height * channels
+    shape = (height, width, 3) if header[1] == b"P6" else (height, width)
+    count = math.prod(shape)
     dtype = np.dtype("u1") if maxval < 256 else np.dtype(">u2")
     if len(data) - pos < count * dtype.itemsize:
         raise FileFormatError(f"{path}: truncated raster data")
     raw = np.frombuffer(data, dtype, count=count, offset=pos)
     if maxval < np.iinfo(dtype).max and raw.max() > maxval:
         raise FileFormatError(f"{path}: sample {raw.max()} above maxval {maxval}")
-    img = raw.astype(np.float64) / maxval
-    if channels == 3:
-        return img.reshape(height, width, 3)
-    return img.reshape(height, width)
+    return (raw.astype(np.float64) / maxval).reshape(shape)
 
 
 def write_pnm(path, img):
-    """Write a uint8 image as binary PGM (P5) if (h, w), or PPM (P6) if (h, w, 3)."""
+    """Write a uint8 image as binary PGM (P5) if (h, w), or PPM (P6) if (h, w, 3).
+
+    Anything ``read_pnm`` would refuse, such as an image without pixels,
+    raises ``ValueError`` and writes nothing.
+    """
     img = np.asarray(img)
     if img.dtype != np.uint8:
         raise ValueError("expected uint8 pixel data")
-    if img.ndim == 2:
-        magic = "P5"
-    elif img.ndim == 3 and img.shape[2] == 3:
-        magic = "P6"
-    else:
-        raise ValueError(f"PNM wants a (h, w) or (h, w, 3) array, got shape {img.shape}")
+    if img.ndim < 2 or img.shape[2:] not in ((), (3,)) or img.size == 0:
+        raise ValueError(
+            f"PNM wants a (h, w) or (h, w, 3) array with pixels, got shape {img.shape}"
+        )
     h, w = img.shape[:2]
-    header = f"{magic}\n{w} {h}\n255\n".encode("ascii")
+    header = f"{'P6' if img.ndim == 3 else 'P5'}\n{w} {h}\n255\n".encode("ascii")
     atomic_write_bytes(path, header + img.tobytes(order="C"))
 
 
@@ -99,18 +98,26 @@ def _overlap_weights(n_in, n_out):
 
 
 def area_resize(img, out_h, out_w):
-    """Exact area-average resampling of a (h, w) or (h, w, 3) image."""
+    """Exact area-average resampling of a (h, w) or (h, w, 3) image.
+
+    An image without pixels raises ``ValueError`` naming its empty side.
+    """
     img = as_tensor(img)
     if img.ndim not in (2, 3):
         raise ValueError("expected a 2-D or 3-D image array")
+    if img.size == 0:
+        side = ("height", "width", "channel count")[img.shape.index(0)]
+        raise ValueError(f"cannot resize an image of {side} 0 (shape {img.shape})")
     out_h, out_w = as_count(out_h, "output height", 1), as_count(out_w, "output width", 1)
-    rows = _overlap_weights(img.shape[0], out_h)
-    cols = _overlap_weights(img.shape[1], out_w)
-    tmp = np.tensordot(rows, img, axes=(1, 0))
-    out = np.tensordot(tmp, cols, axes=(1, 1))
-    if img.ndim == 3:
-        out = np.moveaxis(out, -1, 1)
-    return out
+    h, w = img.shape[:2]
+    rows = _overlap_weights(h, out_h)
+    cols = _overlap_weights(w, out_w)
+    # rows @ img @ cols.T for every channel layout (grey has one channel):
+    # the channels ride as extra columns of the first product and as extra
+    # rows, channel-major, of the second.
+    tmp = (rows @ img.reshape(h, -1)).reshape(out_h, w, -1).swapaxes(1, 2)
+    out = tmp.reshape(-1, w) @ cols.T
+    return out.reshape(out_h, -1, out_w).swapaxes(1, 2).reshape((out_h, out_w) + img.shape[2:])
 
 
 def ingest_images(dir_path, height, width):

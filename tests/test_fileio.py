@@ -81,6 +81,14 @@ class TestTensorFile:
             write_tensor(tmp_path / "scalar.ten", value)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("shape", [(0,), (0, 3), (3, 0), (2, 0, 4)])
+    def test_zero_dimension_refused_on_write(self, tmp_path, shape):
+        # read_tensor rejects a dimension of 0, so the writer refuses it too,
+        # rather than writing a file that does not read back.
+        with pytest.raises(FileFormatError, match=r"dimension sizes >= 1"):
+            write_tensor(tmp_path / "empty.ten", np.zeros(shape))
+        assert list(tmp_path.iterdir()) == []
+
     def test_zero_dimension_rejected(self, tmp_path):
         path = tmp_path / "z.ten"
         header = b"TEN1" + (1).to_bytes(4, "little") + (0).to_bytes(8, "little")

@@ -189,6 +189,10 @@ class TestWritePnm:
         (np.zeros((2, 2, 1), dtype=np.uint8), r"\(h, w\) or \(h, w, 3\)"),
         (np.zeros(4, dtype=np.uint8), r"\(h, w\) or \(h, w, 3\)"),
         (np.zeros((2, 2)), "uint8"),
+        # read_pnm rejects a zero width or height, so the writer refuses them too.
+        (np.zeros((0, 5), dtype=np.uint8), r"with pixels, got shape \(0, 5\)"),
+        (np.zeros((4, 0), dtype=np.uint8), r"with pixels, got shape \(4, 0\)"),
+        (np.zeros((0, 5, 3), dtype=np.uint8), r"with pixels, got shape \(0, 5, 3\)"),
     ])
     def test_other_arrays_rejected(self, tmp_path, img, message):
         p = tmp_path / "bad.pnm"
@@ -224,6 +228,14 @@ class TestAreaResize:
     def test_image_must_be_2d_or_3d(self, shape):
         with pytest.raises(ValueError, match="expected a 2-D or 3-D image array"):
             area_resize(np.ones(shape), 1, 1)
+
+    @pytest.mark.parametrize("shape, side", [
+        ((0, 4), "height"), ((4, 0), "width"), ((0, 4, 3), "height"), ((4, 4, 0), "channel count"),
+    ])
+    def test_image_without_pixels_rejected(self, shape, side):
+        # An image without pixels has nothing to average, so no output image.
+        with pytest.raises(ValueError, match=rf"cannot resize an image of {side} 0"):
+            area_resize(np.zeros(shape), 2, 2)
 
     def test_fractional_overlap(self):
         # 3 -> 2 cells: output 0 covers [0, 1.5) = cell0 + half of cell1
